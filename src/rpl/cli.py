@@ -141,7 +141,7 @@ def load_coloring(path: str):
     if stripped.startswith("{"):
         try:
             return StableColoring.from_json_dict(json.loads(text))
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise InstanceLoadError(path, 1, f"bad stable record: {exc}")
     try:
         return FiniteColoring.from_text(text)
@@ -300,16 +300,20 @@ def _cmd_extract(args, out: _Out) -> int:
 
 def _load_scenario(path: str):
     with open(path) as fh:
-        data = json.load(fh)
-    reqs = []
-    for entry in data["requirements"]:
-        p = perm_to_pattern(Permutation.from_text(entry["pattern"]))
-        script = AdversaryScript(
-            entry.get("id", entry["pattern"]),
-            [(ev[0], ev[1], ev[2]) for ev in entry.get("script", [])],
-        )
-        reqs.append((p, script))
-    return reqs, int(data.get("horizon", 100))
+        text = fh.read()
+    try:
+        data = json.loads(text)
+        reqs = []
+        for entry in data["requirements"]:
+            p = perm_to_pattern(Permutation.from_text(entry["pattern"]))
+            script = AdversaryScript(
+                entry.get("id", entry["pattern"]),
+                [(ev[0], ev[1], ev[2]) for ev in entry.get("script", [])],
+            )
+            reqs.append((p, script))
+        return reqs, int(data.get("horizon", 100))
+    except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise InstanceLoadError(path, 1, f"bad priority scenario: {type(exc).__name__} {exc}")
 
 
 def _cmd_construct(args, out: _Out) -> int:
@@ -360,8 +364,11 @@ def _cmd_construct(args, out: _Out) -> int:
 
 def _cmd_large(args, out: _Out) -> int:
     if args.action == "check":
-        elems = [int(t) for t in args.arg.split(",") if t]
-        n = int(args.level)
+        try:
+            elems = [int(t) for t in args.arg.split(",") if t]
+        except ValueError:
+            raise _UsageError(f"expected comma-separated integers, got {args.arg!r}") from None
+        n = args.level
         witness = omega_n_decompose(elems, n)
         verdict = witness is not None
         out.line(f"omega^{n}-large: {'yes' if verdict else 'no'}")
@@ -411,7 +418,11 @@ def _cmd_experiment(args, out: _Out) -> int:
             inst = fam[t % len(fam)]
             cfg = default_config(args.seed * 1_000_003 + t, horizon=horizon,
                                  steps=args.steps)
-            res = randomized_extract(inst, 2, 2, cfg)
+            try:
+                res = randomized_extract(inst, 2, 2, cfg)
+            except DegenerateInstance as exc:
+                report.add(t, cfg.seed, "degenerate", 0, exc.step)
+                continue
             report.add(t, cfg.seed, "success" if res.success else "failure",
                        len(res.vertices) if res.vertices else 0, res.failure_step)
     elif args.kind == "delta-mc":
@@ -467,6 +478,12 @@ class _UsageError(Exception):
     pass
 
 
+def _bit_string(text: str) -> str:
+    if set(text) - {"0", "1"}:
+        raise argparse.ArgumentTypeError(f"expected a string of 0s and 1s, got {text!r}")
+    return text
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="rpl", description="pattern-avoidance laboratory")
     p.add_argument("--seed", type=int, default=0)
@@ -506,12 +523,12 @@ def _build_parser() -> _Parser:
     sp.add_argument("--direction", choices=("inc", "dec"), default="dec")
     sp.add_argument("--e", type=int, default=0)
     sp.add_argument("--n", type=int, default=200)
-    sp.add_argument("--bits", default="")
+    sp.add_argument("--bits", type=_bit_string, default="")
 
     sp = sub.add_parser("large")
     sp.add_argument("action", choices=("check", "group"))
     sp.add_argument("arg")
-    sp.add_argument("level", nargs="?", default="1")
+    sp.add_argument("level", nargs="?", type=int, default=1)
     sp.add_argument("--notion", default="omega:1")
     sp.add_argument("--count", type=int, default=3)
 
@@ -560,6 +577,9 @@ def run_command(argv) -> int:
     out = _Out(args.out)
     try:
         code = _DISPATCH[args.verb](args, out)
+    except _UsageError as exc:
+        sys.stderr.write(f"usage error: {exc}\n")
+        return 2
     except (RplError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

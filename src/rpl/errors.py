@@ -37,8 +37,13 @@ class DegenerateInstance(RplError):
     """The instance lacks the structure an extractor needs.
 
     Carries a hint about the fallback route (typically the unbalanced
-    extractor).
+    extractor) and, when an extractor loop raised it, the step it
+    stopped at.
     """
+
+    def __init__(self, message: str, step: int | None = None):
+        self.step = step
+        super().__init__(message)
 
 
 class PreconditionWitness(ContractViolation):

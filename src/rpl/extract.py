@@ -17,6 +17,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from operator import sub
 import random
 
 from .errors import (
@@ -277,6 +279,9 @@ def analyze_blocks(
 # Block search inside a reservoir
 
 
+SCAN_CHUNK = 64  # least number of pool elements one bound-scan step reads
+
+
 def find_homogeneous_block(f, reservoir, size: int, color: int, budget=None):
     """Lexicographically least size-`size` subset of the reservoir whose
     pairs all have the color, by ascending depth-first search.
@@ -284,75 +289,98 @@ def find_homogeneous_block(f, reservoir, size: int, color: int, budget=None):
     For stable colorings the pair checks collapse: an element whose limit
     disagrees with the color caps every later candidate at its settling
     time, and only candidates inside a settling window need explicit pair
-    reads.
+    reads.  A suffix holding g elements with the matching limit adds at
+    most g + 1 + window vertices (window: the largest settle(x) - x in
+    the pool), which cuts hopeless branches.
+
+    Both bounds come from a lazily scanned prefix of the pool, where they
+    are lower bounds of the true ones: a branch is kept as soon as they
+    suffice, and the scan advances only when they fall short.  At the end
+    of the pool they are exact, so cuts, search order and node count are
+    those of the full bounds, while a block near the front of a long
+    reservoir never pays for the rest of it.
     """
     pool = sorted(reservoir)
     n = len(pool)
     if n < size:
         return None
     stable = isinstance(f, StableColoring)
-    window = 0
-    good_suffix = None
     if stable:
-        window = max((f.settle[x] - x for x in pool), default=1)
-        # feasibility bound: elements settling to the other color can add
-        # at most a window's worth of chain beyond the matching ones
-        good_suffix = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            good_suffix[i] = good_suffix[i + 1] + (f.limits[pool[i]] == color)
-        if good_suffix[0] + 1 + window < size:
+        limits, settle = f.limits, f.settle
+        frontier = 0  # length of the scanned prefix of the pool
+        good = [0]  # good[i]: elements of pool[:i] with the matching limit
+        wmax = 1  # max of settle(x) - x over the scanned prefix; settle(x) > x
+        reach = 2  # good[frontier] + 1 + wmax
+
+        def suffix_short(idx: int, need: int) -> bool:
+            """True iff the suffix from pool[idx] cannot add `need` more
+            vertices; scans on only while the scanned bounds fall short."""
+            nonlocal frontier, wmax, reach
+            while True:
+                slack = reach - good[idx] - need
+                if frontier == n:
+                    return slack < 0
+                if slack >= 0 and frontier > idx:
+                    return False
+                chunk = pool[frontier:frontier + max(-slack, SCAN_CHUNK)]
+                # accumulate re-emits the popped running count first
+                good.extend(accumulate(map(color.__eq__, map(limits.__getitem__, chunk)),
+                                       initial=good.pop()))
+                wmax = max(wmax, max(map(sub, map(settle.__getitem__, chunk), chunk)))
+                frontier += len(chunk)
+                reach = good[frontier] + 1 + wmax
+
+        if suffix_short(0, size):
             return None
 
     chosen: list[int] = []
-    cutoffs: list[int] = []  # min settle among chosen with the wrong limit
-    stack_next: list[int] = [0]
+    cutoffs: list[int] = [1 << 60]  # min settle among chosen with the wrong limit
+    placed_at: list[int] = []  # pool index of each chosen element
     nodes = 0
-    INF = 1 << 60
-
-    def candidate_ok(v: int) -> bool:
-        if not stable:
-            return all(f.color(u, v) == color for u in chosen)
-        cutoff = cutoffs[-1] if cutoffs else INF
-        if v >= cutoff:
-            return False
-        for u in reversed(chosen):
-            if u <= v - window:
-                break
-            if f.settle[u] > v and f.color(u, v) != color:
-                return False
-        return True
-
-    while True:
-        if len(chosen) == size:
-            return VertexSet(chosen)
-        start = stack_next[-1]
-        placed = False
-        for idx in range(start, n - (size - len(chosen)) + 1):
+    need = size
+    idx = 0
+    while need:
+        exhausted = idx > n - need
+        if not exhausted:
             v = pool[idx]
             nodes += 1
             if budget is not None and nodes > budget:
                 raise BudgetExhausted(nodes)
-            if stable and cutoffs and v >= cutoffs[-1]:
-                break  # pool ascends, so every later candidate fails too
-            if stable and len(chosen) + good_suffix[idx] + 1 + window < size:
-                break  # not enough compatible material left in the suffix
-            if candidate_ok(v):
-                prev = cutoffs[-1] if cutoffs else INF
-                cut = prev
-                if stable and f.limits[v] != color:
-                    cut = min(prev, f.settle[v])
-                chosen.append(v)
-                cutoffs.append(cut)
-                stack_next[-1] = idx + 1
-                stack_next.append(idx + 1)
-                placed = True
-                break
-        if not placed:
+            # the pool ascends, so past either cut no later candidate fits;
+            # the inline test spares the call while the scanned bounds suffice
+            exhausted = stable and (
+                v >= cutoffs[-1]
+                or not (idx < frontier and good[idx] + need <= reach)
+                and suffix_short(idx, need)
+            )
+        if exhausted:
             if not chosen:
                 return None
             chosen.pop()
             cutoffs.pop()
-            stack_next.pop()
+            idx = placed_at.pop() + 1
+            need += 1
+            continue
+        cut = cutoffs[-1]
+        if not stable:
+            fits = all(f.color(u, v) == color for u in chosen)
+        else:
+            fits = True
+            for u in reversed(chosen):
+                if u <= v - wmax:
+                    break  # scanned, so u and all below it settled before v
+                if settle[u] > v and f.color(u, v) != color:
+                    fits = False
+                    break
+            if limits[v] != color:
+                cut = min(cut, settle[v])
+        if fits:
+            chosen.append(v)
+            cutoffs.append(cut)
+            placed_at.append(idx)
+            need -= 1
+        idx += 1
+    return VertexSet(chosen)
 
 
 EXTRACTOR_SEARCH_BUDGET = 2_000_000
@@ -369,19 +397,22 @@ def find_fractal_occurrence(f, reservoir, arity: int, dim: int, budget=None):
 def _extractor_block(f, reservoir, arity: int, dim: int, step: int):
     """Block search inside an extractor loop: a budgeted search whose
     exhaustion, like proven absence, ends the run as a degenerate
-    instance (the unbalanced route applies); the cause is named."""
+    instance (the unbalanced route applies); the cause and the step are
+    named."""
     try:
         block = find_fractal_occurrence(f, reservoir, arity, dim,
                                         EXTRACTOR_SEARCH_BUDGET)
     except BudgetExhausted as exc:
         raise DegenerateInstance(
             f"block search budget exhausted at step {step} "
-            f"(arity {arity}, dimension {dim}); treat as degenerate"
+            f"(arity {arity}, dimension {dim}); treat as degenerate",
+            step,
         ) from exc
     if block is None:
         raise DegenerateInstance(
             f"no {arity}-ary dimension-{dim} block in the reservoir at step "
-            f"{step}; the unbalanced extractor applies instead"
+            f"{step}; the unbalanced extractor applies instead",
+            step,
         )
     return block
 

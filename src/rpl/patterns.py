@@ -9,6 +9,7 @@ all serialization uses that order so fixtures are bit-exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import gt
 
 from .errors import BudgetExhausted, ContractViolation, RangeError
 
@@ -145,12 +146,14 @@ class FiniteColoring:
     def __init__(self, horizon: int, bits):
         if horizon < 1:
             raise ContractViolation("horizon must be >= 1")
-        bits = tuple(int(b) for b in bits)
+        bits = tuple(map(int, bits))
         expected = horizon * (horizon - 1) // 2
         if len(bits) != expected:
             raise ContractViolation(
                 f"coloring on {horizon} vertices needs {expected} bits, got {len(bits)}"
             )
+        if not set(bits) <= {0, 1}:
+            raise ContractViolation("coloring bits must be 0 or 1")
         self.horizon = horizon
         self._bits = bits
 
@@ -203,7 +206,8 @@ class FiniteColoring:
 
 
 class StableColoring:
-    """A coloring whose rows settle: f(x, y) = limit(x) once y >= settle(x).
+    """A coloring whose rows settle: f(x, y) = limit(x) once y >= settle(x),
+    where settle(x) > x.
 
     Limits and settling times are explicit data, so limit queries are
     decidable at finite scale.  Values before the settling time default to
@@ -213,13 +217,18 @@ class StableColoring:
     __slots__ = ("horizon", "limits", "settle", "overrides")
 
     def __init__(self, horizon: int, limits, settle, overrides=()):
+        if isinstance(limits, (str, bytes)) or isinstance(settle, (str, bytes)):
+            raise ContractViolation("limits and settle must be integer sequences, not text")
         self.horizon = horizon
-        self.limits = tuple(int(c) for c in limits)
-        self.settle = tuple(int(s) for s in settle)
+        self.limits = tuple(map(int, limits))
+        self.settle = tuple(map(int, settle))
         if len(self.limits) != horizon or len(self.settle) != horizon:
             raise ContractViolation("limits and settle must cover the horizon")
-        if any(c not in (0, 1) for c in self.limits):
+        if not set(self.limits) <= {0, 1}:
             raise ContractViolation("limits must be 0 or 1")
+        if not all(map(gt, self.settle, range(horizon))):
+            x = next(x for x, s in enumerate(self.settle) if s <= x)
+            raise ContractViolation(f"settle({x})={self.settle[x]} must exceed {x}")
         ov = {}
         for x, y, c in overrides:
             if not x < y < self.settle[x]:
@@ -269,10 +278,6 @@ class StableColoring:
             d["settle"],
             [tuple(t) for t in d.get("overrides", [])],
         )
-
-
-def coloring_horizon(f) -> int:
-    return f.horizon
 
 
 def realizes(f, vertices, p: Pattern) -> bool:

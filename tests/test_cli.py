@@ -207,6 +207,54 @@ def test_experiment_random_extract_rate(capsys):
             assert r["size"] >= 30
 
 
+def test_experiment_random_extract_records_degenerate_trial(capsys):
+    # trial 37 thins its reservoir past any 324-element block at step 28
+    code, out, err = run(capsys, ["--seed", "15362440", "experiment", "random-extract",
+                                  "--trials", "38", "--instances", "50"])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert validate_report(payload)
+    last = payload["records"][-1]
+    assert last == {"trial": 37, "seed": 15362440 * 1_000_003 + 37,
+                    "outcome": "degenerate", "size": 0, "failure_step": 28}
+    assert all(r["outcome"] != "degenerate" for r in payload["records"][:-1])
+    assert payload["aggregates"]["trials"] == 38
+
+
+MALFORMED = [
+    # (argv with {dir} standing for the test's temporary directory, files, exit code)
+    (["construct", "delta", "--bits", "2"], {}, 2),
+    (["construct", "delta", "--bits", "10a"], {}, 2),
+    (["large", "check", "1,x", "1"], {}, 2),
+    (["large", "check", "1,2", "y"], {}, 2),
+    (["construct", "priority", "{dir}/empty.json"], {"empty.json": "{}"}, 1),
+    (["construct", "priority", "{dir}/list.json"], {"list.json": "[1, 2]"}, 1),
+    (["construct", "priority", "{dir}/text.json"], {"text.json": "not json"}, 1),
+    (["construct", "priority", "{dir}/nopat.json"],
+     {"nopat.json": '{"requirements": [{"script": []}]}'}, 1),
+    (["pattern", "avoids", "{dir}/two.txt", "01"], {"two.txt": "3\n01\n2\n"}, 1),
+    (["pattern", "avoids", "{dir}/settle.json", "01"],
+     {"settle.json": '{"type": "stable", "horizon": 2, "limits": [0, 1], "settle": [0, 2]}'}, 1),
+    (["pattern", "avoids", "{dir}/strlim.json", "01"],
+     {"strlim.json": '{"type": "stable", "horizon": 2, "limits": "01", "settle": [1, 2]}'}, 1),
+    (["pattern", "avoids", "{dir}/intlim.json", "01"],
+     {"intlim.json": '{"type": "stable", "horizon": 2, "limits": 5, "settle": [1, 2]}'}, 1),
+]
+
+
+@pytest.mark.parametrize("argv, files, code", MALFORMED,
+                         ids=[" ".join(m[0]).replace("{dir}/", "") for m in MALFORMED])
+def test_malformed_input_exits_with_one_line(capsys, tmp_path, argv, files, code):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+    got, out, err = run(capsys, argv)
+    assert got == code
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
 def test_report_validation_rejects_drift():
     rep = ExperimentReport("x", {})
     rep.add(0, 1, "success", 5)

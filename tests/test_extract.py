@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import pat
 from rpl.errors import (
@@ -28,7 +29,9 @@ from rpl.extract import (
     verify_homogeneous,
 )
 from rpl.instances import (
+    alternating_stable,
     constant_coloring,
+    dipped_split_order,
     grouped_unbalanced,
     interleaved_split_order,
     repaired_random_unbalanced,
@@ -150,6 +153,64 @@ def test_find_homogeneous_block_skips_poison():
     st = split_order_coloring(12, top={2})
     blk = find_homogeneous_block(st, range(12), 4, 0)
     assert tuple(blk) == (0, 1, 3, 4)
+
+
+# Exact node counts of the ascending search on fixtures, with the least
+# block it returns as (size, first twelve elements, last, sum), or None.
+# The counts were measured on the search that computed its stable-window
+# bounds over the whole reservoir, so they pin that the lazily scanned
+# bounds cut the same branches.  The last case asks for one vertex more
+# than a 300-prefix of FIXTURE can hold, so only the cuts made once the
+# scan reaches the end of the pool keep its search from blowing up.
+NODE_PINS = [
+    ("interleaved-300", lambda: (FIXTURE, range(10_000), 300, 0), 652,
+     (300, (2, 4, 6, 8, 14, 16, 19, 20, 23, 25, 26, 28), 475, 70873)),
+    ("alternating-600", lambda: (alternating_stable(600), range(600), 12, 1), 858,
+     (12, (1, 5, 13, 28, 30, 32, 34, 36, 38, 40, 42, 43), 43, 342)),
+    ("dipped-2000", lambda: (dipped_split_order(2000), range(2000), 10, 1), 2950,
+     (10, (13, 14, 15, 37, 38, 39, 109, 110, 111, 112), 112, 598)),
+    ("interleaved-infeasible", lambda: (FIXTURE, range(300), 194, 0), 598, None),
+]
+
+
+@pytest.mark.parametrize("name, make, nodes, pinned", NODE_PINS,
+                         ids=[p[0] for p in NODE_PINS])
+def test_find_homogeneous_block_node_count_pinned(name, make, nodes, pinned):
+    f, reservoir, size, color = make()
+    with pytest.raises(BudgetExhausted) as exc:
+        find_homogeneous_block(f, reservoir, size, color, budget=nodes - 1)
+    assert exc.value.nodes == nodes
+    blk = find_homogeneous_block(f, reservoir, size, color, budget=nodes)
+    if pinned is None:
+        assert blk is None
+    else:
+        assert (len(blk), tuple(blk[:12]), blk[-1], sum(blk)) == pinned
+        assert verify_homogeneous(f, blk, color)
+
+
+@st.composite
+def small_stable(draw):
+    """A stable coloring on at most 10 vertices: random limits, settling
+    distances 1..4 (possibly past the horizon) and random overrides."""
+    h = draw(st.integers(1, 10))
+    limits = draw(st.lists(st.integers(0, 1), min_size=h, max_size=h))
+    settle = [x + draw(st.integers(1, 4)) for x in range(h)]
+    overrides = [(x, y, draw(st.integers(0, 1)))
+                 for x in range(h) for y in range(x + 1, min(settle[x], h))
+                 if draw(st.booleans())]
+    return StableColoring(h, limits, settle, overrides)
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=small_stable(), data=st.data())
+def test_stable_block_search_matches_generic(f, data):
+    h = f.horizon
+    reservoir = data.draw(st.lists(st.integers(0, h - 1), unique=True), label="reservoir")
+    size = data.draw(st.integers(0, h + 1), label="size")
+    generic = f.restrict(h)  # a FiniteColoring: plain pair reads, no cuts
+    for color in (0, 1):
+        assert (find_homogeneous_block(f, reservoir, size, color)
+                == find_homogeneous_block(generic, reservoir, size, color))
 
 
 def test_thin_reservoir_fast_path_matches_naive():

@@ -196,6 +196,32 @@ def test_stable_coloring_contract():
         StableColoring(4, [0, 0, 0, 0], [1, 2, 3, 4], [(0, 3, 1)])  # y >= settle(x)
 
 
+@pytest.mark.parametrize("limits, settle", [
+    ([0, 0, 0], [0, 0, 0]),      # settle(0) = 0
+    ([0, 1, 0], [1, 2, 2]),      # settle(2) = 2
+    ([1, 0], [5, 0]),            # settle(1) < 1
+    ([0, 2, 1], [1, 2, 3]),      # limit outside {0,1}
+    ("011", [1, 2, 3]),          # text limits are not a sequence of colors
+    ([0, 1, 1], "123"),          # text settle times likewise
+])
+def test_stable_coloring_rejects_broken_rows(limits, settle):
+    with pytest.raises(ContractViolation):
+        StableColoring(len(limits), limits, settle)
+
+
+def test_stable_coloring_accepts_settle_just_past_x():
+    st = StableColoring(3, (0, 1, 0), range(1, 4))
+    assert st.settle == (1, 2, 3) and st.limits == (0, 1, 0)
+
+
+def test_finite_coloring_rejects_non_binary_bits():
+    with pytest.raises(ContractViolation):
+        FiniteColoring(3, [0, 1, 2])
+    with pytest.raises(ContractViolation):
+        FiniteColoring.from_text("3\n01\n2\n")  # the pair (1, 2) reads 2
+    assert FiniteColoring.from_text("3\n01\n1\n").color(1, 2) == 1
+
+
 def test_stable_restriction_matches():
     st = interleaved_split_order(30, seed=2)
     fin = st.restrict(20)
