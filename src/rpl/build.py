@@ -12,7 +12,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ContractViolation, InstanceLoadError, InternalInvariant
-from .patterns import FiniteColoring, Pattern, StableColoring, VertexSet
+from .patterns import (
+    FiniteColoring,
+    LinearOrderView,
+    Pattern,
+    StableColoring,
+    VertexSet,
+    order_key,
+)
 from .perms import Permutation, SeparatingTree, separating_tree
 
 
@@ -81,9 +88,6 @@ class AdversaryScript:
         return sum((Fraction(1, 2 ** len(p)) for p in minimal), Fraction(0))
 
 
-EMPTY_SCRIPT = AdversaryScript("empty", ())
-
-
 def parse_script_file(text: str, path: str = "<script>") -> dict:
     """Script file format, one event per line:
 
@@ -150,8 +154,6 @@ class PriorityResult:
     log: list
 
     def order_view(self):
-        from .patterns import LinearOrderView
-
         return LinearOrderView(self.table)
 
 
@@ -378,24 +380,6 @@ class BuiltOrder:
     def less(self, x, y) -> bool:
         return self.keys[x] < self.keys[y]
 
-    def member_order(self):
-        """The order relabeled onto 0..|B|-1 in natural member order."""
-        relabel = {x: i for i, x in enumerate(self.members)}
-        keys = {relabel[x]: self.keys[x] for x in self.members}
-        return SimpleOrder(len(self.members), keys)
-
-    def final_disabled(self) -> dict:
-        out = {}
-
-        def walk(node):
-            if not node.is_leaf:
-                out[node.path] = node.disabled
-                for child in node.children:
-                    walk(child)
-
-        walk(self.root)
-        return out
-
 
 @dataclass
 class SimpleOrder:
@@ -549,7 +533,6 @@ def delta_extract(direction: str, e: int, bits, built: BuiltOrder) -> DeltaResul
     flags: list = []
     seq: list = []
     node = built.root
-    status = "ok"
 
     while True:
         width = node.e + 1
@@ -576,11 +559,10 @@ def delta_extract(direction: str, e: int, bits, built: BuiltOrder) -> DeltaResul
                 seq.append(head)
         node = node.children[j]
 
-    if status == "ok" and seq:
-        for a, b in zip(seq, seq[1:]):
-            if not (a < b and built.less(a, b)):
-                raise InternalInvariant("extracted sequence is not doubly increasing")
-    return DeltaResult(status, seq, flags, pos)
+    for a, b in zip(seq, seq[1:]):
+        if not (a < b and built.less(a, b)):
+            raise InternalInvariant("extracted sequence is not doubly increasing")
+    return DeltaResult("ok", seq, flags, pos)
 
 
 # ---------------------------------------------------------------------------
@@ -608,29 +590,7 @@ class MirrorOrder:
 
     def to_stable(self) -> StableColoring:
         """Read the order as a coloring and declare its limit data."""
-        n = self.horizon
-        bits = {}
-        for x in range(n):
-            for y in range(x + 1, n):
-                bits[(x, y)] = 0 if self.less(x, y) else 1
-        limits = []
-        settle = []
-        for x in range(n):
-            tail = [bits[(x, y)] for y in range(x + 1, n)]
-            lim = tail[-1] if tail else 0
-            s = x + 1
-            for y in range(n - 1, x, -1):
-                if bits[(x, y)] != lim:
-                    s = y + 1
-                    break
-            limits.append(lim)
-            settle.append(max(s, x + 1))
-        overrides = []
-        for x in range(n):
-            for y in range(x + 1, min(settle[x], n)):
-                if bits[(x, y)] != limits[x]:
-                    overrides.append((x, y, bits[(x, y)]))
-        return StableColoring(n, limits, settle, overrides)
+        return StableColoring.from_function(self.horizon, lambda x, y: 0 if self.less(x, y) else 1)
 
 
 def mirror_double(source, horizon: int | None = None) -> MirrorOrder:
@@ -705,7 +665,7 @@ def ads_extract(order, perm: Permutation, horizon: int, target: int = 15,
                 return sub
             front = sub[1]
             ext = front[-1]
-            anchor = _extreme(less, front, want_max=plus)
+            anchor = (max if plus else min)(front, key=order_key(less))
             if plus:
                 beyond = [x for x in current if x > ext and less(anchor, x)]
             else:
@@ -743,14 +703,6 @@ def ads_extract(order, perm: Permutation, horizon: int, target: int = 15,
         return AdsOutcome("inconclusive", direction, seq, None,
                           {"partial": len(seq), "inner": frontier})
     return AdsOutcome("inconclusive", None, [], None, out[1])
-
-
-def _extreme(less, vertices, want_max: bool):
-    best = vertices[0]
-    for v in vertices[1:]:
-        if (want_max and less(best, v)) or (not want_max and less(v, best)):
-            best = v
-    return best
 
 
 def _assert_monotone(less, seq, direction):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from dataclasses import dataclass, field
 
@@ -38,11 +39,19 @@ from .largeness import (
     omega_n_decompose,
     pattern_largeness,
 )
-from .patterns import FiniteColoring, StableColoring, VertexSet, find_realization, realizes
+from .patterns import (
+    FiniteColoring,
+    StableColoring,
+    VertexSet,
+    find_realization,
+    order_key,
+    realizes,
+)
 from .perms import (
     Permutation,
     forbidden_witness,
     is_separable,
+    perm_coloring,
     perm_to_pattern,
     separating_tree,
 )
@@ -159,7 +168,7 @@ def generate_instance(family: str, params: dict):
     if family == "constant":
         return instances.constant_coloring(n, int(params.get("color", 0)))
     if family == "perm-clique":
-        return instances.perm_clique(Permutation.from_text(params["perm"]))
+        return perm_coloring(Permutation.from_text(params["perm"]))
     if family == "stable":
         kind = params.get("limits", "alternating")
         if kind == "alternating":
@@ -253,15 +262,28 @@ def _cmd_sep_check(args, out: _Out) -> int:
     return 0
 
 
+def _int_arg(text, what: str) -> int:
+    """A numeric positional argument; missing or malformed is a usage error."""
+    if text is None:
+        raise _UsageError(f"missing {what}")
+    try:
+        return int(text)
+    except ValueError:
+        raise _UsageError(f"{what} must be an integer, got {text!r}") from None
+
+
 def _cmd_fractal(args, out: _Out) -> int:
     if args.action == "gen":
-        out.line(fractal_perm(int(args.a), int(args.b)).to_text())
+        out.line(fractal_perm(_int_arg(args.a, "arity"), _int_arg(args.b, "dimension")).to_text())
     elif args.action == "embed":
         perm = Permutation.from_text(args.a)
-        dim, positions = embed_separable(perm, int(args.b))
+        dim, positions = embed_separable(perm, _int_arg(args.b, "arity"))
         out.line(f"{dim} " + ",".join(str(v) for v in positions))
     elif args.action == "partition":
-        a, b, n = int(args.a), int(args.b), int(args.c)
+        a, b = _int_arg(args.a, "a"), _int_arg(args.b, "b")
+        n = _int_arg(args.c, "dimension")
+        if args.arg is None:
+            raise _UsageError("missing vertex-color file")
         with open(args.arg) as fh:
             bits = [int(ch) for ch in fh.read() if ch in "01"]
         side, positions = partition_extract(a, b, n, lambda v: bits[v])
@@ -355,8 +377,7 @@ def _cmd_construct(args, out: _Out) -> int:
         return 0
     if args.kind == "mirror":
         order = mirror_double(chain_order(args.n))
-        ordered = sorted(range(order.horizon),
-                         key=lambda x: sum(1 for y in range(order.horizon) if order.less(y, x)))
+        ordered = sorted(range(order.horizon), key=order_key(order.less))
         out.line("order " + ",".join(str(x) for x in ordered))
         return 0
     raise DegenerateInstance(f"unknown construct kind {args.kind!r}")
@@ -426,14 +447,12 @@ def _cmd_experiment(args, out: _Out) -> int:
             report.add(t, cfg.seed, "success" if res.success else "failure",
                        len(res.vertices) if res.vertices else 0, res.failure_step)
     elif args.kind == "delta-mc":
-        import random as _random
-
         built = gamma_build("dec", 0, args.n)
         report = ExperimentReport(
             "delta-mc", {"trials": args.trials, "seed": args.seed, "n": args.n},
         )
         for t in range(args.trials):
-            rng = _random.Random(args.seed * 1_000_003 + t)
+            rng = random.Random(args.seed * 1_000_003 + t)
             bits = [rng.randint(0, 1) for _ in range(24)]
             res = delta_extract("dec", 0, bits, built)
             report.add(t, args.seed * 1_000_003 + t,
@@ -454,8 +473,7 @@ def _cmd_experiment(args, out: _Out) -> int:
 def _cmd_gen(args, out: _Out) -> int:
     params = {
         "seed": args.seed, "n": args.n, "color": args.color, "k": args.k,
-        "perm": args.perm, "limits": args.limits, "settle": args.settle,
-        "mode": args.mode, "fraction": args.fraction,
+        "perm": args.perm, "limits": args.limits, "mode": args.mode, "fraction": args.fraction,
     }
     inst = generate_instance(args.family, {k: v for k, v in params.items() if v is not None})
     if isinstance(inst, StableColoring):
@@ -546,7 +564,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--color", type=int, default=None)
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--limits", default=None)
-    sp.add_argument("--settle", default=None)
     sp.add_argument("--mode", default=None)
     sp.add_argument("--fraction", type=float, default=None)
     return p

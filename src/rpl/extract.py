@@ -30,7 +30,7 @@ from .errors import (
     ResourceLimit,
 )
 from .fractals import fractal_pattern, navigate, occurrence_blocks
-from .patterns import StableColoring, VertexSet, find_realization
+from .patterns import StableColoring, VertexSet, find_realization, realizes
 
 BRUTE_FORCE_CAP = 24
 
@@ -256,9 +256,7 @@ def analyze_blocks(
     occ = VertexSet(occurrence)
     if dim < 1:
         raise ContractViolation("block analysis needs dimension >= 1")
-    from .patterns import realizes as _realizes
-
-    if not _realizes(f, occ, fractal_pattern(arity, dim)):
+    if not realizes(f, occ, fractal_pattern(arity, dim)):
         raise ContractViolation("occurrence does not realize the declared fractal")
     verdicts = []
     for idx, block in enumerate(occurrence_blocks(occ, arity, dim)):

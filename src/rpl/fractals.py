@@ -9,7 +9,6 @@ level-1 sub-intervals are its blocks, each a fractal one dimension lower.
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 
 from .errors import ContractViolation, InternalInvariant, RangeError, ResourceLimit
@@ -27,13 +26,6 @@ from .perms import (
 SIZE_CAP = 1 << 15
 
 
-def _cache_path(k: int, n: int) -> str | None:
-    root = os.environ.get("RPL_CACHE_DIR")
-    if not root:
-        return None
-    return os.path.join(root, f"fractal_{k}_{n}.txt")
-
-
 @lru_cache(maxsize=None)
 def fractal_perm(k: int, n: int, cap: int = SIZE_CAP) -> Permutation:
     """The k-ary fractal permutation of dimension n (size k**n)."""
@@ -41,22 +33,13 @@ def fractal_perm(k: int, n: int, cap: int = SIZE_CAP) -> Permutation:
         raise ContractViolation("need arity >= 1 and dimension >= 0")
     if k**n > cap:
         raise ResourceLimit(f"fractal size {k}**{n} exceeds cap {cap}")
-    path = _cache_path(k, n)
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            return Permutation(int(t) for t in fh.read().split(","))
     if n == 0:
-        result = Permutation((0,))
-    else:
-        prev = fractal_perm(k, n - 1, cap)
-        combine = direct_sum if (n - 1) % 2 == 0 else skew_sum
-        result = prev
-        for _ in range(k - 1):
-            result = combine(result, prev)
-    if path:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write(",".join(str(v) for v in result.values))
+        return Permutation((0,))
+    prev = fractal_perm(k, n - 1, cap)
+    combine = direct_sum if (n - 1) % 2 == 0 else skew_sum
+    result = prev
+    for _ in range(k - 1):
+        result = combine(result, prev)
     return result
 
 
@@ -206,12 +189,12 @@ def partition_extract(a: int, b: int, n: int, vertex_colors) -> tuple[int, Verte
         raise InternalInvariant("extracted sub-fractal has the wrong cardinality")
     if any(colors[v] != side for v in result):
         raise InternalInvariant("extracted sub-fractal is not monochromatic")
-    if not _is_subfractal(result, k, n, arity):
+    if not is_subfractal(result, k, n, arity):
         raise InternalInvariant("extracted positions do not form the claimed shape")
     return side, result
 
 
-def _is_subfractal(positions, ambient_k: int, ambient_n: int, arity: int) -> bool:
+def is_subfractal(positions, ambient_k: int, ambient_n: int, arity: int) -> bool:
     """Positions inside the ambient fractal induce the arity-ary fractal
     pattern of the same dimension."""
     pos = list(positions)
@@ -220,7 +203,3 @@ def _is_subfractal(positions, ambient_k: int, ambient_n: int, arity: int) -> boo
         if fractal_pair_color(ambient_k, ambient_n, pos[i], pos[j]) != want.color(i, j):
             return False
     return True
-
-
-def is_subfractal(positions, ambient_k: int, ambient_n: int, arity: int) -> bool:
-    return _is_subfractal(positions, ambient_k, ambient_n, arity)

@@ -6,18 +6,14 @@ Every family is deterministic in its parameters and seed.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from .errors import ContractViolation
 from .patterns import FiniteColoring, StableColoring
-from .perms import Permutation, perm_coloring
 
 
 def constant_coloring(n: int, color: int) -> FiniteColoring:
     return FiniteColoring.constant(n, color)
-
-
-def perm_clique(perm: Permutation) -> FiniteColoring:
-    return perm_coloring(perm)
 
 
 def split_order_coloring(n: int, top: set) -> StableColoring:
@@ -106,8 +102,6 @@ def repaired_random_unbalanced(n: int, k: int, seed: int, p_zero: float = 0.06) 
     def col(x, y):
         return bits[(x, y)] if x < y else bits[(y, x)]
 
-    from itertools import combinations
-
     changed = True
     while changed:
         changed = False
@@ -132,31 +126,7 @@ def order_from_ranks(ranks: list) -> StableColoring:
     n = len(ranks)
     if sorted(ranks) != list(range(n)):
         raise ContractViolation("ranks must be a permutation of 0..n-1")
-    bits = {}
-    for x in range(n):
-        for y in range(x + 1, n):
-            bits[(x, y)] = 0 if ranks[x] < ranks[y] else 1
-    limits = []
-    settle = []
-    for x in range(n):
-        if x == n - 1:
-            limits.append(0)
-            settle.append(n)
-            continue
-        lim = bits[(x, n - 1)]
-        s = x + 1
-        for y in range(n - 1, x, -1):
-            if bits[(x, y)] != lim:
-                s = y + 1
-                break
-        limits.append(lim)
-        settle.append(max(s, x + 1))
-    overrides = []
-    for x in range(n):
-        for y in range(x + 1, min(settle[x], n)):
-            if bits[(x, y)] != limits[x]:
-                overrides.append((x, y, bits[(x, y)]))
-    return StableColoring(n, limits, settle, overrides)
+    return StableColoring.from_function(n, lambda x, y: 0 if ranks[x] < ranks[y] else 1)
 
 
 def dipped_split_order(n: int, dips=(12, 36, 108, 324),

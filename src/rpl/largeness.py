@@ -13,8 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ContractViolation, InternalInvariant
-from .patterns import Pattern, StableColoring, VertexSet, find_realization
+from .errors import BudgetExhausted, ContractViolation, InternalInvariant
+from .patterns import (
+    Pattern,
+    StableColoring,
+    VertexSet,
+    find_realization,
+    order_key,
+    realizes,
+)
+from .perms import is_convergent
 
 
 # ---------------------------------------------------------------------------
@@ -73,21 +81,10 @@ def omega_n_decompose(elements, n: int) -> LargeWitness | None:
     xs = sorted(set(elements))
     if any(x < 0 for x in xs):
         raise ContractViolation("elements must be naturals")
-    if not xs:
+    carved = _carve_prefix(xs, n)
+    if carved is None:
         return None
-    if n == 0:
-        return LargeWitness(tuple(xs), 0, [])
-    need = xs[0]
-    blocks = []
-    pos = 1
-    while len(blocks) < need:
-        sub = _carve_prefix(xs[pos:], n - 1)
-        if sub is None:
-            return None
-        width, w = sub
-        blocks.append(w)
-        pos += width
-    return LargeWitness(tuple(xs), n, blocks)
+    return LargeWitness(tuple(xs), n, carved[1].blocks)
 
 
 def is_omega_n_large(elements, n: int) -> bool:
@@ -124,13 +121,12 @@ def check_witness(w: LargeWitness) -> bool:
 @dataclass(frozen=True)
 class LargenessPredicate:
     """kind "omega": level-n largeness; "pattern": membership is carrying
-    a realization of the pattern under the coloring; "custom": a callback."""
+    a realization of the pattern under the coloring."""
 
     kind: str
     level: int = 0
     pattern: Pattern | None = None
     coloring: object = None
-    fn: object = None
 
     def holds(self, elements) -> bool:
         xs = sorted(set(elements))
@@ -140,16 +136,7 @@ class LargenessPredicate:
             if len(xs) < self.pattern.size:
                 return False
             return find_realization(self.coloring, xs, self.pattern, budget=None) is not None
-        if self.kind == "custom":
-            return bool(self.fn(xs))
         raise ContractViolation(f"unknown largeness kind {self.kind}")
-
-    def describe(self) -> str:
-        if self.kind == "omega":
-            return f"omega^{self.level}"
-        if self.kind == "pattern":
-            return f"pattern[{''.join(map(str, self.pattern.bits))}]"
-        return "custom"
 
 
 def omega_largeness(n: int) -> LargenessPredicate:
@@ -259,13 +246,8 @@ def increasing_large_sequence(order, notion: LargenessPredicate, k: int,
     Returns fewer blocks when the tail runs out; callers read the length
     as the reached depth.
     """
-    import functools
-
-    less = order.less
-    pool = sorted(
-        range(min(horizon, order.horizon)),
-        key=functools.cmp_to_key(lambda a, b: -1 if less(a, b) else (1 if less(b, a) else 0)),
-    )
+    key = order_key(order.less)
+    pool = sorted(range(min(horizon, order.horizon)), key=key)
     out: list = []
     pos = 0
     while len(out) < k and pos < len(pool):
@@ -275,9 +257,7 @@ def increasing_large_sequence(order, notion: LargenessPredicate, k: int,
         out.append(VertexSet(block))
         pos += len(block)
     for a, b in zip(out, out[1:]):
-        amax = max(a, key=lambda v: sum(1 for u in a if less(u, v)))
-        bmin = min(b, key=lambda v: sum(1 for u in b if less(u, v)))
-        if not less(amax, bmin):
+        if not order.less(max(a, key=key), min(b, key=key)):
             raise InternalInvariant("blocks are not order-increasing")
     return out
 
@@ -304,8 +284,6 @@ def grouping_to_homogeneous(f, avoided: Pattern, grouping: Grouping) -> MinimaOu
     in the other color.  If they do not, the discovered realization is
     returned as the precondition-violation certificate.
     """
-    from .perms import is_convergent
-
     c = is_convergent(avoided)
     if c is None:
         raise ContractViolation("avoided pattern must end in a constant column")
@@ -319,9 +297,7 @@ def grouping_to_homogeneous(f, avoided: Pattern, grouping: Grouping) -> MinimaOu
             if f.color(minima[i], minima[j]) == c:
                 inner = find_realization(f, grouping.blocks[i], front, budget=None)
                 certificate = VertexSet(list(inner) + [minima[j]])
-                from .patterns import realizes as _rz
-
-                if not _rz(f, certificate, avoided):
+                if not realizes(f, certificate, avoided):
                     raise InternalInvariant("violation certificate failed re-check")
                 return MinimaOutcome("violation", None, None, certificate)
     return MinimaOutcome("homogeneous", VertexSet(minima), 1 - c, None)
@@ -436,8 +412,6 @@ def _homog_large_block(f, reservoir: list, color: int, n: int,
                 return None
             nodes += 1
             if nodes > budget:
-                from .errors import BudgetExhausted
-
                 raise BudgetExhausted(nodes, "block search budget exhausted")
             if chain and len(chain) + (len(pool) - i) < minimal_large_size(chain[0], n):
                 break  # cannot reach the required size from this branch

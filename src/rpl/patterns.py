@@ -9,6 +9,7 @@ all serialization uses that order so fixtures are bit-exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cmp_to_key
 from operator import gt
 
 from .errors import BudgetExhausted, ContractViolation, RangeError
@@ -235,8 +236,28 @@ class StableColoring:
                 raise ContractViolation(
                     f"override ({x},{y}) must satisfy x < y < settle(x)={self.settle[x]}"
                 )
-            ov[(x, y)] = int(c)
+            c = int(c)
+            if c not in (0, 1):
+                raise ContractViolation(f"override ({x},{y}) has color {c}, not 0 or 1")
+            ov[(x, y)] = c
         self.overrides = ov
+
+    @classmethod
+    def from_function(cls, horizon: int, fn) -> "StableColoring":
+        """The stable coloring agreeing with fn(x, y), x < y, below the
+        horizon.  Each row is scanned from the right: its limit is its last
+        color (0 for the last row, which has none) and it settles just past
+        its last disagreement with that limit, so every settling time is
+        the least possible."""
+        limits, settle, overrides = [], [], []
+        for x in range(horizon):
+            row = [fn(x, y) for y in range(x + 1, horizon)]
+            lim = row[-1] if row else 0
+            s = x + 1 + max((i + 1 for i, c in enumerate(row) if c != lim), default=0)
+            limits.append(lim)
+            settle.append(s)
+            overrides.extend((x, y, c) for y, c in zip(range(x + 1, s), row) if c != lim)
+        return cls(horizon, limits, settle, overrides)
 
     def color(self, x: int, y: int) -> int:
         if x == y:
@@ -344,6 +365,11 @@ def find_realization(f, reservoir, p: Pattern, budget: int | None = 10**6):
     return None
 
 
+def order_key(less):
+    """Sort key for the strict order `less`, for sorted, min and max."""
+    return cmp_to_key(lambda a, b: -1 if less(a, b) else (1 if less(b, a) else 0))
+
+
 def avoids(f, reservoir, p: Pattern, budget: int | None = None) -> bool:
     """True iff no subset of the reservoir realizes p (complete search)."""
     return find_realization(f, reservoir, p, budget) is None
@@ -386,31 +412,3 @@ class LinearOrderView:
                     if self.less(y, z) and not self.less(x, z):
                         return False
         return True
-
-    def min_of(self, vertices) -> int:
-        best = None
-        for v in vertices:
-            if best is None or self.less(v, best):
-                best = v
-        if best is None:
-            raise ContractViolation("empty vertex collection")
-        return best
-
-    def max_of(self, vertices) -> int:
-        best = None
-        for v in vertices:
-            if best is None or self.less(best, v):
-                best = v
-        if best is None:
-            raise ContractViolation("empty vertex collection")
-        return best
-
-    def sorted(self, vertices) -> list:
-        import functools
-
-        return sorted(
-            vertices,
-            key=functools.cmp_to_key(
-                lambda a, b: -1 if self.less(a, b) else (1 if self.less(b, a) else 0)
-            ),
-        )

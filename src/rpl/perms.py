@@ -268,9 +268,10 @@ def separating_tree(perm: Permutation) -> SeparatingTree | None:
     return None
 
 
-def _contains_forbidden(perm: Permutation):
-    """Occurrence of 1302 or 2031 inside perm, found with the generic
-    realization engine on the permutation's clique coloring."""
+def forbidden_witness(perm: Permutation):
+    """(witness permutation, positions) for an occurrence of 1302 or 2031
+    inside perm, found with the generic realization engine on the
+    permutation's clique coloring; None when perm contains neither."""
     f = perm_coloring(perm)
     reservoir = range(perm.size)
     for witness in FORBIDDEN:
@@ -283,7 +284,7 @@ def _contains_forbidden(perm: Permutation):
 def is_separable(perm: Permutation) -> bool:
     """Separability decided by BOTH the forbidden-pattern search and the
     tree decomposition; any disagreement is a fatal invariant violation."""
-    by_pattern = _contains_forbidden(perm) is None
+    by_pattern = forbidden_witness(perm) is None
     by_tree = separating_tree(perm) is not None
     if by_pattern != by_tree:
         raise InternalInvariant(
@@ -291,11 +292,6 @@ def is_separable(perm: Permutation) -> bool:
             f"forbidden-pattern={by_pattern} tree={by_tree}"
         )
     return by_tree
-
-
-def forbidden_witness(perm: Permutation):
-    """(witness permutation, positions) when perm contains 1302 or 2031."""
-    return _contains_forbidden(perm)
 
 
 class Trichotomy(Enum):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -78,7 +79,7 @@ def test_gen_families(capsys, tmp_path):
     assert [f.color(i, j) for i in range(4) for j in range(i + 1, 4)] == [1, 0, 1, 0, 0, 1]
 
     code = run_command(["--out", str(out_file), "gen", "stable", "--limits", "alternating",
-                        "--settle", "linear", "--n", "50"])
+                        "--n", "50"])
     assert code == 0
     st = load_coloring(str(out_file))
     assert isinstance(st, StableColoring)
@@ -239,6 +240,12 @@ MALFORMED = [
      {"strlim.json": '{"type": "stable", "horizon": 2, "limits": "01", "settle": [1, 2]}'}, 1),
     (["pattern", "avoids", "{dir}/intlim.json", "01"],
      {"intlim.json": '{"type": "stable", "horizon": 2, "limits": 5, "settle": [1, 2]}'}, 1),
+    (["pattern", "avoids", "{dir}/ovr.json", "01"],
+     {"ovr.json": '{"type": "stable", "horizon": 3, "limits": [0, 0, 0], "settle": [2, 3, 4],'
+                  ' "overrides": [[0, 1, 2]]}'}, 1),
+    (["fractal", "gen", "2", "x"], {}, 2),
+    (["fractal", "embed", "120", "x"], {}, 2),
+    (["fractal", "partition", "2", "2"], {}, 2),
 ]
 
 
@@ -253,6 +260,39 @@ def test_malformed_input_exits_with_one_line(capsys, tmp_path, argv, files, code
     assert out == ""
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+
+
+# sha256 of stdout for the README's cheap CLI examples and `gen dipped`,
+# captured before the duplicate derivations and order sorts were merged;
+# any change to these outputs is a behaviour change.
+README_GOLDEN = [
+    (["sep-check", "2031"], "e5e47dd929a391ecb6620fdde2062ad7f0a25b36ac652d0818a885e1095cfff6"),
+    (["sep-check", "2301"], "04bccad54ca61d750d06fa6721cdde4ec84f1347210d913bbda2417f1bf364a0"),
+    (["fractal", "gen", "2", "2"],
+     "259294317f7c2bfd8880917634383f40379328084a54a4415f1f5652e874a18c"),
+    (["fractal", "embed", "120", "2"],
+     "7cd9e1cbd738005cea3052e0d77fb40ab012b68b53c6753dcda029c01c89e343"),
+    (["pattern", "show", "2031"],
+     "707dc48cc5b30fff6e749293fca8804fe36cf8beec15877c5f2a51968ca0eb82"),
+    (["construct", "mirror", "--n", "10"],
+     "4e66b35f28da722a59c412cff04d21561a9abcbe2fcb5822907d61a7eb95806e"),
+    (["construct", "gamma", "--direction", "inc", "--e", "0", "--n", "200"],
+     "b05c447bbce3166fe3ee673bcbfa15e42464d09f4e1534eb5c2e7e9997daad2f"),
+    (["construct", "delta", "--direction", "dec", "--e", "0", "--n", "800", "--bits", "10110"],
+     "af13aac514ef8a8752965bfc2402d15d1830d9d0b482b0da834c47fe85fcead7"),
+    (["large", "check", "2,5,9", "1"],
+     "40ca30e5afccad4fee1286f72eca62a0e7b85386a6722e07cc8764fbd7dbdf1c"),
+    (["gen", "dipped", "--n", "500"],
+     "3964a3f89e65591de2edc2bc6b60775c7f9aeed310b798214681731d6a649a6e"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", README_GOLDEN,
+                         ids=[" ".join(g[0]) for g in README_GOLDEN])
+def test_readme_examples_stdout_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_report_validation_rejects_drift():

@@ -154,14 +154,3 @@ def test_fractal_perms_are_separable():
     assert separating_tree(fractal_perm(4, 4)) is not None
     assert separating_tree(fractal_perm(2, 10)) is not None
 
-
-def test_cache_dir_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("RPL_CACHE_DIR", str(tmp_path))
-    fractal_perm.cache_clear()
-    p1 = fractal_perm(3, 3)
-    assert (tmp_path / "fractal_3_3.txt").exists()
-    fractal_perm.cache_clear()
-    p2 = fractal_perm(3, 3)
-    assert p1 == p2
-    monkeypatch.delenv("RPL_CACHE_DIR")
-    fractal_perm.cache_clear()

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import all_perms, exhaustive_find, pat, perm
 from rpl.errors import BudgetExhausted, ContractViolation, RangeError
@@ -15,6 +16,8 @@ from rpl.patterns import (
     avoids,
     find_realization,
     is_transitive,
+    iter_pairs,
+    order_key,
     pair_index,
     realizes,
 )
@@ -209,6 +212,13 @@ def test_stable_coloring_rejects_broken_rows(limits, settle):
         StableColoring(len(limits), limits, settle)
 
 
+def test_stable_coloring_rejects_non_binary_overrides():
+    for c in (5, 2, -1):
+        with pytest.raises(ContractViolation):
+            StableColoring(3, [0, 0, 0], [2, 3, 4], [(0, 1, c)])
+    assert StableColoring(3, [0, 0, 0], [2, 3, 4], [(0, 1, 1)]).color(0, 1) == 1
+
+
 def test_stable_coloring_accepts_settle_just_past_x():
     st = StableColoring(3, (0, 1, 0), range(1, 4))
     assert st.settle == (1, 2, 3) and st.limits == (0, 1, 0)
@@ -220,6 +230,43 @@ def test_finite_coloring_rejects_non_binary_bits():
     with pytest.raises(ContractViolation):
         FiniteColoring.from_text("3\n01\n2\n")  # the pair (1, 2) reads 2
     assert FiniteColoring.from_text("3\n01\n1\n").color(1, 2) == 1
+
+
+@st.composite
+def small_coloring(draw):
+    """A FiniteColoring, or a StableColoring with settling distances 1..4
+    and random overrides, on at most 9 vertices."""
+    h = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        pairs = h * (h - 1) // 2
+        return FiniteColoring(h, draw(st.lists(st.integers(0, 1), min_size=pairs, max_size=pairs)))
+    limits = draw(st.lists(st.integers(0, 1), min_size=h, max_size=h))
+    settle = [x + draw(st.integers(1, 4)) for x in range(h)]
+    overrides = [(x, y, draw(st.integers(0, 1)))
+                 for x in range(h) for y in range(x + 1, min(settle[x], h))
+                 if draw(st.booleans())]
+    return StableColoring(h, limits, settle, overrides)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=small_coloring())
+def test_stable_from_function_agrees_and_settles_minimally(g):
+    h = g.horizon
+    f = StableColoring.from_function(h, g.color)
+    assert f.horizon == h
+    for x, y in iter_pairs(h):
+        assert f.color(x, y) == g.color(x, y)
+    for x in range(h):
+        s = f.settle[x]
+        assert s == x + 1 or g.color(x, s - 1) != f.limit(x)
+
+
+def test_stable_from_function_last_row():
+    f = StableColoring.from_function(3, lambda x, y: 1)
+    assert f.limits == (1, 1, 0) and f.settle == (1, 2, 3) and f.overrides == {}
+    f = StableColoring.from_function(4, lambda x, y: int(y == 2))
+    assert f.limits == (0, 0, 0, 0) and f.settle == (3, 3, 3, 4)
+    assert f.overrides == {(0, 2): 1, (1, 2): 1}
 
 
 def test_stable_restriction_matches():
@@ -235,6 +282,6 @@ def test_linear_order_view():
     view = LinearOrderView(st)
     assert view.check_transitive()
     assert view.less(0, 1) != view.less(1, 0)
-    chain = view.sorted(range(10))
+    chain = sorted(range(10), key=order_key(view.less))
     for a, b in zip(chain, chain[1:]):
         assert view.less(a, b)
