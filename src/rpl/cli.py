@@ -168,6 +168,8 @@ def generate_instance(family: str, params: dict):
     if family == "constant":
         return instances.constant_coloring(n, int(params.get("color", 0)))
     if family == "perm-clique":
+        if "perm" not in params:
+            raise _UsageError("missing permutation for perm-clique")
         return perm_coloring(Permutation.from_text(params["perm"]))
     if family == "stable":
         kind = params.get("limits", "alternating")

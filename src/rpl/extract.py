@@ -30,7 +30,14 @@ from .errors import (
     ResourceLimit,
 )
 from .fractals import fractal_pattern, navigate, occurrence_blocks
-from .patterns import StableColoring, VertexSet, find_realization, realizes
+from .patterns import (
+    BACKTRACK,
+    StableColoring,
+    VertexSet,
+    _ascending_search,
+    find_realization,
+    realizes,
+)
 
 BRUTE_FORCE_CAP = 24
 
@@ -299,86 +306,65 @@ def find_homogeneous_block(f, reservoir, size: int, color: int, budget=None):
     reservoir never pays for the rest of it.
     """
     pool = sorted(reservoir)
+    pair_color = f.color
+    if not isinstance(f, StableColoring):
+        def step(chosen, i, need):
+            v = pool[i]
+            for u in chosen:
+                if pair_color(u, v) != color:
+                    return None
+            return need - 1
+
+        return _ascending_search(pool, step, size, budget)
+
     n = len(pool)
-    if n < size:
-        return None
-    stable = isinstance(f, StableColoring)
-    if stable:
-        limits, settle = f.limits, f.settle
-        frontier = 0  # length of the scanned prefix of the pool
-        good = [0]  # good[i]: elements of pool[:i] with the matching limit
-        wmax = 1  # max of settle(x) - x over the scanned prefix; settle(x) > x
-        reach = 2  # good[frontier] + 1 + wmax
+    limits, settle = f.limits, f.settle
+    frontier = 0  # length of the scanned prefix of the pool
+    good = [0]  # good[i]: elements of pool[:i] with the matching limit
+    wmax = 1  # max of settle(x) - x over the scanned prefix; settle(x) > x
+    reach = 2  # good[frontier] + 1 + wmax
 
-        def suffix_short(idx: int, need: int) -> bool:
-            """True iff the suffix from pool[idx] cannot add `need` more
-            vertices; scans on only while the scanned bounds fall short."""
-            nonlocal frontier, wmax, reach
-            while True:
-                slack = reach - good[idx] - need
-                if frontier == n:
-                    return slack < 0
-                if slack >= 0 and frontier > idx:
-                    return False
-                chunk = pool[frontier:frontier + max(-slack, SCAN_CHUNK)]
-                # accumulate re-emits the popped running count first
-                good.extend(accumulate(map(color.__eq__, map(limits.__getitem__, chunk)),
-                                       initial=good.pop()))
-                wmax = max(wmax, max(map(sub, map(settle.__getitem__, chunk), chunk)))
-                frontier += len(chunk)
-                reach = good[frontier] + 1 + wmax
+    def suffix_short(idx: int, need: int) -> bool:
+        """True iff the suffix from pool[idx] cannot add `need` more
+        vertices; scans on only while the scanned bounds fall short."""
+        nonlocal frontier, wmax, reach
+        while True:
+            slack = reach - good[idx] - need
+            if frontier == n:
+                return slack < 0
+            if slack >= 0 and frontier > idx:
+                return False
+            chunk = pool[frontier:frontier + max(-slack, SCAN_CHUNK)]
+            # accumulate re-emits the popped running count first
+            good.extend(accumulate(map(color.__eq__, map(limits.__getitem__, chunk)),
+                                   initial=good.pop()))
+            wmax = max(wmax, max(map(sub, map(settle.__getitem__, chunk), chunk)))
+            frontier += len(chunk)
+            reach = good[frontier] + 1 + wmax
 
-        if suffix_short(0, size):
-            return None
+    # cutoffs[need]: least settling time among the chosen elements whose
+    # limit is not the color, with `need` elements still to choose
+    cutoffs = [0] * size + [1 << 60]
 
-    chosen: list[int] = []
-    cutoffs: list[int] = [1 << 60]  # min settle among chosen with the wrong limit
-    placed_at: list[int] = []  # pool index of each chosen element
-    nodes = 0
-    need = size
-    idx = 0
-    while need:
-        exhausted = idx > n - need
-        if not exhausted:
-            v = pool[idx]
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExhausted(nodes)
-            # the pool ascends, so past either cut no later candidate fits;
-            # the inline test spares the call while the scanned bounds suffice
-            exhausted = stable and (
-                v >= cutoffs[-1]
-                or not (idx < frontier and good[idx] + need <= reach)
-                and suffix_short(idx, need)
-            )
-        if exhausted:
-            if not chosen:
-                return None
-            chosen.pop()
-            cutoffs.pop()
-            idx = placed_at.pop() + 1
-            need += 1
-            continue
-        cut = cutoffs[-1]
-        if not stable:
-            fits = all(f.color(u, v) == color for u in chosen)
-        else:
-            fits = True
+    def step(chosen, i, need):
+        v = pool[i]
+        # the pool ascends, so past either cut no later candidate fits;
+        # the inline test spares the call while the scanned bounds suffice
+        if v >= cutoffs[need] or not (i < frontier and good[i] + need <= reach) \
+                and suffix_short(i, need):
+            return BACKTRACK
+        lo = v - wmax  # u <= lo is scanned, so u settled before v
+        if chosen and chosen[-1] > lo:  # else no chosen u needs a pair read
             for u in reversed(chosen):
-                if u <= v - wmax:
-                    break  # scanned, so u and all below it settled before v
-                if settle[u] > v and f.color(u, v) != color:
-                    fits = False
+                if u <= lo:
                     break
-            if limits[v] != color:
-                cut = min(cut, settle[v])
-        if fits:
-            chosen.append(v)
-            cutoffs.append(cut)
-            placed_at.append(idx)
-            need -= 1
-        idx += 1
-    return VertexSet(chosen)
+                if settle[u] > v and pair_color(u, v) != color:
+                    return None
+        cut = cutoffs[need]
+        cutoffs[need - 1] = settle[v] if limits[v] != color and settle[v] < cut else cut
+        return need - 1
+
+    return _ascending_search(pool, step, size, budget)
 
 
 EXTRACTOR_SEARCH_BUDGET = 2_000_000

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExhausted, ContractViolation, InternalInvariant
+from .errors import ContractViolation, InternalInvariant
 from .patterns import (
+    BACKTRACK,
     Pattern,
     StableColoring,
     VertexSet,
+    _ascending_search,
     find_realization,
     order_key,
     realizes,
@@ -385,47 +387,31 @@ def em_grouping_extract(f: StableColoring, n: int, horizon: int,
     return chosen
 
 
-def _homog_large_block(f, reservoir: list, color: int, n: int,
-                       budget: int = 200_000) -> list | None:
+LARGE_BLOCK_SEARCH_BUDGET = 200_000
+
+
+def _homog_large_block(f, reservoir: list, color: int, n: int) -> VertexSet | None:
     """Least level-n-large homogeneous subset of the reservoir, by
     ascending depth-first search with backtracking.
 
     Backtracking matters: a greedy chain can pick up an element that
     pairs correctly but blocks every continuation; the search pops it and
-    moves on.
+    moves on.  A chain rooted at m needs minimal_large_size(m, n)
+    elements, which bounds the room every branch asks for.
     """
-    pool = reservoir
-    chain: list = []
-    nexts: list = [0]
-    nodes = 0
-    while True:
-        if chain:
-            carved = _carve_prefix(chain, n)
-            if carved is not None:
-                return chain[: carved[0]]
-        idx = nexts[-1]
-        placed = False
-        for i in range(idx, len(pool)):
-            y = pool[i]
-            if not chain and minimal_large_size(y, n) > len(pool) - i:
-                # pool ascends, so every later start needs even more room
-                return None
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExhausted(nodes, "block search budget exhausted")
-            if chain and len(chain) + (len(pool) - i) < minimal_large_size(chain[0], n):
-                break  # cannot reach the required size from this branch
-            if all(f.color(x, y) == color for x in chain):
-                chain.append(y)
-                nexts[-1] = i + 1
-                nexts.append(i + 1)
-                placed = True
-                break
-        if not placed:
-            if not chain:
-                return None
-            chain.pop()
-            nexts.pop()
+    def step(chosen, i, need):
+        y = reservoir[i]
+        if not chosen and minimal_large_size(y, n) > len(reservoir) - i:
+            # the reservoir ascends, so every later root needs more room
+            return BACKTRACK
+        if not all(f.color(x, y) == color for x in chosen):
+            return None
+        chain = chosen + [y]
+        if _carve_prefix(chain, n) is not None:
+            return 0
+        return max(1, minimal_large_size(chain[0], n) - len(chain))
+
+    return _ascending_search(reservoir, step, 1, LARGE_BLOCK_SEARCH_BUDGET)
 
 
 def _minima_chain(f, reservoir: list, color: int, n: int, minima: list):

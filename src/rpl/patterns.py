@@ -4,6 +4,15 @@ A pattern of size `l` assigns a color in {0,1} to every ordered pair
 (i, j) with 0 <= i < j < l.  Bits are stored in the canonical
 lexicographic pair order (0,1),(0,2),...,(0,l-1),(1,2),...,(l-2,l-1);
 all serialization uses that order so fixtures are bit-exact.
+
+Every search of a reservoir (realization here, homogeneous blocks in
+`extract`, large blocks in `largeness`) runs on one ascending depth-first
+kernel, `_ascending_search(pool, step, need, budget)`.  It owns the stack,
+the cut of candidates with fewer than `need` pool elements left, node
+counting, the budget (exhaustion raises BudgetExhausted) and the answer
+None for proven absence.  The hook `step(chosen, i, need)` judges pool[i]:
+None passes it over, BACKTRACK abandons the depth, and an int admits it as
+the number of elements every completion still needs (0 when done).
 """
 
 from __future__ import annotations
@@ -11,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cmp_to_key
 from operator import gt
+import sys
 
 from .errors import BudgetExhausted, ContractViolation, RangeError
 
@@ -316,53 +326,62 @@ def realizes(f, vertices, p: Pattern) -> bool:
     return True
 
 
-def find_realization(f, reservoir, p: Pattern, budget: int | None = 10**6):
-    """Search the reservoir for a subset realizing p.
+BACKTRACK = object()  # step verdict: abandon the current depth
 
-    Depth-first backtracking over reservoir vertices in increasing order,
-    pruning any partial assignment whose pairs already disagree with p.
-    The budget counts search-tree nodes; exhaustion raises BudgetExhausted
-    and is never conflated with the proven-absence answer None.
-    """
+
+def _ascending_search(pool, step, need: int, budget: int | None):
+    """The search kernel of the module docstring: the hit least in the
+    lexicographic order of pool indices, or None when none exists.  Each
+    step call is one node; the node past the budget raises BudgetExhausted."""
     if budget is not None and budget <= 0:
         raise ContractViolation("budget must be positive")
+    limit = sys.maxsize if budget is None else budget
+    n = len(pool)
+    chosen: list = []
+    trail: list = []  # (pool index, need) at each admission
+    nodes = i = 0
+    while need:
+        if i <= n - need:
+            nodes += 1
+            if nodes > limit:
+                raise BudgetExhausted(nodes)
+            verdict = step(chosen, i, need)
+            if verdict is None:
+                i += 1
+                continue
+            if verdict is not BACKTRACK:
+                chosen.append(pool[i])
+                trail.append((i, need))
+                need = verdict
+                i += 1
+                continue
+        if not chosen:
+            return None
+        chosen.pop()
+        i, need = trail.pop()
+        i += 1
+    return VertexSet(chosen)
+
+
+def find_realization(f, reservoir, p: Pattern, budget: int | None = 10**6):
+    """The least subset of the reservoir realizing p, or None; a candidate
+    is admitted when its pairs with the chosen vertices carry p's colors.
+    The budget counts search nodes, as in _ascending_search."""
     pool = sorted(set(reservoir))
     if pool and pool[-1] >= f.horizon:
         raise RangeError(f"vertex {pool[-1]} beyond horizon {f.horizon}")
     m = p.size
-    if len(pool) < m:
-        return None
     color = f.color
-    pcol = p.color
-    chosen: list[int] = []
-    nodes = 0
+    columns = [tuple(p.color(i, t) for i in range(t)) for t in range(m)]
 
-    def extend(start: int):
-        nonlocal nodes
-        t = len(chosen)
-        if t == m:
-            return True
-        # not enough vertices left to finish
-        for idx in range(start, len(pool) - (m - t) + 1):
-            v = pool[idx]
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExhausted(nodes)
-            ok = True
-            for i in range(t):
-                if color(chosen[i], v) != pcol(i, t):
-                    ok = False
-                    break
-            if ok:
-                chosen.append(v)
-                if extend(idx + 1):
-                    return True
-                chosen.pop()
-        return False
+    def step(chosen, i, need):
+        v = pool[i]
+        for u, c in zip(chosen, columns[m - need]):
+            if color(u, v) != c:
+                return None
+        return need - 1
 
-    if extend(0):
-        return VertexSet(chosen)
-    return None
+    return _ascending_search(pool, step, m, budget)
 
 
 def order_key(less):

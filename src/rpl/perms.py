@@ -61,9 +61,11 @@ class Permutation:
     @classmethod
     def from_text(cls, text: str) -> "Permutation":
         text = text.strip()
-        if "," in text:
-            return cls(int(t) for t in text.split(","))
-        return cls(int(ch) for ch in text)
+        try:
+            return cls([int(t) for t in (text.split(",") if "," in text else text)])
+        except ValueError:
+            raise ContractViolation(f"permutation text {text!r} is not a digit string "
+                                    "or comma-separated integers") from None
 
 
 TRIVIAL_PERM = Permutation((0,))

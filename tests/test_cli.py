@@ -246,6 +246,10 @@ MALFORMED = [
     (["fractal", "gen", "2", "x"], {}, 2),
     (["fractal", "embed", "120", "x"], {}, 2),
     (["fractal", "partition", "2", "2"], {}, 2),
+    (["sep-check", "12x"], {}, 1),
+    (["pattern", "show", "0x"], {}, 1),
+    (["fractal", "embed", "1x", "2"], {}, 1),
+    (["gen", "perm-clique"], {}, 2),
 ]
 
 

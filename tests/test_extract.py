@@ -148,6 +148,13 @@ def test_find_homogeneous_block_lex_least():
         find_homogeneous_block(FIXTURE, range(3000), 400, 0, budget=5)
 
 
+def test_find_homogeneous_block_rejects_nonpositive_budget():
+    for f in (FIXTURE, constant_coloring(10, 0)):
+        for budget in (0, -1):
+            with pytest.raises(ContractViolation):
+                find_homogeneous_block(f, range(10), 4, 0, budget=budget)
+
+
 def test_find_homogeneous_block_skips_poison():
     # a wrong-limit element pairs correctly but blocks every continuation
     st = split_order_coloring(12, top={2})
@@ -161,7 +168,9 @@ def test_find_homogeneous_block_skips_poison():
 # bounds over the whole reservoir, so they pin that the lazily scanned
 # bounds cut the same branches.  The last case asks for one vertex more
 # than a 300-prefix of FIXTURE can hold, so only the cuts made once the
-# scan reaches the end of the pool keep its search from blowing up.
+# scan reaches the end of the pool keep its search from blowing up.  The
+# two finite cases, measured on the search before it moved onto the shared
+# kernel, pin the finite path: one proven absence, one early hit.
 NODE_PINS = [
     ("interleaved-300", lambda: (FIXTURE, range(10_000), 300, 0), 652,
      (300, (2, 4, 6, 8, 14, 16, 19, 20, 23, 25, 26, 28), 475, 70873)),
@@ -170,6 +179,10 @@ NODE_PINS = [
     ("dipped-2000", lambda: (dipped_split_order(2000), range(2000), 10, 1), 2950,
      (10, (13, 14, 15, 37, 38, 39, 109, 110, 111, 112), 112, 598)),
     ("interleaved-infeasible", lambda: (FIXTURE, range(300), 194, 0), 598, None),
+    ("finite-absent", lambda: (repaired_random_unbalanced(60, 3, 0), range(60), 4, 0),
+     3698, None),
+    ("finite-hit", lambda: (repaired_random_unbalanced(30, 3, 2), range(30), 8, 1), 12,
+     (8, (0, 1, 4, 5, 6, 7, 8, 11), 11, 42)),
 ]
 
 

@@ -13,6 +13,7 @@ from rpl.instances import (
 )
 from rpl.largeness import (
     Grouping,
+    _homog_large_block,
     check_two_step_transfer,
     check_witness,
     em_grouping_extract,
@@ -25,7 +26,7 @@ from rpl.largeness import (
     omega_n_decompose,
     pattern_largeness,
 )
-from rpl.patterns import VertexSet, avoids
+from rpl.patterns import FiniteColoring, VertexSet, avoids
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +297,27 @@ def test_two_step_transfer_contract():
     st = dipped_split_order(60)
     with pytest.raises(ContractViolation):
         check_two_step_transfer(st, 3, 2, 5, 9, 0)
+
+
+def test_large_block_search_is_least_first():
+    """The block search under em_grouping_extract returns the least
+    homogeneous large subset of the pool in tuple order, the order in
+    which an ascending depth-first search meets them; checked against
+    subset enumeration and the backtracking oracle."""
+    rng = random.Random(23)
+    for trial in range(60):
+        h = rng.randint(3, 10)
+        f = FiniteColoring.from_function(h, lambda x, y: rng.randint(0, 1))
+        pool = sorted(rng.sample(range(h), rng.randint(1, h)))
+        for color in (0, 1):
+            for level in (0, 1, 2):
+                ref = min((s for k in range(1, len(pool) + 1)
+                           for s in itertools.combinations(pool, k)
+                           if bt_large(s, level) and all(
+                               f.color(x, y) == color for x, y in itertools.combinations(s, 2))),
+                          default=None)
+                got = _homog_large_block(f, pool, color, level)
+                assert (None if got is None else tuple(got)) == ref
 
 
 def test_em_grouping_on_dipped_fixture():

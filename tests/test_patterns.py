@@ -21,8 +21,10 @@ from rpl.patterns import (
     pair_index,
     realizes,
 )
-from rpl.perms import pattern_to_perm, perm_to_pattern
-from rpl.instances import interleaved_split_order
+from rpl.extract import find_homogeneous_block
+from rpl.fractals import fractal_perm
+from rpl.perms import pattern_to_perm, perm_coloring, perm_to_pattern
+from rpl.instances import interleaved_split_order, repaired_random_unbalanced
 
 
 def test_pair_index_canonical_order():
@@ -143,6 +145,8 @@ def test_transitive_coding_all_perms_up_to_7():
 
 
 def test_engine_agrees_with_independent_enumerator():
+    """Both searches return the lexicographically least hit, which the
+    enumerator finds first; block search is checked as a constant pattern."""
     rng = random.Random(31)
     patterns = [pat(t) for t in ("01", "10", "012", "120", "2031", "1302", "0213")]
     for trial in range(40):
@@ -153,9 +157,36 @@ def test_engine_agrees_with_independent_enumerator():
                 continue
             mine = find_realization(f, range(n), p, budget=None)
             ref = exhaustive_find(f, range(n), p)
-            assert (mine is None) == (ref is None)
+            assert (None if mine is None else tuple(mine)) == ref
             if mine is not None:
                 assert realizes(f, mine, p)
+        pool = sorted(rng.sample(range(n), rng.randint(1, n)))
+        for size in range(1, len(pool) + 1):
+            for c in (0, 1):
+                blk = find_homogeneous_block(f, pool, size, c)
+                ref = exhaustive_find(f, pool, Pattern.constant(size, c))
+                assert (None if blk is None else tuple(blk)) == ref
+
+
+# Exact node counts of realization search, with its answer, measured on the
+# search before it moved onto the shared ascending kernel.
+REALIZATION_PINS = [
+    ("fractal-32-1302", lambda: (perm_coloring(fractal_perm(2, 5)), range(32), pat("1302")),
+     7085, None),
+    ("unbalanced-30-constant-4",
+     lambda: (repaired_random_unbalanced(30, 4, 1), range(30), Pattern.constant(4, 0)),
+     641, None),
+]
+
+
+@pytest.mark.parametrize("name, make, nodes, hit", REALIZATION_PINS,
+                         ids=[p[0] for p in REALIZATION_PINS])
+def test_find_realization_node_count_pinned(name, make, nodes, hit):
+    f, reservoir, p = make()
+    with pytest.raises(BudgetExhausted) as exc:
+        find_realization(f, reservoir, p, budget=nodes - 1)
+    assert exc.value.nodes == nodes
+    assert find_realization(f, reservoir, p, budget=nodes) == hit
 
 
 def test_realize_dual_symmetry():
