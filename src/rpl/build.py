@@ -3,7 +3,8 @@
 Every construction here plays against adversary scripts: finite,
 explicit, prefix-monotone enumeration streams.  Quantities measured over
 oracle prefixes are exact rational sums over the finite prefix space the
-scripts declare.
+scripts declare.  The escaping selection race asks its guesses of the
+escaping oracles of `extract`, through their one `pick` protocol.
 """
 
 from __future__ import annotations
@@ -394,7 +395,7 @@ def chain_order(n: int) -> SimpleOrder:
     return SimpleOrder(n, {x: (x,) for x in range(n)})
 
 
-def gamma_build(direction: str, e: int, n: int, scripts=None, horizon=None) -> BuiltOrder:
+def gamma_build(direction: str, e: int, n: int, scripts=None) -> BuiltOrder:
     """Build the split order on ground 0..n-1 with staged enumeration
     events driving the disable/re-enable protocol and the cut points.
 
@@ -405,8 +406,6 @@ def gamma_build(direction: str, e: int, n: int, scripts=None, horizon=None) -> B
     """
     if direction not in ("inc", "dec"):
         raise ContractViolation("direction must be inc or dec")
-    if horizon is not None and n > horizon:
-        raise ContractViolation(f"ground of {n} exceeds horizon {horizon}")
     scripts = scripts or {}
     root = GammaNode(e, direction == "dec", (), range(n))
     member = [False] * n
@@ -593,9 +592,8 @@ class MirrorOrder:
         return StableColoring.from_function(self.horizon, lambda x, y: 0 if self.less(x, y) else 1)
 
 
-def mirror_double(source, horizon: int | None = None) -> MirrorOrder:
-    n = horizon if horizon is not None else source.horizon
-    return MirrorOrder(source, 2 * n)
+def mirror_double(source) -> MirrorOrder:
+    return MirrorOrder(source, 2 * source.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -751,34 +749,6 @@ class ModulusApprox:
         return pts[-1] if pts else 0
 
 
-class ReferenceGuessSource:
-    """Escapes honestly: the least value outside the enumerated set."""
-
-    name = "reference"
-
-    def pick_value(self, x: int, enumerated: frozenset, bound: int) -> int:
-        v = 0
-        while v in enumerated:
-            v += 1
-        return v
-
-
-class AdversarialGuessSource:
-    """Breaks the escape contract whenever the enumerated set offers a
-    position at or beyond x."""
-
-    name = "adversarial"
-
-    def pick_value(self, x: int, enumerated: frozenset, bound: int) -> int:
-        for v in sorted(enumerated):
-            if v >= x:
-                return v
-        v = 0
-        while v in enumerated:
-            v += 1
-        return v
-
-
 @dataclass
 class SelectResult:
     harvested: VertexSet
@@ -787,17 +757,18 @@ class SelectResult:
     skipped: list
 
 
-def escaping_select(family, bad, modulus: ModulusApprox, k: int, guess,
+def escaping_select(family, bad, modulus: ModulusApprox, k: int, oracle,
                     x_range: int, stage_horizon: int) -> SelectResult:
     """Harvest elements outside the bad set from a family of blocks.
 
     For each query point x, the enumerated trap set holds 0..x-1 together
     with the positions of bad elements inside the family blocks indexed by
-    x's modulus change points; the guess source must name a position
-    outside it.  Waiting for the first stage whose modulus value covers
-    the guessed position then makes the harvested element provably good.
+    x's modulus change points; the escaping oracle is asked
+    `pick(trap, x, None)` and must name a position outside it.  Waiting
+    for the first stage whose modulus value covers the guessed position
+    then makes the harvested element provably good.
     All outputs are re-verified against the bad set; contract breaches by
-    the guess source are returned as transcript violations.
+    the oracle are returned as transcript violations.
     """
     family = [list(b) for b in family]
     bad = set(bad)
@@ -820,10 +791,9 @@ def escaping_select(family, bad, modulus: ModulusApprox, k: int, guess,
                 for pos, el in enumerate(family[m]):
                     if el in bad:
                         trap.add(pos)
-        bound = x * (k + 1)
-        if len(trap) > bound:
+        if len(trap) > x * (k + 1):
             raise InternalInvariant("trap set exceeded its stated bound")
-        p = guess.pick_value(x, frozenset(trap), bound)
+        p = oracle.pick(trap, x, None)
         entry = {"x": x, "trap_size": len(trap), "guess": p}
         if p in trap:
             entry["violation"] = "guess inside the enumerated set"

@@ -230,8 +230,10 @@ def _cmd_pattern(args, out: _Out) -> int:
         p = perm_to_pattern(Permutation.from_text(args.arg))
         out.line(p.dual().to_text().rstrip("\n"))
     elif args.action == "avoids":
-        f = load_coloring(args.arg)
+        if args.pattern is None:
+            raise _UsageError("missing pattern")
         p = perm_to_pattern(Permutation.from_text(args.pattern))
+        f = load_coloring(args.arg)
         horizon = min(args.horizon, f.horizon)
         hit = find_realization(f, range(horizon), p, args.budget)
         if hit is None:
@@ -240,9 +242,11 @@ def _cmd_pattern(args, out: _Out) -> int:
             out.line("realized " + ",".join(str(v) for v in hit))
             return 0
     elif args.action == "realizes":
-        f = load_coloring(args.arg)
-        vs = VertexSet(int(t) for t in args.set.split(","))
+        if args.pattern is None or not args.set:
+            raise _UsageError("missing pattern or --set")
         p = perm_to_pattern(Permutation.from_text(args.pattern))
+        vs = VertexSet(_int_arg(t, "vertex") for t in args.set.split(","))
+        f = load_coloring(args.arg)
         out.line("realizes" if realizes(f, vs, p) else "does-not-realize")
     else:
         raise DegenerateInstance(f"unknown pattern action {args.action!r}")
@@ -265,7 +269,7 @@ def _cmd_sep_check(args, out: _Out) -> int:
 
 
 def _int_arg(text, what: str) -> int:
-    """A numeric positional argument; missing or malformed is a usage error."""
+    """A numeric argument; missing or malformed is a usage error."""
     if text is None:
         raise _UsageError(f"missing {what}")
     try:
@@ -340,6 +344,24 @@ def _load_scenario(path: str):
         raise InstanceLoadError(path, 1, f"bad priority scenario: {type(exc).__name__} {exc}")
 
 
+def _load_scripts(path) -> dict:
+    """The scripts of a `construct gamma`/`delta` script file, keyed by the
+    level number each script drives; no file means no scripts."""
+    if not path:
+        return {}
+    with open(path) as fh:
+        text = fh.read()
+    scripts = {}
+    for ident, script in parse_script_file(text, path).items():
+        try:
+            scripts[int(ident)] = script
+        except ValueError:
+            no = next(no for no, line in enumerate(text.splitlines(), start=1)
+                      if line.split()[:2] == ["e", ident])
+            raise InstanceLoadError(path, no, f"script id {ident!r} is not a level number") from None
+    return scripts
+
+
 def _cmd_construct(args, out: _Out) -> int:
     if args.kind == "priority":
         reqs, horizon = _load_scenario(args.arg)
@@ -357,22 +379,13 @@ def _cmd_construct(args, out: _Out) -> int:
         }))
         return 0
     if args.kind == "gamma":
-        scripts = {}
-        if args.arg:
-            with open(args.arg) as fh:
-                parsed = parse_script_file(fh.read(), args.arg)
-            scripts = {int(k): v for k, v in parsed.items()}
-        built = gamma_build(args.direction, args.e, args.n, scripts)
+        built = gamma_build(args.direction, args.e, args.n, _load_scripts(args.arg))
         ordered = sorted(built.members, key=lambda x: built.keys[x])
         out.line("order " + ",".join(str(x) for x in ordered))
         out.line(_dump({"members": built.members, "log": built.log}))
         return 0
     if args.kind == "delta":
-        scripts = {}
-        if args.arg:
-            with open(args.arg) as fh:
-                scripts = {int(k): v for k, v in parse_script_file(fh.read(), args.arg).items()}
-        built = gamma_build(args.direction, args.e, args.n, scripts)
+        built = gamma_build(args.direction, args.e, args.n, _load_scripts(args.arg))
         res = delta_extract(args.direction, args.e, [int(b) for b in args.bits], built)
         out.line(f"{res.status} " + ",".join(str(x) for x in res.sequence))
         out.line(_dump({"flags": res.flags, "bits_used": res.bits_used}))
@@ -401,7 +414,7 @@ def _cmd_large(args, out: _Out) -> int:
     if args.action == "group":
         f = load_coloring(args.arg)
         if args.notion.startswith("omega:"):
-            notion = omega_largeness(int(args.notion[6:]))
+            notion = omega_largeness(_int_arg(args.notion[6:], "omega level"))
         elif args.notion.startswith("pattern:"):
             p = perm_to_pattern(Permutation.from_text(args.notion[8:]))
             notion = pattern_largeness(p, f)

@@ -24,9 +24,9 @@ class BudgetExhausted(RplError):
     exhaustion raises.
     """
 
-    def __init__(self, nodes: int, message: str = ""):
+    def __init__(self, nodes: int):
         self.nodes = nodes
-        super().__init__(message or f"search budget exhausted after {nodes} nodes")
+        super().__init__(f"search budget exhausted after {nodes} nodes")
 
 
 class ResourceLimit(RplError):

@@ -3,9 +3,12 @@
 Four extraction routes share this module: an exhaustive optimum finder
 used as a test oracle, the unbalanced tree extractor for colorings with
 no small clique of one color, a seeded randomized extractor driven by a
-thinning sequence, and an extractor answering to an abstract escaping
-oracle.  Block spectra and good/bad block analysis support the latter
-two.
+thinning sequence, and an extractor answering to an escaping oracle.
+Block spectra and good/bad block analysis support the latter two.
+
+An escaping oracle names a value outside a set enumerated against it,
+`pick(enumerated, lo, hi)`; the oracle extractor and the escaping
+selection race in `build` ask the same two oracles defined here.
 
 Limit facts ("x settles to color c") are answered from StableColoring's
 declared data; that is the finite-scale stand-in for the limit oracle all
@@ -40,6 +43,7 @@ from .patterns import (
 )
 
 BRUTE_FORCE_CAP = 24
+FAILURE_EXPONENT = 3  # a thinning sequence's reciprocals sum below 2**-FAILURE_EXPONENT
 
 
 def verify_homogeneous(f, vertices, color: int) -> bool:
@@ -91,14 +95,14 @@ def thin_reservoir(f, reservoir: list, x: int, color: int) -> list:
 # Exhaustive optimum (test oracle)
 
 
-def brute_force_max_homogeneous(f, cap: int = BRUTE_FORCE_CAP):
+def brute_force_max_homogeneous(f):
     """Maximum-cardinality homogeneous set over both colors, exhaustively.
 
     Branch-and-bound over bitmasks; ties prefer color 0.
     """
     n = f.horizon
-    if n > cap:
-        raise ResourceLimit(f"horizon {n} exceeds brute-force cap {cap}")
+    if n > BRUTE_FORCE_CAP:
+        raise ResourceLimit(f"horizon {n} exceeds brute-force cap {BRUTE_FORCE_CAP}")
     full = (1 << n) - 1
     results = {}
     for color in (0, 1):
@@ -235,14 +239,10 @@ class GoodBadReport:
         return sum(1 for b in self.blocks if not b.good)
 
 
-def _wrong_limit_elements(f: StableColoring, vertices, color: int) -> list:
-    return [x for x in vertices if f.limit(x) == 1 - color]
-
-
 def _bad_witness(f: StableColoring, vertices, k: int, dim: int, color: int):
     """A k-ary dimension-dim sub-occurrence among the elements settling to
     the wrong color, or None."""
-    pool = _wrong_limit_elements(f, vertices, color)
+    pool = [x for x in vertices if f.limit(x) == 1 - color]
     if len(pool) < k**dim:
         return None
     return find_realization(f, pool, fractal_pattern(k, dim), budget=None)
@@ -289,7 +289,9 @@ SCAN_CHUNK = 64  # least number of pool elements one bound-scan step reads
 
 def find_homogeneous_block(f, reservoir, size: int, color: int, budget=None):
     """Lexicographically least size-`size` subset of the reservoir whose
-    pairs all have the color, by ascending depth-first search.
+    pairs all have the color, by ascending depth-first search.  The
+    reservoir must hold distinct vertices: a repeated one is read as a
+    pair on the diagonal, which raises ContractViolation.
 
     For stable colorings the pair checks collapse: an element whose limit
     disagrees with the color caps every later candidate at its settling
@@ -370,22 +372,18 @@ def find_homogeneous_block(f, reservoir, size: int, color: int, budget=None):
 EXTRACTOR_SEARCH_BUDGET = 2_000_000
 
 
-def find_fractal_occurrence(f, reservoir, arity: int, dim: int, budget=None):
-    """Least occurrence of the arity-ary dimension-dim fractal in the
-    reservoir; dimension 1 takes the fast homogeneous-block path."""
-    if dim == 1:
-        return find_homogeneous_block(f, reservoir, arity, 0, budget)
-    return find_realization(f, reservoir, fractal_pattern(arity, dim), budget)
-
-
 def _extractor_block(f, reservoir, arity: int, dim: int, step: int):
-    """Block search inside an extractor loop: a budgeted search whose
-    exhaustion, like proven absence, ends the run as a degenerate
-    instance (the unbalanced route applies); the cause and the step are
-    named."""
+    """Least occurrence of the arity-ary dimension-dim fractal in the
+    reservoir (dimension 1 takes the fast homogeneous-block path), by a
+    budgeted search inside an extractor loop.  Exhaustion, like proven
+    absence, ends the run as a degenerate instance (the unbalanced route
+    applies); the cause and the step are named."""
     try:
-        block = find_fractal_occurrence(f, reservoir, arity, dim,
-                                        EXTRACTOR_SEARCH_BUDGET)
+        if dim == 1:
+            block = find_homogeneous_block(f, reservoir, arity, 0, EXTRACTOR_SEARCH_BUDGET)
+        else:
+            block = find_realization(f, reservoir, fractal_pattern(arity, dim),
+                                     EXTRACTOR_SEARCH_BUDGET)
     except BudgetExhausted as exc:
         raise DegenerateInstance(
             f"block search budget exhausted at step {step} "
@@ -411,15 +409,13 @@ class ExtractionConfig:
 
     thinning is the increasing sequence u_0 < u_1 < ... bounding the
     per-step failure chance at 1/u_s; its reciprocal sum must stay below
-    2**-failure_exponent, which is verified at construction.
+    2**-FAILURE_EXPONENT, which is verified at construction.
     """
 
     thinning: tuple
     seed: int
     steps: int
     horizon: int
-    failure_exponent: int = 3
-    block_sizes: tuple | None = None
 
     def __post_init__(self):
         us = self.thinning
@@ -430,26 +426,23 @@ class ExtractionConfig:
         if self.steps > len(us):
             raise ContractViolation("thinning sequence shorter than the step budget")
         total = sum(Fraction(1, u) for u in us)
-        if total >= Fraction(1, 2**self.failure_exponent):
+        if total >= Fraction(1, 2**FAILURE_EXPONENT):
             raise ContractViolation(
                 f"sum of reciprocals {float(total):.4f} is not below "
-                f"2**-{self.failure_exponent}"
+                f"2**-{FAILURE_EXPONENT}"
             )
 
     def block_size(self, step: int, k: int, dim: int) -> int:
-        if self.block_sizes is not None:
-            return self.block_sizes[step]
         # arity sized so a uniformly random descent can go wrong with
         # chance at most 1/u_step: at most k-1 bad blocks per level over
         # dim levels
         return max(k, self.thinning[step] * (k - 1) * dim)
 
 
-def default_config(seed: int, horizon: int = 10_000, steps: int = 30,
-                   failure_exponent: int = 3) -> ExtractionConfig:
-    base = steps * 2**failure_exponent * 10 // 9 + 2
+def default_config(seed: int, horizon: int = 10_000, steps: int = 30) -> ExtractionConfig:
+    base = steps * 2**FAILURE_EXPONENT * 10 // 9 + 2
     us = tuple(base + 2 * s for s in range(max(steps, 1)))
-    return ExtractionConfig(us, seed, steps, horizon, failure_exponent)
+    return ExtractionConfig(us, seed, steps, horizon)
 
 
 @dataclass
@@ -535,13 +528,8 @@ class BlockSpectrum:
         return max(self.spectrum)
 
 
-def _block_is_bad(f, block, k, dim, color) -> bool:
-    return _bad_witness(f, block, k, dim, color) is not None
-
-
 def compute_spectrum_trace(
-    f: StableColoring, occurrence, arity: int, dim: int, k: int, color: int,
-    reservoir=None,
+    f: StableColoring, occurrence, arity: int, dim: int, k: int, color: int
 ) -> BlockSpectrum:
     """Inductive record of bad-block skips down a fractal occurrence.
 
@@ -559,7 +547,8 @@ def compute_spectrum_trace(
             return {(): []}
         blocks = occurrence_blocks(vertices, arity, d)
         bads = [
-            i for i, blk in enumerate(blocks) if _block_is_bad(f, blk, k, d - 1, color)
+            i for i, blk in enumerate(blocks)
+            if _bad_witness(f, blk, k, d - 1, color) is not None
         ]
         out = {}
         for ell in range(0, min(len(bads), k - 1) + 1):
@@ -578,34 +567,25 @@ def compute_spectrum_trace(
 
 
 class ReferenceEscapingOracle:
-    """Answers every query from full knowledge: the least index outside
-    the enumerated set, within the stated arity."""
+    """Escapes honestly: the least natural outside the enumerated set,
+    which must lie below hi (hi None: no upper bound)."""
 
-    name = "reference"
+    def pick(self, enumerated, lo: int, hi: int | None) -> int:
+        v = 0
+        while v in enumerated:
+            v += 1
+        if hi is not None and v >= hi:
+            raise ContractViolation(f"enumerated set covers [0, {hi})")
+        return v
 
-    def pick(self, arity: int, enumerated, bound: int) -> int:
-        banned = set(enumerated)
-        for i in range(arity):
-            if i not in banned:
-                return i
-        raise ContractViolation("enumerated set covers the whole arity")
 
+class AdversarialEscapingOracle(ReferenceEscapingOracle):
+    """Stress oracle: breaks the escape contract with the least enumerated
+    value in [lo, hi) whenever one exists, else answers honestly."""
 
-class AdversarialEscapingOracle:
-    """Stress oracle: deliberately answers an enumerated (bad) index
-    whenever one exists."""
-
-    name = "adversarial"
-
-    def pick(self, arity: int, enumerated, bound: int) -> int:
-        banned = sorted(set(enumerated))
-        for i in banned:
-            if 0 <= i < arity:
-                return i
-        for i in range(arity):
-            if i not in banned:
-                return i
-        raise ContractViolation("empty arity")
+    def pick(self, enumerated, lo: int, hi: int | None) -> int:
+        inside = [v for v in enumerated if lo <= v and (hi is None or v < hi)]
+        return min(inside) if inside else super().pick(enumerated, lo, hi)
 
 
 @dataclass
@@ -624,14 +604,14 @@ def oracle_extract(
     oracle,
     horizon: int,
     steps: int = 32,
-    arity_schedule=None,
 ) -> OracleOutcome:
     """Stem-growing extraction where block choices along each descent are
     answered by an escaping oracle.
 
-    At every level the indices of bad blocks (at most k-1 of them under a
-    good parent) are enumerated and handed to the oracle, which is asked
-    for an index outside them.  A dead stem, reachable only when the
+    Step s searches blocks of arity k + 1 + s.  At every level the indices
+    of bad blocks (at most k-1 of them under a good parent) are enumerated
+    and handed to the oracle, which is asked for an index below the arity
+    outside them.  A dead stem, reachable only when the
     oracle breaks its contract, is reported as a failure carrying the
     offending query transcript.
     """
@@ -644,7 +624,7 @@ def oracle_extract(
     transcript: list[dict] = []
 
     for step in range(steps):
-        arity = arity_schedule[step] if arity_schedule else (k + 1 + step)
+        arity = k + 1 + step
         occ = _extractor_block(f, cond.reservoir, arity, d, step)
         node = occ
         queries = []
@@ -653,9 +633,9 @@ def oracle_extract(
             bad = [
                 i
                 for i, blk in enumerate(blocks)
-                if _block_is_bad(f, blk, k, d - level - 1, color)
+                if _bad_witness(f, blk, k, d - level - 1, color) is not None
             ]
-            answer = oracle.pick(arity, bad, k - 1)
+            answer = oracle.pick(set(bad), 0, arity)
             queries.append(
                 {"level": level, "arity": arity, "bad": bad, "answer": answer}
             )

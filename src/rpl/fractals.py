@@ -27,15 +27,15 @@ SIZE_CAP = 1 << 15
 
 
 @lru_cache(maxsize=None)
-def fractal_perm(k: int, n: int, cap: int = SIZE_CAP) -> Permutation:
+def fractal_perm(k: int, n: int) -> Permutation:
     """The k-ary fractal permutation of dimension n (size k**n)."""
     if k < 1 or n < 0:
         raise ContractViolation("need arity >= 1 and dimension >= 0")
-    if k**n > cap:
-        raise ResourceLimit(f"fractal size {k}**{n} exceeds cap {cap}")
+    if k**n > SIZE_CAP:
+        raise ResourceLimit(f"fractal size {k}**{n} exceeds cap {SIZE_CAP}")
     if n == 0:
         return Permutation((0,))
-    prev = fractal_perm(k, n - 1, cap)
+    prev = fractal_perm(k, n - 1)
     combine = direct_sum if (n - 1) % 2 == 0 else skew_sum
     result = prev
     for _ in range(k - 1):

@@ -37,14 +37,14 @@ def interleaved_split_order(n: int, seed: int, top_fraction: float = 0.34) -> St
     return split_order_coloring(n, top)
 
 
-def blocked_split_order(n: int, seed: int, block: int = 25) -> StableColoring:
-    """Split order whose top part arrives in contiguous runs, stressing
-    block searches with long gaps."""
+def blocked_split_order(n: int, seed: int) -> StableColoring:
+    """Split order whose top part arrives in contiguous runs of up to 25
+    elements, stressing block searches with long gaps."""
     rng = random.Random(seed)
     top: set = set()
     x = 0
     while x < n:
-        run = rng.randint(1, block)
+        run = rng.randint(1, 25)
         if rng.random() < 0.35:
             top.update(range(x, min(n, x + run)))
         x += run
@@ -65,11 +65,11 @@ def avoiding_family(count: int, n: int, master_seed: int) -> list[StableColoring
     return out
 
 
-def alternating_stable(n: int, settle_slope: int = 2) -> StableColoring:
-    """Alternating limits with linearly growing settle times; before the
-    settling time every pair reads the opposite of the limit."""
+def alternating_stable(n: int) -> StableColoring:
+    """Alternating limits with settle times 2x + 2 (capped at n); before
+    the settling time every pair reads the opposite of the limit."""
     limits = [x % 2 for x in range(n)]
-    settle = [min(n, settle_slope * x + 2) for x in range(n)]
+    settle = [min(n, 2 * x + 2) for x in range(n)]
     overrides = []
     for x in range(n):
         for y in range(x + 1, settle[x]):
@@ -90,14 +90,14 @@ def grouped_unbalanced(n: int, k: int, seed: int) -> FiniteColoring:
     )
 
 
-def repaired_random_unbalanced(n: int, k: int, seed: int, p_zero: float = 0.06) -> FiniteColoring:
-    """Random sparse-0 coloring with every 0-homogeneous k-set destroyed
-    by flipping one of its pairs to 1."""
+def repaired_random_unbalanced(n: int, k: int, seed: int) -> FiniteColoring:
+    """Random sparse-0 coloring (each pair 0 with chance 0.06) with every
+    0-homogeneous k-set destroyed by flipping one of its pairs to 1."""
     rng = random.Random(seed)
     bits = {}
     for x in range(n):
         for y in range(x + 1, n):
-            bits[(x, y)] = 0 if rng.random() < p_zero else 1
+            bits[(x, y)] = 0 if rng.random() < 0.06 else 1
 
     def col(x, y):
         return bits[(x, y)] if x < y else bits[(y, x)]
@@ -129,21 +129,20 @@ def order_from_ranks(ranks: list) -> StableColoring:
     return StableColoring.from_function(n, lambda x, y: 0 if ranks[x] < ranks[y] else 1)
 
 
-def dipped_split_order(n: int, dips=(12, 36, 108, 324),
-                       top_run: int = 3) -> StableColoring:
-    """Split order whose ascending part contains rare rank dips: each dip
-    position carries a rank reserved much earlier in the walk, so a long
-    stretch of its predecessors settles against it with color 1.  A short
-    descending top run follows every dip.
+def dipped_split_order(n: int) -> StableColoring:
+    """Split order whose ascending part contains rank dips at positions 12,
+    36, 108 and 324: each dip position carries a rank reserved much earlier
+    in the walk, so a long stretch of its predecessors settles against it
+    with color 1.  A descending top run of 3 follows every dip.
 
     Dips are isolated and their reserved ranks live in pairwise disjoint
     zones; the tests check exhaustively that the order avoids the two
     forbidden size-4 permutations.
     """
-    dips = [q for q in dips if q < n]
+    dips = [q for q in (12, 36, 108, 324) if q < n]
     top_positions = set()
     for q in dips:
-        for j in range(1, top_run + 1):
+        for j in range(1, 4):
             if q + j < n:
                 top_positions.add(q + j)
     a_positions = [p for p in range(n) if p not in top_positions]

@@ -12,8 +12,10 @@ large at every positive level (zero subsets are demanded).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import ContractViolation, InternalInvariant
+from .extract import verify_homogeneous
 from .patterns import (
     BACKTRACK,
     Pattern,
@@ -60,18 +62,16 @@ def _carve_prefix(xs: list, level: int) -> tuple | None:
     return pos, LargeWitness(tuple(xs[:pos]), level, blocks)
 
 
-def minimal_large_size(m: int, n: int, _memo={}) -> int:
+@cache
+def minimal_large_size(m: int, n: int) -> int:
     """Cardinality of the smallest level-n-large set whose minimum is m
     (achieved by consecutive integers); a feasibility bound for searches."""
     if n == 0:
         return 1
-    key = (m, n)
-    if key not in _memo:
-        pos = m + 1
-        for _ in range(m):
-            pos += minimal_large_size(pos, n - 1)
-        _memo[key] = pos - m
-    return _memo[key]
+    pos = m + 1
+    for _ in range(m):
+        pos += minimal_large_size(pos, n - 1)
+    return pos - m
 
 
 def omega_n_decompose(elements, n: int) -> LargeWitness | None:
@@ -163,19 +163,17 @@ class Grouping:
 
     def check(self) -> bool:
         """Inter-block color constancy plus largeness of every block."""
-        for blk in self.blocks:
-            if not self.notion.holds(blk):
+        return (all(self.notion.holds(blk) for blk in self.blocks)
+                and _constant_across(self.coloring, self.blocks))
+
+
+def _constant_across(f, blocks) -> bool:
+    """Every two blocks see one color across all their pairs."""
+    for i, a in enumerate(blocks):
+        for b in blocks[i + 1:]:
+            if len({f.color(x, y) for x in a for y in b}) != 1:
                 return False
-        for i in range(len(self.blocks)):
-            for j in range(i + 1, len(self.blocks)):
-                colors = {
-                    self.coloring.color(x, y)
-                    for x in self.blocks[i]
-                    for y in self.blocks[j]
-                }
-                if len(colors) != 1:
-                    return False
-        return True
+    return True
 
 
 def _minimal_large_prefix(notion: LargenessPredicate, pool: list) -> list | None:
@@ -330,7 +328,7 @@ def check_two_step_transfer(f, a: int, b: int, c: int, d: int, i: int) -> bool:
 
 
 def em_grouping_extract(f: StableColoring, n: int, horizon: int,
-                        count: int = 4, probe: int | None = None) -> EmOutcome:
+                        count: int = 4) -> EmOutcome:
     """Extract a level-n grouping from a transitive coloring avoiding the
     two forbidden size-4 permutations.
 
@@ -339,7 +337,9 @@ def em_grouping_extract(f: StableColoring, n: int, horizon: int,
     then thins the reservoir to the elements the minimum settles against;
     the transfer fact makes cross colors constant block to block.  When no
     witness exists for any candidate block, the block minima themselves
-    accumulate into a homogeneous set, returned labeled as such.
+    accumulate into a homogeneous set, returned labeled as such.  Color 0
+    is tried first; color 1 when color 0 gives neither minima nor two
+    blocks.
     """
     horizon = min(horizon, f.horizon)
 
@@ -375,11 +375,11 @@ def em_grouping_extract(f: StableColoring, n: int, horizon: int,
                          and f.color(m, y) == keep]
         return EmOutcome("grouping", color, blocks, None)
 
-    first = attempt(0 if probe is None else probe)
+    first = attempt(0)
     if first is not None and (first.kind == "homogeneous-minima" or len(first.blocks) >= 2):
         _verify_em(f, first)
         return first
-    second = attempt(1 if probe is None else 1 - probe)
+    second = attempt(1)
     chosen = second if second is not None else first
     if chosen is None:
         raise ContractViolation("no homogeneous large block for either color")
@@ -430,14 +430,7 @@ def _minima_chain(f, reservoir: list, color: int, n: int, minima: list):
 
 def _verify_em(f, outcome: EmOutcome) -> None:
     if outcome.kind == "homogeneous-minima":
-        vs = outcome.vertices
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                if f.color(vs[i], vs[j]) != outcome.color:
-                    raise InternalInvariant("labeled minima set is not homogeneous")
-        return
-    for i, a in enumerate(outcome.blocks):
-        for b in outcome.blocks[i + 1 :]:
-            colors = {f.color(x, y) for x in a for y in b}
-            if len(colors) != 1:
-                raise InternalInvariant("grouping blocks lost cross-color constancy")
+        if not verify_homogeneous(f, outcome.vertices, outcome.color):
+            raise InternalInvariant("labeled minima set is not homogeneous")
+    elif not _constant_across(f, outcome.blocks):
+        raise InternalInvariant("grouping blocks lost cross-color constancy")

@@ -17,7 +17,7 @@ the number of elements every completion still needs (0 when done).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cmp_to_key
 from operator import gt
 import sys
@@ -403,13 +403,10 @@ class LinearOrderView:
     """
 
     coloring: object
-    horizon: int = field(default=0)
 
-    def __post_init__(self):
-        if self.horizon == 0:
-            object.__setattr__(self, "horizon", self.coloring.horizon)
-        if self.horizon > self.coloring.horizon:
-            raise RangeError("view horizon beyond coloring horizon")
+    @property
+    def horizon(self) -> int:
+        return self.coloring.horizon
 
     def less(self, x: int, y: int) -> bool:
         if x == y:

@@ -14,6 +14,7 @@ from .patterns import (
     find_realization,
     is_transitive,
     iter_pairs,
+    order_key,
 )
 
 
@@ -94,7 +95,9 @@ def pattern_to_perm(p: Pattern) -> Permutation | None:
             return p.color(x, y) == 0
         return p.color(y, x) == 1
 
-    ranks = [sum(1 for z in range(n) if z != x and below(z, x)) for x in range(n)]
+    ranks = [0] * n
+    for r, x in enumerate(sorted(range(n), key=order_key(below))):
+        ranks[x] = r
     return Permutation(ranks)
 
 

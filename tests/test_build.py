@@ -5,10 +5,8 @@ import pytest
 
 from conftest import pat, perm
 from rpl.build import (
-    AdversarialGuessSource,
     AdversaryScript,
     ModulusApprox,
-    ReferenceGuessSource,
     SimpleOrder,
     ads_extract,
     chain_order,
@@ -22,6 +20,7 @@ from rpl.build import (
     priority_build,
 )
 from rpl.errors import ContractViolation, InstanceLoadError
+from rpl.extract import AdversarialEscapingOracle, ReferenceEscapingOracle
 from rpl.instances import dipped_split_order
 from rpl.patterns import LinearOrderView, avoids
 
@@ -354,7 +353,7 @@ def test_modulus_validation():
 def test_escaping_reference_harvest():
     family, mod = make_escape_fixture()
     bad = {blk[0] for blk in family}
-    res = escaping_select(family, bad, mod, 1, ReferenceGuessSource(),
+    res = escaping_select(family, bad, mod, 1, ReferenceEscapingOracle(),
                           x_range=25, stage_horizon=40)
     assert len(res.harvested) >= 10
     assert not (set(res.harvested) & bad)
@@ -364,7 +363,7 @@ def test_escaping_reference_harvest():
 
 def test_escaping_empty_bad_set():
     family, mod = make_escape_fixture()
-    res = escaping_select(family, set(), mod, 0, ReferenceGuessSource(),
+    res = escaping_select(family, set(), mod, 0, ReferenceEscapingOracle(),
                           x_range=25, stage_horizon=40)
     assert len(res.harvested) >= 10 and res.violations == []
 
@@ -372,7 +371,7 @@ def test_escaping_empty_bad_set():
 def test_escaping_adversarial_violations():
     family, mod = make_escape_fixture()
     bad = {blk[-1] for blk in family}  # high positions give the adversary room
-    res = escaping_select(family, bad, mod, 1, AdversarialGuessSource(),
+    res = escaping_select(family, bad, mod, 1, AdversarialEscapingOracle(),
                           x_range=25, stage_horizon=40)
     assert res.violations, "the adversary must breach the escape contract"
     for v in res.violations:
@@ -384,4 +383,4 @@ def test_escaping_intersection_bound_enforced():
     family = [[0, 1, 2], [3, 4, 5]]
     with pytest.raises(ContractViolation):
         escaping_select(family, {0, 1}, ModulusApprox({}), 1,
-                        ReferenceGuessSource(), 2, 5)
+                        ReferenceEscapingOracle(), 2, 5)

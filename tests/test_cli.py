@@ -250,6 +250,14 @@ MALFORMED = [
     (["pattern", "show", "0x"], {}, 1),
     (["fractal", "embed", "1x", "2"], {}, 1),
     (["gen", "perm-clique"], {}, 2),
+    (["large", "group", "{dir}/g.txt", "--notion", "omega:x"], {"g.txt": "2\n0\n"}, 2),
+    (["pattern", "realizes", "{dir}/g.txt", "01", "--set", "1,x"], {"g.txt": "2\n0\n"}, 2),
+    (["pattern", "realizes", "{dir}/g.txt", "01"], {"g.txt": "2\n0\n"}, 2),
+    (["pattern", "avoids", "{dir}/g.txt"], {"g.txt": "2\n0\n"}, 2),
+    (["construct", "gamma", "{dir}/abc.txt", "--n", "20"],
+     {"abc.txt": "e 0 prefix - stage 1 emit 3\ne abc prefix - stage 1 emit 0\n"}, 1),
+    (["construct", "delta", "{dir}/abc.txt", "--n", "20", "--bits", "0"],
+     {"abc.txt": "e abc prefix - stage 1 emit 0\n"}, 1),
 ]
 
 

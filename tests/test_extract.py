@@ -13,6 +13,7 @@ from rpl.errors import (
     ResourceLimit,
 )
 from rpl.extract import (
+    FAILURE_EXPONENT,
     AdversarialEscapingOracle,
     ExtractionConfig,
     ReferenceEscapingOracle,
@@ -155,6 +156,14 @@ def test_find_homogeneous_block_rejects_nonpositive_budget():
                 find_homogeneous_block(f, range(10), 4, 0, budget=budget)
 
 
+@pytest.mark.parametrize("f", [FiniteColoring.constant(5, 0),
+                               StableColoring(5, [0] * 5, range(1, 6))],
+                         ids=["finite", "stable"])
+def test_find_homogeneous_block_rejects_repeated_vertex(f):
+    with pytest.raises(ContractViolation, match="diagonal"):
+        find_homogeneous_block(f, [0, 0, 1, 2], 3, 0)
+
+
 def test_find_homogeneous_block_skips_poison():
     # a wrong-limit element pairs correctly but blocks every continuation
     st = split_order_coloring(12, top={2})
@@ -244,11 +253,11 @@ def test_config_validation():
     with pytest.raises(ContractViolation):
         ExtractionConfig((1, 2, 3), 0, 3, 100)  # starts below 2
     with pytest.raises(ContractViolation):
-        ExtractionConfig((8, 9, 10), 0, 3, 100, failure_exponent=3)  # sum too big
+        ExtractionConfig((8, 9, 10), 0, 3, 100)  # sum too big
     with pytest.raises(ContractViolation):
         ExtractionConfig((100, 200), 0, 5, 100)  # shorter than steps
     cfg = default_config(7)
-    assert sum(1.0 / u for u in cfg.thinning) < 2.0**-cfg.failure_exponent
+    assert sum(1.0 / u for u in cfg.thinning) < 2.0**-FAILURE_EXPONENT
 
 
 def test_extraction_color_parity():
@@ -391,6 +400,36 @@ def test_oracle_reference_regression():
     assert len(out.vertices) == 32
     assert list(out.vertices)[:6] == [2, 4, 6, 8, 14, 16]
     assert verify_homogeneous(FIXTURE, out.vertices, 0)
+
+
+# (oracle, enumerated, lo, hi, answer); the oracle extractor asks
+# (bad, 0, arity) and the escaping selection race asks (trap, x, None)
+PICKS = [
+    (ReferenceEscapingOracle, {0, 1, 3}, 0, 5, 2),
+    (ReferenceEscapingOracle, set(), 0, 3, 0),
+    (ReferenceEscapingOracle, {0, 1, 2}, 0, 3, ContractViolation),
+    (ReferenceEscapingOracle, set(), 0, 0, ContractViolation),
+    (AdversarialEscapingOracle, {1, 3}, 0, 5, 1),
+    (AdversarialEscapingOracle, {0, 1, 2}, 0, 3, 0),
+    (AdversarialEscapingOracle, {4, 6}, 0, 4, 0),  # nothing enumerated in range
+    (AdversarialEscapingOracle, {0, 1, 2}, 0, 2, 0),
+    (AdversarialEscapingOracle, set(), 0, 0, ContractViolation),
+    (ReferenceEscapingOracle, {0, 1, 2, 5}, 3, None, 3),
+    (ReferenceEscapingOracle, set(range(40)), 7, None, 40),
+    (AdversarialEscapingOracle, {0, 1, 2, 5, 9}, 3, None, 5),
+    (AdversarialEscapingOracle, {0, 1, 2, 3}, 3, None, 3),
+    (AdversarialEscapingOracle, {0, 1, 2}, 3, None, 3),  # nothing at or beyond x
+    (AdversarialEscapingOracle, {0, 2}, 3, None, 1),
+]
+
+
+@pytest.mark.parametrize("oracle, enumerated, lo, hi, want", PICKS)
+def test_escaping_oracle_pick(oracle, enumerated, lo, hi, want):
+    if want is ContractViolation:
+        with pytest.raises(ContractViolation):
+            oracle().pick(enumerated, lo, hi)
+    else:
+        assert oracle().pick(enumerated, lo, hi) == want
 
 
 def test_oracle_adversarial_failure_transcript():

@@ -1,0 +1,24 @@
+"""Every layer that a per-layer metric of BENCHMARK.json traces names a
+callable in rpl, so that a refactor cannot orphan a traced layer unnoticed."""
+
+import importlib
+import json
+from functools import reduce
+from pathlib import Path
+
+import pytest
+
+SPEC = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+# a metric is `<layer>.<stat>`; `trace.*` describes the tracer itself
+LAYERS = sorted({m["name"].rsplit(".", 1)[0] for m in SPEC["per_layer"]
+                 if not m["name"].startswith("trace.")})
+# pair-color reads are counted on both coloring classes under one name
+ALIASES = {"patterns.color": ("patterns.FiniteColoring.color", "patterns.StableColoring.color")}
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_traced_layer_resolves(layer):
+    for name in ALIASES.get(layer, (layer,)):
+        module, *path = name.split(".")
+        obj = reduce(getattr, path, importlib.import_module(f"rpl.{module}"))
+        assert callable(obj), name
