@@ -467,14 +467,12 @@ def gamma_build(direction: str, e: int, n: int, scripts=None) -> BuiltOrder:
             if j < len(node.heads):
                 break
             i = node.block_of[s]
-            if not node.is_leaf and i == node.disabled:
+            if i == node.disabled:
                 excluded = True
                 log.append(
                     {"stage": s, "node": list(node.path), "event": "exclude",
                      "block": i}
                 )
-                break
-            if node.is_leaf:
                 break
             node = node.children[i]
         member[s] = not excluded
@@ -696,8 +694,6 @@ def ads_extract(order, perm: Permutation, horizon: int, target: int = 15,
     if out[0] == "monotone-partial":
         direction, seq, frontier = out[1]
         _assert_monotone(less, seq, direction)
-        if len(seq) >= target:
-            return AdsOutcome("monotone", direction, seq, None, None)
         return AdsOutcome("inconclusive", direction, seq, None,
                           {"partial": len(seq), "inner": frontier})
     return AdsOutcome("inconclusive", None, [], None, out[1])

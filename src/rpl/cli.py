@@ -241,15 +241,13 @@ def _cmd_pattern(args, out: _Out) -> int:
         else:
             out.line("realized " + ",".join(str(v) for v in hit))
             return 0
-    elif args.action == "realizes":
+    else:  # realizes
         if args.pattern is None or not args.set:
             raise _UsageError("missing pattern or --set")
         p = perm_to_pattern(Permutation.from_text(args.pattern))
         vs = VertexSet(_int_arg(t, "vertex") for t in args.set.split(","))
         f = load_coloring(args.arg)
         out.line("realizes" if realizes(f, vs, p) else "does-not-realize")
-    else:
-        raise DegenerateInstance(f"unknown pattern action {args.action!r}")
     return 0
 
 
@@ -285,7 +283,7 @@ def _cmd_fractal(args, out: _Out) -> int:
         perm = Permutation.from_text(args.a)
         dim, positions = embed_separable(perm, _int_arg(args.b, "arity"))
         out.line(f"{dim} " + ",".join(str(v) for v in positions))
-    elif args.action == "partition":
+    else:  # partition
         a, b = _int_arg(args.a, "a"), _int_arg(args.b, "b")
         n = _int_arg(args.c, "dimension")
         if args.arg is None:
@@ -294,8 +292,6 @@ def _cmd_fractal(args, out: _Out) -> int:
             bits = [int(ch) for ch in fh.read() if ch in "01"]
         side, positions = partition_extract(a, b, n, lambda v: bits[v])
         out.line(f"color {side} " + ",".join(str(v) for v in positions))
-    else:
-        raise DegenerateInstance(f"unknown fractal action {args.action!r}")
     return 0
 
 
@@ -316,14 +312,12 @@ def _cmd_extract(args, out: _Out) -> int:
         out.line(_dump({"success": res.success, "failure_step": res.failure_step,
                         "color": res.color, "transcript": res.transcript}))
         return 0
-    if args.mode == "oracle":
-        oracle = AdversarialEscapingOracle() if args.adversarial else ReferenceEscapingOracle()
-        res = oracle_extract(f, args.k, args.n, oracle, args.horizon, steps=args.steps)
-        out.line(",".join(str(v) for v in res.vertices) if res.success else "failure")
-        out.line(_dump({"success": res.success, "failure": res.failure,
-                        "color": res.color, "transcript": res.transcript}))
-        return 0
-    raise DegenerateInstance(f"unknown extract mode {args.mode!r}")
+    oracle = AdversarialEscapingOracle() if args.adversarial else ReferenceEscapingOracle()
+    res = oracle_extract(f, args.k, args.n, oracle, args.horizon, steps=args.steps)
+    out.line(",".join(str(v) for v in res.vertices) if res.success else "failure")
+    out.line(_dump({"success": res.success, "failure": res.failure,
+                    "color": res.color, "transcript": res.transcript}))
+    return 0
 
 
 def _load_scenario(path: str):
@@ -390,12 +384,10 @@ def _cmd_construct(args, out: _Out) -> int:
         out.line(f"{res.status} " + ",".join(str(x) for x in res.sequence))
         out.line(_dump({"flags": res.flags, "bits_used": res.bits_used}))
         return 0
-    if args.kind == "mirror":
-        order = mirror_double(chain_order(args.n))
-        ordered = sorted(range(order.horizon), key=order_key(order.less))
-        out.line("order " + ",".join(str(x) for x in ordered))
-        return 0
-    raise DegenerateInstance(f"unknown construct kind {args.kind!r}")
+    order = mirror_double(chain_order(args.n))  # mirror
+    ordered = sorted(range(order.horizon), key=order_key(order.less))
+    out.line("order " + ",".join(str(x) for x in ordered))
+    return 0
 
 
 def _cmd_large(args, out: _Out) -> int:
@@ -411,24 +403,22 @@ def _cmd_large(args, out: _Out) -> int:
         if witness is not None:
             out.line(_dump(_witness_dict(witness)))
         return 0
-    if args.action == "group":
-        f = load_coloring(args.arg)
-        if args.notion.startswith("omega:"):
-            notion = omega_largeness(_int_arg(args.notion[6:], "omega level"))
-        elif args.notion.startswith("pattern:"):
-            p = perm_to_pattern(Permutation.from_text(args.notion[8:]))
-            notion = pattern_largeness(p, f)
-        else:
-            raise DegenerateInstance(f"unknown notion {args.notion!r}")
-        g = find_grouping(f, notion, args.count, min(args.horizon, f.horizon))
-        out.line(_dump({
-            "complete": g.complete,
-            "blocks": [list(b) for b in g.blocks],
-            "obstruction": g.obstruction,
-            "verified": g.check(),
-        }))
-        return 0
-    raise DegenerateInstance(f"unknown large action {args.action!r}")
+    f = load_coloring(args.arg)  # group
+    if args.notion.startswith("omega:"):
+        notion = omega_largeness(_int_arg(args.notion[6:], "omega level"))
+    elif args.notion.startswith("pattern:"):
+        p = perm_to_pattern(Permutation.from_text(args.notion[8:]))
+        notion = pattern_largeness(p, f)
+    else:
+        raise DegenerateInstance(f"unknown notion {args.notion!r}")
+    g = find_grouping(f, notion, args.count, min(args.horizon, f.horizon))
+    out.line(_dump({
+        "complete": g.complete,
+        "blocks": [list(b) for b in g.blocks],
+        "obstruction": g.obstruction,
+        "verified": g.check(),
+    }))
+    return 0
 
 
 def _witness_dict(w) -> dict:
@@ -461,7 +451,7 @@ def _cmd_experiment(args, out: _Out) -> int:
                 continue
             report.add(t, cfg.seed, "success" if res.success else "failure",
                        len(res.vertices) if res.vertices else 0, res.failure_step)
-    elif args.kind == "delta-mc":
+    else:  # delta-mc
         built = gamma_build("dec", 0, args.n)
         report = ExperimentReport(
             "delta-mc", {"trials": args.trials, "seed": args.seed, "n": args.n},
@@ -473,8 +463,6 @@ def _cmd_experiment(args, out: _Out) -> int:
             report.add(t, args.seed * 1_000_003 + t,
                        "success" if res.status == "ok" else "failure",
                        len(res.sequence))
-    else:
-        raise DegenerateInstance(f"unknown experiment {args.kind!r}")
     d = report.to_dict()
     if not validate_report(d):
         raise RplError("report failed schema validation")

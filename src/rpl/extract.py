@@ -263,6 +263,8 @@ def analyze_blocks(
     occ = VertexSet(occurrence)
     if dim < 1:
         raise ContractViolation("block analysis needs dimension >= 1")
+    if k > arity:
+        raise ContractViolation(f"k={k} exceeds the arity {arity}")
     if not realizes(f, occ, fractal_pattern(arity, dim)):
         raise ContractViolation("occurrence does not realize the declared fractal")
     verdicts = []
@@ -541,6 +543,8 @@ def compute_spectrum_trace(
     of a full-length string ends in a singleton.
     """
     occ = VertexSet(occurrence)
+    if k > arity:  # k - 1 skipped bad blocks must leave one to descend into
+        raise ContractViolation(f"k={k} exceeds the arity {arity}")
 
     def recurse(vertices: VertexSet, d: int) -> dict:
         if d == 0:

@@ -63,16 +63,20 @@ class Pattern:
     def __init__(self, size: int, bits):
         if size < 1:
             raise ContractViolation("pattern size must be >= 1")
-        bits = tuple(int(b) for b in bits)
+        bits = tuple(map(int, bits))
         expected = size * (size - 1) // 2
         if len(bits) != expected:
             raise ContractViolation(
                 f"pattern of size {size} needs {expected} bits, got {len(bits)}"
             )
-        if any(b not in (0, 1) for b in bits):
+        if not set(bits) <= {0, 1}:
             raise ContractViolation("pattern bits must be 0 or 1")
         self.size = size
         self.bits = bits
+
+    @property
+    def horizon(self) -> int:
+        return self.size
 
     @classmethod
     def constant(cls, size: int, color: int) -> "Pattern":
@@ -84,7 +88,7 @@ class Pattern:
 
     def dual(self) -> "Pattern":
         """Bitwise complement; an involution."""
-        return Pattern(self.size, tuple(1 - b for b in self.bits))
+        return type(self)(self.size, tuple(1 - b for b in self.bits))
 
     def restrict(self, positions) -> "Pattern":
         """Induced sub-pattern on a strictly increasing position subset."""
@@ -113,7 +117,7 @@ class Pattern:
         return hash((self.size, self.bits))
 
     def __repr__(self):
-        return f"Pattern({self.size}, {''.join(map(str, self.bits))})"
+        return f"{type(self).__name__}({self.size}, {''.join(map(str, self.bits))})"
 
     def to_text(self) -> str:
         """File form: `size=l` then the bits in canonical pair order."""
@@ -137,9 +141,10 @@ NON_TRANSITIVE = (Pattern(3, (0, 1, 0)), Pattern(3, (1, 0, 1)))
 TRIVIAL_PATTERN = Pattern(1, ())
 
 
-def is_transitive(p: Pattern) -> bool:
-    """True iff no 3 positions induce a non-transitivity configuration."""
-    n = p.size
+def is_transitive(p) -> bool:
+    """True iff no 3 positions induce a non-transitivity configuration;
+    p is a Pattern or any coloring."""
+    n = p.horizon
     for i in range(n - 2):
         for j in range(i + 1, n - 1):
             for k in range(j + 1, n):
@@ -149,51 +154,32 @@ def is_transitive(p: Pattern) -> bool:
     return True
 
 
-class FiniteColoring:
-    """A total 2-coloring of pairs over {0..horizon-1}, symmetric access."""
+class FiniteColoring(Pattern):
+    """A pattern read as a total coloring of pairs over {0..horizon-1}:
+    pairs are read in either order, and the file form lists rows."""
 
-    __slots__ = ("horizon", "_bits")
-
-    def __init__(self, horizon: int, bits):
-        if horizon < 1:
-            raise ContractViolation("horizon must be >= 1")
-        bits = tuple(map(int, bits))
-        expected = horizon * (horizon - 1) // 2
-        if len(bits) != expected:
-            raise ContractViolation(
-                f"coloring on {horizon} vertices needs {expected} bits, got {len(bits)}"
-            )
-        if not set(bits) <= {0, 1}:
-            raise ContractViolation("coloring bits must be 0 or 1")
-        self.horizon = horizon
-        self._bits = bits
+    __slots__ = ()
 
     @classmethod
     def from_function(cls, horizon: int, fn) -> "FiniteColoring":
         return cls(horizon, tuple(fn(i, j) for i, j in iter_pairs(horizon)))
-
-    @classmethod
-    def constant(cls, horizon: int, color: int) -> "FiniteColoring":
-        return cls(horizon, (color,) * (horizon * (horizon - 1) // 2))
 
     def color(self, x: int, y: int) -> int:
         if x == y:
             raise ContractViolation("coloring undefined on the diagonal")
         if x > y:
             x, y = y, x
-        if y >= self.horizon or x < 0:
-            raise RangeError(f"pair ({x},{y}) beyond horizon {self.horizon}")
-        return self._bits[pair_index(self.horizon, x, y)]
-
-    def dual(self) -> "FiniteColoring":
-        return FiniteColoring(self.horizon, tuple(1 - b for b in self._bits))
+        n = self.size  # the slot, not the horizon property: read once per pair
+        if y >= n or x < 0:
+            raise RangeError(f"pair ({x},{y}) beyond horizon {n}")
+        return self.bits[pair_index(n, x, y)]
 
     def to_text(self) -> str:
         """File form: first line N, then one upper-triangular row per vertex."""
-        rows = [str(self.horizon)]
-        for x in range(self.horizon - 1):
+        rows = [str(self.size)]
+        for x in range(self.size - 1):
             rows.append(
-                "".join(str(self.color(x, y)) for y in range(x + 1, self.horizon))
+                "".join(str(self.color(x, y)) for y in range(x + 1, self.size))
             )
         return "\n".join(rows) + "\n"
 
@@ -416,15 +402,6 @@ class LinearOrderView:
         return self.coloring.color(y, x) == 1
 
     def check_transitive(self) -> bool:
-        """Full triple scan; quadratic-free transitivity certificate."""
-        n = self.horizon
-        for x in range(n):
-            for y in range(n):
-                if y == x or not self.less(x, y):
-                    continue
-                for z in range(n):
-                    if z in (x, y):
-                        continue
-                    if self.less(y, z) and not self.less(x, z):
-                        return False
-        return True
+        """The order is a tournament, so it is transitive iff it has no
+        3-cycle, which is the test of is_transitive."""
+        return is_transitive(self.coloring)

@@ -10,6 +10,7 @@ from enum import Enum
 from .errors import ContractViolation, InternalInvariant
 from .patterns import (
     FiniteColoring,
+    LinearOrderView,
     Pattern,
     find_realization,
     is_transitive,
@@ -87,26 +88,16 @@ def pattern_to_perm(p: Pattern) -> Permutation | None:
     transitive."""
     if not is_transitive(p):
         return None
-    n = p.size
-
-    def below(x: int, y: int) -> bool:
-        # x strictly precedes y in the coded order
-        if x < y:
-            return p.color(x, y) == 0
-        return p.color(y, x) == 1
-
-    ranks = [0] * n
-    for r, x in enumerate(sorted(range(n), key=order_key(below))):
+    ranks = [0] * p.size
+    less = LinearOrderView(p).less
+    for r, x in enumerate(sorted(range(p.size), key=order_key(less))):
         ranks[x] = r
     return Permutation(ranks)
 
 
 def perm_coloring(perm: Permutation) -> FiniteColoring:
     """The permutation's pattern viewed as a coloring of a clique."""
-    v = perm.values
-    return FiniteColoring.from_function(
-        perm.size, lambda i, j: 0 if v[i] < v[j] else 1
-    )
+    return FiniteColoring(perm.size, perm_to_pattern(perm).bits)
 
 
 def direct_sum(a: Permutation, b: Permutation) -> Permutation:

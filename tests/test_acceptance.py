@@ -193,6 +193,27 @@ def test_criterion_5_randomized_extraction():
                   f"{len(sizes)} successes all >= 30, {elapsed:.1f}s")
 
 
+def max_color1_clique(f, n: int) -> int:
+    """Size of the largest vertex set below n whose pairs all have color 1
+    (at least 1), by an exact bitmask branch and bound: each clique grows
+    in ascending vertex order, and a branch whose remaining candidates
+    cannot beat the best size is cut."""
+    adj = [sum(1 << y for y in range(n) if y != x and f.color(x, y) == 1)
+           for x in range(n)]
+    best = 1
+
+    def grow(size: int, cand: int) -> None:
+        nonlocal best
+        best = max(best, size)
+        while cand and size + bin(cand).count("1") > best:
+            low = cand & -cand
+            cand ^= low
+            grow(size + 1, cand & adj[low.bit_length() - 1])
+
+    grow(0, (1 << n) - 1)
+    return best
+
+
 def test_criterion_6_unbalanced_ramsey():
     horizon = 60
     checked = 0
@@ -209,12 +230,7 @@ def test_criterion_6_unbalanced_ramsey():
             assert verify_homogeneous(f, res.vertices, 1)
             assert len(res.vertices) >= n // (k * 4)
             if n <= 20:
-                best1 = 1
-                for r in range(2, n + 1):
-                    for combo in itertools.combinations(range(n), r):
-                        if all(f.color(x, y) == 1 for x, y in itertools.combinations(combo, 2)):
-                            best1 = max(best1, r)
-                assert 2 * len(res.vertices) >= best1
+                assert 2 * len(res.vertices) >= max_color1_clique(f, n)
             checked += 1
     report(6, True, f"{checked} instances, size floor horizon/(4k) and half-optimum hold")
 

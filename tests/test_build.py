@@ -83,7 +83,7 @@ def full_script(horizon):
 
 def test_priority_vacuous():
     res = priority_build([], 30)
-    assert all(b == 0 for b in res.table._bits)
+    assert all(b == 0 for b in res.table.bits)
     assert res.log == []
     assert res.verdicts == []
 

@@ -338,6 +338,16 @@ def test_analyze_blocks_contract():
         analyze_blocks(f, [0, 1, 2, 3], 2, 2, 2, 1)  # not a fractal occurrence
 
 
+def test_block_analyses_reject_k_above_arity():
+    # every block is bad and k - 1 = 2 skips would cover both blocks; the
+    # k - 1 bound that analyze_blocks reports would hold vacuously
+    bad = build_occurrence([0] * 8, DIM2_PAIRS)
+    with pytest.raises(ContractViolation, match="exceeds the arity"):
+        analyze_blocks(bad, [0, 1, 2, 3], 2, 2, 3, 1)
+    with pytest.raises(ContractViolation, match="exceeds the arity"):
+        compute_spectrum_trace(bad, [0, 1, 2, 3], 2, 2, 3, 1)
+
+
 def test_bad_block_bound_randomized():
     # good occurrences never show more than k-1 bad blocks
     rng = random.Random(17)

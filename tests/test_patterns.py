@@ -206,7 +206,7 @@ def test_coloring_file_round_trip():
     rng = random.Random(5)
     f = FiniteColoring.from_function(7, lambda x, y: rng.randint(0, 1))
     g = FiniteColoring.from_text(f.to_text())
-    assert g._bits == f._bits
+    assert g.bits == f.bits
     p = pat("2031")
     assert Pattern.from_text(p.to_text()) == p
 
@@ -290,6 +290,60 @@ def test_stable_from_function_agrees_and_settles_minimally(g):
     for x in range(h):
         s = f.settle[x]
         assert s == x + 1 or g.color(x, s - 1) != f.limit(x)
+
+
+def triple_scan_transitive(f) -> bool:
+    """The ordered-triple scan of the order read off f (x before y iff the
+    upward pair has color 0): x < y and y < z must force x < z."""
+    n = f.horizon
+
+    def less(x, y):
+        return f.color(x, y) == 0 if x < y else f.color(y, x) == 1
+
+    for x in range(n):
+        for y in range(n):
+            if y == x or not less(x, y):
+                continue
+            for z in range(n):
+                if z not in (x, y) and less(y, z) and not less(x, z):
+                    return False
+    return True
+
+
+@st.composite
+def small_pattern(draw):
+    size = draw(st.integers(1, 9))
+    pairs = size * (size - 1) // 2
+    return Pattern(size, draw(st.lists(st.integers(0, 1), min_size=pairs, max_size=pairs)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(g=st.one_of(small_pattern(), small_coloring()))
+def test_is_transitive_matches_triple_scan(g):
+    # random bits and overrides give both verdicts; sizes 1 and 2 are
+    # always transitive
+    verdict = is_transitive(g)
+    assert verdict == triple_scan_transitive(g)
+    assert LinearOrderView(g).check_transitive() == verdict
+
+
+def test_perm_coloring_reads_perm_pattern_both_ways():
+    for size in range(1, 7):
+        for pm in all_perms(size):
+            f, p = perm_coloring(pm), perm_to_pattern(pm)
+            for i, j in iter_pairs(size):
+                assert f.color(i, j) == f.color(j, i) == p.color(i, j)
+
+
+def test_finite_coloring_dual_stays_symmetric():
+    rng = random.Random(11)
+    f = FiniteColoring.from_function(6, lambda x, y: rng.randint(0, 1))
+    fd = f.dual()
+    assert type(fd) is FiniteColoring and fd.dual() == f
+    for x, y in iter_pairs(6):
+        assert fd.color(y, x) == fd.color(x, y) == 1 - f.color(x, y)
+    with pytest.raises(ContractViolation):
+        fd.color(3, 3)
 
 
 def test_stable_from_function_last_row():

@@ -1,5 +1,7 @@
 """Every layer that a per-layer metric of BENCHMARK.json traces names a
-callable in rpl, so that a refactor cannot orphan a traced layer unnoticed."""
+callable in rpl, so that a refactor cannot orphan a traced layer unnoticed.
+A traced method must sit in its class's own dictionary, where the tracer
+patches it; an inherited one resolves by getattr but cannot be patched."""
 
 import importlib
 import json
@@ -20,5 +22,8 @@ ALIASES = {"patterns.color": ("patterns.FiniteColoring.color", "patterns.StableC
 def test_traced_layer_resolves(layer):
     for name in ALIASES.get(layer, (layer,)):
         module, *path = name.split(".")
-        obj = reduce(getattr, path, importlib.import_module(f"rpl.{module}"))
+        mod = importlib.import_module(f"rpl.{module}")
+        obj = reduce(getattr, path, mod)
         assert callable(obj), name
+        if len(path) == 2:  # module.Class.method
+            assert path[1] in vars(getattr(mod, path[0])), f"{name} is inherited"
