@@ -49,11 +49,9 @@ from .patterns import (
 )
 from .perms import (
     Permutation,
-    forbidden_witness,
-    is_separable,
     perm_coloring,
     perm_to_pattern,
-    separating_tree,
+    separation,
 )
 
 # ---------------------------------------------------------------------------
@@ -252,17 +250,12 @@ def _cmd_pattern(args, out: _Out) -> int:
 
 
 def _cmd_sep_check(args, out: _Out) -> int:
-    perm = Permutation.from_text(args.perm)
-    if is_separable(perm):
-        tree = separating_tree(perm)
+    tree, found = separation(Permutation.from_text(args.perm))
+    if tree is not None:
         out.line(f"separable ({tree.to_term()})")
     else:
-        witness, positions = forbidden_witness(perm)
-        out.line(
-            f"non-separable ({witness.to_text()} at "
-            + ",".join(str(v) for v in positions)
-            + ")"
-        )
+        witness, positions = found
+        out.line(f"non-separable ({witness.to_text()} at {','.join(map(str, positions))})")
     return 0
 
 

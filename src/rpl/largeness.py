@@ -11,10 +11,10 @@ large at every positive level (zero subsets are demanded).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from functools import cache
 
-from .errors import ContractViolation, InternalInvariant
+from .errors import BudgetExhausted, ContractViolation, DegenerateInstance, InternalInvariant
 from .extract import verify_homogeneous
 from .patterns import (
     BACKTRACK,
@@ -62,16 +62,25 @@ def _carve_prefix(xs: list, level: int) -> tuple | None:
     return pos, LargeWitness(tuple(xs[:pos]), level, blocks)
 
 
-@cache
-def minimal_large_size(m: int, n: int) -> int:
+_SIZES: dict = {}  # (m, n) -> (size, exact); an inexact size is a lower bound
+
+
+def minimal_large_size(m: int, n: int, room: int = sys.maxsize) -> int:
     """Cardinality of the smallest level-n-large set whose minimum is m
-    (achieved by consecutive integers); a feasibility bound for searches."""
+    (achieved by consecutive integers); a feasibility bound for searches.
+    The sizes grow like the fast-growing hierarchy, so the count stops
+    once it passes room: the result is min(size, room + 1)."""
     if n == 0:
         return 1
-    pos = m + 1
-    for _ in range(m):
-        pos += minimal_large_size(pos, n - 1)
-    return pos - m
+    size, exact = _SIZES.get((m, n), (0, False))
+    if not exact and size <= room:
+        size = 1
+        for _ in range(m):
+            if size > room:
+                break
+            size += minimal_large_size(m + size, n - 1, room)
+        _SIZES[(m, n)] = size, size <= room  # a count stopped at room ends above it
+    return min(size, room + 1)
 
 
 def omega_n_decompose(elements, n: int) -> LargeWitness | None:
@@ -401,7 +410,8 @@ def _homog_large_block(f, reservoir: list, color: int, n: int) -> VertexSet | No
     """
     def step(chosen, i, need):
         y = reservoir[i]
-        if not chosen and minimal_large_size(y, n) > len(reservoir) - i:
+        room = len(reservoir) - i + len(chosen)  # the longest chain through y
+        if not chosen and minimal_large_size(y, n, room) > room:
             # the reservoir ascends, so every later root needs more room
             return BACKTRACK
         if not all(f.color(x, y) == color for x in chosen):
@@ -409,9 +419,13 @@ def _homog_large_block(f, reservoir: list, color: int, n: int) -> VertexSet | No
         chain = chosen + [y]
         if _carve_prefix(chain, n) is not None:
             return 0
-        return max(1, minimal_large_size(chain[0], n) - len(chain))
+        return max(1, minimal_large_size(chain[0], n, room) - len(chain))
 
-    return _ascending_search(reservoir, step, 1, LARGE_BLOCK_SEARCH_BUDGET)
+    try:
+        return _ascending_search(reservoir, step, 1, LARGE_BLOCK_SEARCH_BUDGET)
+    except BudgetExhausted as exc:
+        raise DegenerateInstance(f"large block search budget exhausted at color {color}, "
+                                 f"level {n}; treat as degenerate") from exc
 
 
 def _minima_chain(f, reservoir: list, color: int, n: int, minima: list):

@@ -1,6 +1,6 @@
 """Permutations, their pattern coding, sum/join/converge operators,
-separability by two independent algorithms, and the trichotomy classifier.
-"""
+separability by a forbidden-pattern scan for 1302/2031 and by a tree
+decomposition, which must agree, and the trichotomy classifier."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from .patterns import (
     FiniteColoring,
     LinearOrderView,
     Pattern,
-    find_realization,
+    VertexSet,
     is_transitive,
     iter_pairs,
     order_key,
@@ -135,13 +135,7 @@ def converge(p: Pattern, c: int) -> Pattern:
     if c not in (0, 1):
         raise ContractViolation("color must be 0 or 1")
     size = p.size + 1
-
-    def col(x: int, y: int) -> int:
-        if y < p.size:
-            return p.color(x, y)
-        return c
-
-    return Pattern(size, tuple(col(x, y) for x, y in iter_pairs(size)))
+    return Pattern(size, tuple(p.color(x, y) if y < p.size else c for x, y in iter_pairs(size)))
 
 
 def is_convergent(p: Pattern) -> int | None:
@@ -159,16 +153,7 @@ def split_reducible(p: Pattern) -> tuple[Pattern, Pattern] | None:
     minimizing |p0|; None when p is irreducible."""
     n = p.size
     for m in range(1, n - 1):  # glue position; |p0| = m+1, |p1| = n-m
-        ok = True
-        for x in range(m):
-            cx = p.color(x, m)
-            for y in range(m + 1, n):
-                if p.color(x, y) != cx:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(p.color(x, y) == p.color(x, m) for x in range(m) for y in range(m + 1, n)):
             return p.restrict(range(m + 1)), p.restrict(range(m, n))
     return None
 
@@ -264,30 +249,61 @@ def separating_tree(perm: Permutation) -> SeparatingTree | None:
     return None
 
 
-def forbidden_witness(perm: Permutation):
-    """(witness permutation, positions) for an occurrence of 1302 or 2031
-    inside perm, found with the generic realization engine on the
-    permutation's clique coloring; None when perm contains neither."""
-    f = perm_coloring(perm)
-    reservoir = range(perm.size)
-    for witness in FORBIDDEN:
-        hit = find_realization(f, reservoir, perm_to_pattern(witness), budget=None)
-        if hit is not None:
-            return witness, hit
+def _least_1302(v) -> tuple | None:
+    """Least position tuple a < b < c < d with v[c] < v[a] < v[d] < v[b],
+    in O(n^2).  For b above v[a], the next position below v[a] is the
+    least c and leaves d the most room, so (a, b) extends iff a value
+    between v[a] and v[b] follows it; suffix tables per a answer both."""
+    n = len(v)
+    for a in range(n - 3):
+        va = v[a]
+        below = [n] * (n + 1)  # next position at or after j valued below va
+        above = [n] * (n + 1)  # least value above va at or after j; n: none
+        for j in range(n - 1, a, -1):
+            below[j] = j if v[j] < va else below[j + 1]
+            above[j] = above[j + 1] if v[j] < va else min(v[j], above[j + 1])
+        for b in range(a + 1, n - 2):
+            c = below[b + 1]
+            if c >= n - 1:  # no c with a d after it, for this b or any later one
+                break
+            if v[b] > va and above[c + 1] < v[b]:
+                return a, b, c, next(d for d in range(c + 1, n) if va < v[d] < v[b])
     return None
 
 
+def forbidden_witness(perm: Permutation):
+    """(witness permutation, positions) for the least occurrence of 1302,
+    else of 2031 (the complement of 1302), inside perm, found by scanning
+    the value sequence; None when perm contains neither."""
+    v = perm.values
+    for witness, seq in zip(FORBIDDEN, (v, [perm.size - 1 - x for x in v])):
+        hit = _least_1302(seq)
+        if hit is not None:
+            return witness, VertexSet(hit)
+    return None
+
+
+def separation(perm: Permutation):
+    """(tree, None) for a separable perm, else (None, witness), from one
+    run of each route.  The routes must agree, the tree must evaluate to
+    perm and the witness must sit at its positions, or InternalInvariant."""
+    witness = forbidden_witness(perm)
+    tree = separating_tree(perm)
+    if witness is None:
+        ok = tree is not None and tree.evaluate() == perm
+    else:
+        values = [perm.values[x] for x in witness[1]]
+        ok = tree is None and [sorted(values).index(x) for x in values] == list(witness[0])
+    if not ok:
+        raise InternalInvariant(f"separability routes disagree or fail their re-check "
+                                f"on {perm.to_text()}: witness={witness} tree={tree}")
+    return tree, witness
+
+
 def is_separable(perm: Permutation) -> bool:
-    """Separability decided by BOTH the forbidden-pattern search and the
-    tree decomposition; any disagreement is a fatal invariant violation."""
-    by_pattern = forbidden_witness(perm) is None
-    by_tree = separating_tree(perm) is not None
-    if by_pattern != by_tree:
-        raise InternalInvariant(
-            f"separability algorithms disagree on {perm.to_text()}: "
-            f"forbidden-pattern={by_pattern} tree={by_tree}"
-        )
-    return by_tree
+    """Separability decided by BOTH the forbidden-pattern scan and the
+    tree decomposition (see separation)."""
+    return separation(perm)[0] is not None
 
 
 class Trichotomy(Enum):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import pat, perm
 from rpl.build import (
@@ -22,7 +23,8 @@ from rpl.build import (
 from rpl.errors import ContractViolation, InstanceLoadError
 from rpl.extract import AdversarialEscapingOracle, ReferenceEscapingOracle
 from rpl.instances import dipped_split_order
-from rpl.patterns import LinearOrderView, avoids
+from rpl.patterns import LinearOrderView, avoids, is_transitive
+from rpl.perms import Permutation, perm_to_pattern
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +131,35 @@ def test_priority_stability_and_override_consistency():
         # settled tail really is constant
         for y in range(st.settle[x], 50):
             assert res.table.color(x, y) == st.limits[x]
+
+
+@st.composite
+def priority_runs(draw):
+    """A horizon up to 40 and up to three requirements: a permutation
+    pattern of size 1-4 against a random script of events."""
+    horizon = draw(st.integers(1, 40))
+    events = st.tuples(st.text("01", max_size=3), st.integers(0, horizon),
+                       st.lists(st.integers(0, horizon + 1), max_size=3))
+    reqs = draw(st.lists(st.tuples(
+        st.integers(1, 4).flatmap(lambda k: st.permutations(range(k))),
+        st.lists(events, max_size=12)), max_size=3))
+    return [(perm_to_pattern(Permutation(values)), AdversaryScript(r, evs))
+            for r, (values, evs) in enumerate(reqs)], horizon
+
+
+@settings(max_examples=60, deadline=None)
+@given(priority_runs())
+def test_priority_random_scripts_give_stable_transitive_coloring(run):
+    reqs, horizon = run
+    res = priority_build(reqs, horizon)
+    coloring = res.coloring
+    assert check_state_properties(res) == []
+    assert is_transitive(res.table) and is_transitive(coloring)
+    for x in range(horizon):
+        for y in range(x + 1, horizon):
+            assert coloring.color(x, y) == res.table.color(x, y)
+            if y >= coloring.settle[x]:
+                assert res.table.color(x, y) == coloring.limits[x]
 
 
 def test_priority_transversal_checker_detects_breaks():

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import random
 
 import pytest
 
+from rpl import patterns, perms
 from rpl.cli import (
     ExperimentReport,
     generate_instance,
@@ -11,6 +13,7 @@ from rpl.cli import (
     validate_report,
 )
 from rpl.errors import DegenerateInstance, InstanceLoadError
+from rpl.fractals import fractal_perm
 from rpl.patterns import FiniteColoring, StableColoring
 
 
@@ -27,6 +30,66 @@ def test_sep_check_verbs(capsys):
     code, out, _ = run(capsys, ["sep-check", "2301"])
     assert code == 0
     assert "separable (-(+(0,0),+(0,0)))" in out
+
+
+def evaluate_term(term: str) -> list:
+    """Values of a separating term: "0" is one point, "+(...)" stacks its
+    children upward left to right, "-(...)" downward."""
+    def parse(i):
+        if term[i] == "0":
+            return [0], i + 1
+        op, i, parts = term[i], i + 2, []
+        while True:
+            part, i = parse(i)
+            parts.append(part)
+            if term[i] == ")":
+                break
+            i += 1
+        values, base = [], sum(len(p) for p in parts)
+        for part in parts:
+            if op == "-":
+                base -= len(part)
+            values += [v + (base if op == "-" else len(values)) for v in part]
+        return values, i + 1
+
+    values, end = parse(0)
+    assert end == len(term)
+    return values
+
+
+def test_sep_check_never_reaches_search_kernel(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("separability reached the search kernel")
+
+    monkeypatch.setattr(patterns, "_ascending_search", refuse)
+    calls = {"witness": 0, "tree": 0}
+    scan, tree = perms.forbidden_witness, perms.separating_tree
+
+    def counted(key, fn, values):
+        def wrapper(pm):
+            calls[key] += pm.values == values
+            return fn(pm)
+        return wrapper
+
+    big = list(fractal_perm(2, 8).values)
+    shuffled = list(range(64))
+    random.Random(64).shuffle(shuffled)
+    for values, separable in ((big, True), (big[::-1], True), (shuffled, False)):
+        calls.update(witness=0, tree=0)
+        monkeypatch.setattr(perms, "forbidden_witness", counted("witness", scan, tuple(values)))
+        monkeypatch.setattr(perms, "separating_tree", counted("tree", tree, tuple(values)))
+        code, out, _ = run(capsys, ["sep-check", ",".join(map(str, values))])
+        assert code == 0 and calls == {"witness": 1, "tree": 1}
+        verdict, _, rest = out.strip().partition(" (")
+        if separable:
+            assert verdict == "separable"
+            assert evaluate_term(rest[:-1]) == values
+        else:
+            assert verdict == "non-separable"
+            witness, positions = rest[:-1].split(" at ")
+            at = [values[int(x)] for x in positions.split(",")]
+            assert witness in ("1302", "2031")
+            assert "".join(str(sorted(at).index(v)) for v in at) == witness
 
 
 def test_fractal_gen(capsys):

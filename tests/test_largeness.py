@@ -4,8 +4,9 @@ import random
 import pytest
 
 from conftest import pat
+from rpl import largeness
 from rpl.build import SimpleOrder, chain_order, mirror_double
-from rpl.errors import ContractViolation
+from rpl.errors import ContractViolation, DegenerateInstance
 from rpl.instances import (
     constant_coloring,
     dipped_split_order,
@@ -161,6 +162,36 @@ def test_minimal_large_size_consistency():
             assert is_omega_n_large(range(m, m + s), n)
             if s > 1:
                 assert not is_omega_n_large(range(m, m + s - 1), n)
+
+
+@pytest.mark.parametrize("m,n,room", [
+    (0, 3, 0), (3, 0, 0), (5, 1, 5), (5, 1, 6), (5, 1, 7), (2, 2, 12), (2, 2, 13),
+    (2, 2, 14), (4, 2, 90), (4, 2, 91), (4, 2, 1000), (1, 3, 13), (1, 3, 14),
+    (3, 1, 1), (2, 3, 60), (3, 3, 2000), (2, 5, 2000), (60, 3, 60),
+])
+def test_minimal_large_size_saturates_past_room(m, n, room):
+    # the exact size when it is at most room, found by bisection on the
+    # definition (largeness is closed under superset); room + 1 otherwise
+    lo, hi = 0, room + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if is_omega_n_large(range(m, m + mid), n) else (mid, hi)
+    assert minimal_large_size(m, n, room) == hi
+    if hi <= room:
+        assert minimal_large_size(m, n) == hi
+
+
+def test_em_grouping_at_level_3_ends():
+    # most roots have level-3 sizes far beyond the reservoir; the bound must stop counting
+    out = em_grouping_extract(dipped_split_order(60), 3, 60, count=3)
+    assert out.kind == "grouping" and out.blocks
+    assert all(is_omega_n_large(blk, 3) for blk in out.blocks)
+
+
+def test_em_grouping_budget_exhaustion_is_degenerate(monkeypatch):
+    monkeypatch.setattr(largeness, "LARGE_BLOCK_SEARCH_BUDGET", 5)
+    with pytest.raises(DegenerateInstance, match="color 0, level 1;"):
+        em_grouping_extract(dipped_split_order(500), 1, 500, count=6)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import all_perms, oracle_separable, pat, perm
 from rpl.errors import ContractViolation
-from rpl.patterns import Pattern, is_transitive
+from rpl.patterns import Pattern, find_realization, is_transitive
 from rpl.perms import (
+    FORBIDDEN,
     Permutation,
     Trichotomy,
     classify_trichotomy,
@@ -16,6 +18,7 @@ from rpl.perms import (
     is_separable,
     join,
     pattern_to_perm,
+    perm_coloring,
     perm_to_pattern,
     separating_tree,
     skew_sum,
@@ -122,6 +125,71 @@ def test_separability_examples():
     assert not is_separable(perm("1302"))
     w = forbidden_witness(perm("2031"))
     assert w is not None and w[0] == perm("2031") and tuple(w[1]) == (0, 1, 2, 3)
+
+
+def generic_witness(pm: Permutation):
+    """The least realization of 1302, else of 2031, by the generic search
+    on the permutation's clique coloring."""
+    for w in FORBIDDEN:
+        hit = find_realization(perm_coloring(pm), range(pm.size), perm_to_pattern(w), None)
+        if hit is not None:
+            return w, tuple(hit)
+    return None
+
+
+def scan_witness(pm: Permutation):
+    found = forbidden_witness(pm)
+    return None if found is None else (found[0], tuple(found[1]))
+
+
+@st.composite
+def near_separable(draw, lo: int, hi: int):
+    """A random direct/skew-sum tree, evaluated, then up to two values
+    swapped, so both separability verdicts come up."""
+    rng = draw(st.randoms(use_true_random=False))
+
+    def tree(n):
+        if n == 1:
+            return [0]
+        k = rng.randint(1, n - 1)
+        a, b = tree(k), tree(n - k)
+        if rng.random() < 0.5:
+            return a + [v + k for v in b]
+        return [v + n - k for v in a] + b
+
+    values = tree(draw(st.integers(lo, hi)))
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = rng.randrange(len(values)), rng.randrange(len(values))
+        values[i], values[j] = values[j], values[i]
+    return Permutation(values)
+
+
+def perms(lo: int, hi: int):
+    shuffled = st.integers(lo, hi).flatmap(lambda n: st.permutations(range(n)))
+    return st.one_of(near_separable(lo, hi), shuffled.map(Permutation))
+
+
+def test_forbidden_witness_is_least_realization_up_to_7():
+    for size in range(1, 8):
+        for pm in all_perms(size):
+            assert scan_witness(pm) == generic_witness(pm), pm.to_text()
+
+
+@settings(max_examples=80, deadline=None)
+@given(perms(8, 40))
+def test_forbidden_witness_is_least_realization_random(pm):
+    assert scan_witness(pm) == generic_witness(pm)
+
+
+@settings(max_examples=150, deadline=None)
+@given(perms(7, 12))
+def test_separability_routes_match_oracle(pm):
+    want = oracle_separable(pm)
+    tree = separating_tree(pm)
+    assert (tree is not None) == want
+    if tree is not None:
+        assert tree.evaluate() == pm
+    assert is_separable(pm) == want
 
 
 def test_separating_tree_example_and_evaluation():
