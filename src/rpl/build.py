@@ -9,6 +9,7 @@ escaping oracles of `extract`, through their one `pick` protocol.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -340,16 +341,15 @@ class GammaNode:
         self.heads = self.ground[:width]
         rest = self.ground[width:]
         self.block_of = {}
-        grounds = [rest[i::width] for i in range(width)]
-        for i, g in enumerate(grounds):
-            for x in g:
-                self.block_of[x] = i
-        if rest:
+        self.children = []
+        if rest:  # a wide node with no rest builds no empty blocks
+            grounds = [rest[i::width] for i in range(width)]
+            for i, g in enumerate(grounds):
+                for x in g:
+                    self.block_of[x] = i
             self.children = [
                 GammaNode(e + 1, True, path + (i,), g) for i, g in enumerate(grounds)
             ]
-        else:
-            self.children = []
         self.disabled = 0
         self.transitions = []
         self.cut_from = None
@@ -403,9 +403,18 @@ def gamma_build(direction: str, e: int, n: int, scripts=None) -> BuiltOrder:
     prefix.  Stage s places element s: enumeration updates and protocol
     moves happen first, then the placement, so a stage's own arrival obeys
     the freshly moved disabled block.
+
+    A node's cut or transition can fire at stage s only when a hit y in its
+    ground becomes witnessed, at stage max(first stage enumerating y, y + 1),
+    or when the node moved at stage s - 1, since the next candidate block
+    may move it again.  A hit at level L lies in at most one node, the one
+    with e == L on its root path, so each stage visits only its due nodes,
+    in preorder; without scripts the protocol never runs.
     """
     if direction not in ("inc", "dec"):
         raise ContractViolation("direction must be inc or dec")
+    if e < 0:
+        raise ContractViolation("e must be >= 0")
     scripts = scripts or {}
     root = GammaNode(e, direction == "dec", (), range(n))
     member = [False] * n
@@ -419,31 +428,39 @@ def gamma_build(direction: str, e: int, n: int, scripts=None) -> BuiltOrder:
             collect(ch)
 
     collect(root)
-    enum_now: dict[int, set] = {}
-
-    def enumerated(level: int, s: int) -> set:
-        script = scripts.get(level)
-        if script is None:
-            return set()
-        key = (level, s)
-        if key not in enum_now:
-            enum_now[key] = script.enumerated("", s)
-        return enum_now[key]
+    due: dict[int, set] = {}  # stage -> nodes whose protocol may fire
+    for level, script in scripts.items():
+        first: dict[int, int] = {}
+        for ev in script.events:  # ascending stages
+            if ev.prefix == "":
+                for y in ev.elements:
+                    first.setdefault(y, ev.stage)
+        for y, t in first.items():
+            s = max(t, y + 1)
+            if s >= n:
+                continue
+            node = root
+            while node.e < level and node.local[y] >= len(node.heads):
+                node = node.children[node.block_of[y]]
+            if node.e == level:
+                due.setdefault(s, set()).add(node)
 
     for s in range(n):
         # protocol updates before the stage's arrival is placed
-        for node in nodes:
+        enum_now: dict[int, set] = {}
+        for node in sorted(due.pop(s, ()), key=lambda nd: nd.path):  # preorder
+            if node.e not in enum_now:
+                enum_now[node.e] = scripts[node.e].enumerated("", s)
+            hits = enum_now[node.e]
             if node.dec and node.cut_from is None:
-                hits = enumerated(node.e, s)
                 if any(member[y] for y in hits if y in node.local and y < s):
-                    node.cut_from = sum(1 for x in node.ground if x < s)
+                    node.cut_from = bisect_left(node.ground, s)
                     log.append(
                         {"stage": s, "node": list(node.path), "event": "cut",
                          "local": node.cut_from}
                     )
             if node.is_leaf:
                 continue
-            hits = enumerated(node.e, s)
             candidates = sorted(
                 node.block_of[y]
                 for y in hits
@@ -458,6 +475,7 @@ def gamma_build(direction: str, e: int, n: int, scripts=None) -> BuiltOrder:
                 )
                 node.transitions.append((s, node.disabled, new))
                 node.disabled = new
+                due.setdefault(s + 1, set()).add(node)
 
         # placement
         node = root

@@ -40,26 +40,24 @@ class LargeWitness:
     blocks: list  # LargeWitness children, one per carved subset
 
 
-def _carve_prefix(xs: list, level: int) -> tuple | None:
-    """Length of the shortest large prefix of xs at the level, with its
-    witness; None if no prefix qualifies."""
-    if level == 0:
-        if not xs:
-            return None
-        return 1, LargeWitness((xs[0],), 0, [])
-    if not xs:
+def _carve_prefix(xs: list, level: int, start: int = 0) -> tuple | None:
+    """End index of the shortest large run of xs from start at the level,
+    with its witness; None if no run qualifies.  With start 0 the end is
+    the length of the shortest large prefix."""
+    if start >= len(xs):
         return None
-    need = xs[0]
+    if level == 0:
+        return start + 1, LargeWitness((xs[start],), 0, [])
+    need = xs[start]
     blocks = []
-    pos = 1
+    pos = start + 1
     while len(blocks) < need:
-        sub = _carve_prefix(xs[pos:], level - 1)
+        sub = _carve_prefix(xs, level - 1, pos)
         if sub is None:
             return None
-        width, w = sub
+        pos, w = sub
         blocks.append(w)
-        pos += width
-    return pos, LargeWitness(tuple(xs[:pos]), level, blocks)
+    return pos, LargeWitness(tuple(xs[start:pos]), level, blocks)
 
 
 _SIZES: dict = {}  # (m, n) -> (size, exact); an inexact size is a lower bound

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import pat, perm
 from rpl.build import (
     AdversaryScript,
+    GammaNode,
     ModulusApprox,
     SimpleOrder,
     ads_extract,
@@ -238,6 +239,169 @@ def test_gamma_dec_cut():
     for a in after:
         for c in before:
             assert b.less(c, a)
+
+
+def reference_gamma_build(direction, e, n, scripts):
+    """The protocol as first written: every node at every stage, with one
+    cached enumeration per level and stage.  Returns the members, keys,
+    log and root of the build."""
+    root = GammaNode(e, direction == "dec", (), range(n))
+    member = [False] * n
+    log = []
+    nodes = []
+
+    def collect(node):
+        nodes.append(node)
+        for ch in node.children:
+            collect(ch)
+
+    collect(root)
+    enum_now = {}
+
+    def enumerated(level, s):
+        if level not in scripts:
+            return set()
+        if (level, s) not in enum_now:
+            enum_now[(level, s)] = scripts[level].enumerated("", s)
+        return enum_now[(level, s)]
+
+    for s in range(n):
+        for node in nodes:
+            hits = enumerated(node.e, s)
+            if node.dec and node.cut_from is None:
+                if any(member[y] for y in hits if y in node.local and y < s):
+                    node.cut_from = sum(1 for x in node.ground if x < s)
+                    log.append({"stage": s, "node": list(node.path), "event": "cut",
+                                "local": node.cut_from})
+            if node.is_leaf:
+                continue
+            candidates = sorted(
+                node.block_of[y] for y in hits
+                if y < s and member[y] and y in node.block_of
+                and node.block_of[y] > node.disabled
+            )
+            if candidates:
+                log.append({"stage": s, "node": list(node.path), "event": "transition",
+                            "old": node.disabled, "new": candidates[0]})
+                node.transitions.append((s, node.disabled, candidates[0]))
+                node.disabled = candidates[0]
+        node = root
+        member[s] = True
+        while node.local[s] >= len(node.heads):
+            i = node.block_of[s]
+            if i == node.disabled:
+                member[s] = False
+                log.append({"stage": s, "node": list(node.path), "event": "exclude",
+                            "block": i})
+                break
+            node = node.children[i]
+
+    def key_of(x):
+        node, out = root, []
+        while True:
+            if node.dec:
+                out.append(node.cut_level(x))
+            j = node.local[x]
+            if j < len(node.heads):
+                return tuple(out + [2 * j])
+            out.append(2 * node.block_of[x] + 1)
+            node = node.children[node.block_of[x]]
+
+    members = [x for x in range(n) if member[x]]
+    return members, {x: key_of(x) for x in members}, log, root
+
+
+def node_states(root):
+    out = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        out.append((node.path, node.transitions, node.cut_from, node.disabled))
+        stack.extend(reversed(node.children))
+    return out
+
+
+def assert_same_build(direction, e, n, scripts):
+    b = gamma_build(direction, e, n, scripts)
+    members, keys, log, root = reference_gamma_build(direction, e, n, scripts)
+    assert b.members == members
+    assert b.keys == keys
+    assert b.log == log
+    assert node_states(b.root) == node_states(root)
+    return b
+
+
+@st.composite
+def gamma_inputs(draw):
+    direction = draw(st.sampled_from(["inc", "dec"]))
+    e = draw(st.integers(0, 2))
+    n = draw(st.integers(0, 700))
+    top = n + 20  # elements and stages may lie past the horizon
+    scripts = {}
+    for level in draw(st.sets(st.integers(0, 6), max_size=4)):
+        events = draw(st.lists(
+            st.tuples(st.sampled_from(["", "", "0", "1", "01"]), st.integers(0, top),
+                      st.lists(st.integers(0, top), min_size=1, max_size=4)),
+            max_size=12))
+        if draw(st.booleans()):
+            # dense hits: many witnessed blocks at once, so nodes move on
+            # consecutive stages
+            stage = draw(st.integers(0, top))
+            step = draw(st.integers(1, 4))
+            events.append(("", stage, range(0, top, step)))
+        scripts[level] = AdversaryScript(f"w{level}", events)
+    return direction, e, n, scripts
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma_inputs())
+def test_gamma_matches_every_stage_reference(args):
+    assert_same_build(*args)
+
+
+def test_gamma_dense_hits_move_on_consecutive_stages():
+    # every arrival before stage 300 is witnessed at once, so each node
+    # walks its disabled index up one block per stage
+    scripts = {level: AdversaryScript(f"w{level}", [("", 300, range(700))])
+               for level in range(7)}
+    b = assert_same_build("dec", 2, 700, scripts)
+    assert [t[0] for t in b.root.transitions] == list(range(300, 307))
+    assert sum(1 for entry in b.log if entry["event"] == "transition") >= 64
+
+
+def test_gamma_visits_only_due_stages(monkeypatch):
+    # an every-stage loop enumerates each level its nodes use at every
+    # stage, 12,000 calls here; a hit makes one node due, and so does each
+    # transition, which needs a hit of its own
+    calls = []
+    real = AdversaryScript.enumerated
+
+    def counted(self, prefix, stage):
+        calls.append(stage)
+        return real(self, prefix, stage)
+
+    monkeypatch.setattr(AdversaryScript, "enumerated", counted)
+    rng = random.Random(5)
+    scripts = {}
+    for level in range(4):
+        events = []
+        for _ in range(6):
+            s = rng.randrange(200, 4000)
+            events.append(("", s, rng.sample(range(s), rng.randint(1, 3))))
+        scripts[level] = AdversaryScript(f"w{level}", events)
+    elements = sum(len(ev.elements) for sc in scripts.values() for ev in sc.events)
+    b = gamma_build("dec", 1, 4000, scripts)
+    assert any(entry["event"] != "exclude" for entry in b.log)
+    assert 0 < len(calls) <= 2 * elements
+
+
+def test_gamma_wide_node_and_level_contract():
+    b = gamma_build("inc", 40, 10)
+    assert b.root.heads == list(range(10)) and b.root.children == []
+    assert b.members == list(range(10))
+    assert all(b.less(x, x + 1) for x in range(9))
+    with pytest.raises(ContractViolation):
+        gamma_build("inc", -2, 10)
 
 
 def test_delta_examples():

@@ -321,6 +321,7 @@ MALFORMED = [
      {"abc.txt": "e 0 prefix - stage 1 emit 3\ne abc prefix - stage 1 emit 0\n"}, 1),
     (["construct", "delta", "{dir}/abc.txt", "--n", "20", "--bits", "0"],
      {"abc.txt": "e abc prefix - stage 1 emit 0\n"}, 1),
+    (["construct", "gamma", "--e", "-2"], {}, 1),
 ]
 
 

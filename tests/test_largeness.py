@@ -181,6 +181,41 @@ def test_minimal_large_size_saturates_past_room(m, n, room):
         assert minimal_large_size(m, n) == hi
 
 
+def slicing_carve(xs, level):
+    """The carve as first written: it slices off the tail for every block,
+    so it is quadratic; kept as the reference for the indexed carve."""
+    if not xs:
+        return None
+    if level == 0:
+        return 1, largeness.LargeWitness((xs[0],), 0, [])
+    blocks, pos = [], 1
+    while len(blocks) < xs[0]:
+        sub = slicing_carve(xs[pos:], level - 1)
+        if sub is None:
+            return None
+        blocks.append(sub[1])
+        pos += sub[0]
+    return pos, largeness.LargeWitness(tuple(xs[:pos]), level, blocks)
+
+
+def test_indexed_carve_matches_slicing_carve():
+    rng = random.Random(12)
+    inputs = [list(range(m, m + t)) for m in range(6) for t in (0, 1, 5, 13, 40, 200)]
+    inputs += [sorted(rng.sample(range(2 * t), t)) for t in (3, 30, 300, 2000) for _ in range(4)]
+    inputs.append(list(range(3, 2003)))
+    for xs in inputs:
+        for n in range(4):
+            assert largeness._carve_prefix(xs, n) == slicing_carve(xs, n), (xs[:5], len(xs), n)
+
+
+def test_carve_is_linear_on_long_runs():
+    # 100,000 elements: the slicing carve copied the tail for every block
+    assert not is_omega_n_large(range(3, 3 + 100_000), 3)
+    size = minimal_large_size(12, 2)
+    assert is_omega_n_large(range(12, 12 + size), 2)
+    assert not is_omega_n_large(range(12, 12 + size - 1), 2)
+
+
 def test_em_grouping_at_level_3_ends():
     # most roots have level-3 sizes far beyond the reservoir; the bound must stop counting
     out = em_grouping_extract(dipped_split_order(60), 3, 60, count=3)
