@@ -23,7 +23,7 @@ from .build import (
     parse_script_file,
     priority_build,
 )
-from .errors import DegenerateInstance, InstanceLoadError, RplError
+from .errors import ContractViolation, DegenerateInstance, InstanceLoadError, RplError
 from .extract import (
     AdversarialEscapingOracle,
     ReferenceEscapingOracle,
@@ -424,6 +424,8 @@ def _witness_dict(w) -> dict:
 
 def _cmd_experiment(args, out: _Out) -> int:
     if args.kind == "random-extract":
+        if args.instances < 1:
+            raise ContractViolation(f"--instances {args.instances} must be >= 1")
         # the fixture family needs room for its growing blocks; the global
         # horizon default is far too small for a meaningful run
         horizon = args.horizon if args.horizon_set else 10_000

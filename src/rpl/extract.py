@@ -20,8 +20,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
-from operator import sub
+from itertools import accumulate, compress
+from operator import lt
 import random
 
 from .errors import (
@@ -30,6 +30,7 @@ from .errors import (
     DegenerateInstance,
     InternalInvariant,
     PreconditionWitness,
+    RangeError,
     ResourceLimit,
 )
 from .fractals import fractal_pattern, navigate, occurrence_blocks
@@ -76,19 +77,22 @@ class StemCondition:
 def thin_reservoir(f, reservoir: list, x: int, color: int) -> list:
     """Keep reservoir elements above x whose pair with x has the color.
 
-    Fast path for stable colorings: beyond x's settling time the pair
-    color equals x's limit, so only the window below settle(x) needs
-    explicit checks.
+    The reservoir ascends; the result is a new list.  Fast path for
+    stable colorings: beyond x's settling time the pair color equals x's
+    limit, so only the window below settle(x) needs explicit checks.
     """
+    if color not in (0, 1):
+        raise ContractViolation(f"color {color!r} is not 0 or 1")
     idx = bisect_right(reservoir, x)
-    tail = reservoir[idx:]
     if isinstance(f, StableColoring):
-        boundary = f.settle[x]
-        j = bisect_left(tail, boundary)
-        head = [y for y in tail[:j] if f.color(x, y) == color]
-        rest = tail[j:] if f.limits[x] == color else []
-        return head + rest
-    return [y for y in tail if f.color(x, y) == color]
+        keep = f.limit(x) == color
+        if reservoir and reservoir[-1] >= f.horizon:
+            raise RangeError(f"vertex {reservoir[-1]} beyond horizon {f.horizon}")
+        j = bisect_left(reservoir, f.settle[x], idx)
+        out = reservoir[j:] if keep else []
+        out[:0] = [y for y in reservoir[idx:j] if f.color(x, y) == color]
+        return out
+    return [y for y in reservoir[idx:] if f.color(x, y) == color]
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +296,8 @@ SCAN_CHUNK = 64  # least number of pool elements one bound-scan step reads
 def find_homogeneous_block(f, reservoir, size: int, color: int, budget=None):
     """Lexicographically least size-`size` subset of the reservoir whose
     pairs all have the color, by ascending depth-first search.  The
-    reservoir must hold distinct vertices: a repeated one is read as a
-    pair on the diagonal, which raises ContractViolation.
+    reservoir, in any order, must hold distinct vertices: a repeated one
+    is read as a pair on the diagonal, which raises ContractViolation.
 
     For stable colorings the pair checks collapse: an element whose limit
     disagrees with the color caps every later candidate at its settling
@@ -308,23 +312,47 @@ def find_homogeneous_block(f, reservoir, size: int, color: int, budget=None):
     of the pool they are exact, so cuts, search order and node count are
     those of the full bounds, while a block near the front of a long
     reservoir never pays for the rest of it.
+
+    Where every scanned window is 1 there are no pair reads at all, and a
+    step settles a run of candidates at once (see the patterns module):
+    the next matching-limit elements up to the scanned frontier are
+    admitted, and each wrong-limit element between them is admitted and
+    cut at its settling time x + 1, two nodes, as the unit steps do.
+
+    The extractors skip the sort: their reservoir ascends, and the stable
+    search checks each chunk it scans, so a repeated or out-of-order
+    vertex there still raises ContractViolation.
     """
+    if color not in (0, 1):
+        raise ContractViolation(f"color {color!r} is not 0 or 1")
+    if size < 0:
+        raise ContractViolation(f"block size {size} is negative")
     pool = sorted(reservoir)
+    if pool and not 0 <= pool[0] <= pool[-1] < f.horizon:
+        raise RangeError(f"vertices {pool[0]}..{pool[-1]} outside horizon {f.horizon}")
+    if isinstance(f, StableColoring):
+        return _stable_block_search(f, pool, size, color, budget)
     pair_color = f.color
-    if not isinstance(f, StableColoring):
-        def step(chosen, i, need):
-            v = pool[i]
-            for u in chosen:
-                if pair_color(u, v) != color:
-                    return None
-            return need - 1
 
-        return _ascending_search(pool, step, size, budget)
+    def step(chosen, i, need):
+        v = pool[i]
+        for u in chosen:
+            if pair_color(u, v) != color:
+                return None
+        return need - 1
 
+    return _ascending_search(pool, step, size, budget)
+
+
+def _stable_block_search(f: StableColoring, pool: list, size: int, color: int, budget):
+    """find_homogeneous_block on a stable coloring, over a pool of vertices
+    below the horizon that must ascend strictly.  The pool is used as
+    given; each chunk the bound scan reads is checked to ascend."""
     n = len(pool)
-    limits, settle = f.limits, f.settle
+    limits, settle, pair_color = f.limits, f.settle, f.color
     frontier = 0  # length of the scanned prefix of the pool
     good = [0]  # good[i]: elements of pool[:i] with the matching limit
+    matching = []  # pool indices of the scanned elements with the matching limit
     wmax = 1  # max of settle(x) - x over the scanned prefix; settle(x) > x
     reach = 2  # good[frontier] + 1 + wmax
 
@@ -338,12 +366,17 @@ def find_homogeneous_block(f, reservoir, size: int, color: int, budget=None):
                 return slack < 0
             if slack >= 0 and frontier > idx:
                 return False
-            chunk = pool[frontier:frontier + max(-slack, SCAN_CHUNK)]
+            end = min(n, frontier + max(-slack, SCAN_CHUNK))
+            chunk = pool[frontier:end]
+            if frontier and pool[frontier - 1] >= chunk[0] or not all(map(lt, chunk, chunk[1:])):
+                raise ContractViolation("block search pool does not ascend strictly; "
+                                        "a repeated vertex is a pair on the diagonal")
+            flags = [limits[v] == color for v in chunk]
             # accumulate re-emits the popped running count first
-            good.extend(accumulate(map(color.__eq__, map(limits.__getitem__, chunk)),
-                                   initial=good.pop()))
-            wmax = max(wmax, max(map(sub, map(settle.__getitem__, chunk), chunk)))
-            frontier += len(chunk)
+            good.extend(accumulate(flags, initial=good.pop()))
+            matching.extend(compress(range(frontier, end), flags))
+            wmax = max(wmax, *[settle[v] - v for v in chunk])
+            frontier = end
             reach = good[frontier] + 1 + wmax
 
     # cutoffs[need]: least settling time among the chosen elements whose
@@ -357,6 +390,22 @@ def find_homogeneous_block(f, reservoir, size: int, color: int, budget=None):
         if v >= cutoffs[need] or not (i < frontier and good[i] + need <= reach) \
                 and suffix_short(i, need):
             return BACKTRACK
+        cut = cutoffs[need]
+        if wmax == 1 and need > 2:
+            # No windows, so no pair reads; good[j] + need stays put along
+            # the run, so every unit step before the frontier passes the
+            # bound test.  A wrong-limit x is admitted and cut at once at
+            # settle(x) = x + 1, two nodes, so only matching elements stay.
+            g = good[i]
+            stop = bisect_left(pool, cut, i, frontier)
+            k = bisect_left(matching, stop, g, min(g + need - 1, len(matching))) - g
+            # the kernel visits index j at need m only while j <= n - m
+            while k and matching[g + k - 1] - k >= n - need:
+                k -= 1
+            if k:
+                run = matching[g:g + k]
+                cutoffs[need - k:need] = [cut] * k
+                return run, 2 * (run[-1] - i + 1) - k
         lo = v - wmax  # u <= lo is scanned, so u settled before v
         if chosen and chosen[-1] > lo:  # else no chosen u needs a pair read
             for u in reversed(chosen):
@@ -364,7 +413,6 @@ def find_homogeneous_block(f, reservoir, size: int, color: int, budget=None):
                     break
                 if settle[u] > v and pair_color(u, v) != color:
                     return None
-        cut = cutoffs[need]
         cutoffs[need - 1] = settle[v] if limits[v] != color and settle[v] < cut else cut
         return need - 1
 
@@ -381,8 +429,8 @@ def _extractor_block(f, reservoir, arity: int, dim: int, step: int):
     absence, ends the run as a degenerate instance (the unbalanced route
     applies); the cause and the step are named."""
     try:
-        if dim == 1:
-            block = find_homogeneous_block(f, reservoir, arity, 0, EXTRACTOR_SEARCH_BUDGET)
+        if dim == 1:  # the reservoir ascends, as StemCondition keeps it
+            block = _stable_block_search(f, reservoir, arity, 0, EXTRACTOR_SEARCH_BUDGET)
         else:
             block = find_realization(f, reservoir, fractal_pattern(arity, dim),
                                      EXTRACTOR_SEARCH_BUDGET)
@@ -476,6 +524,8 @@ def randomized_extract(
     """
     if n < 2:
         raise ContractViolation("avoided fractal dimension must be >= 2")
+    if k < 1:
+        raise ContractViolation("fractal arity k must be >= 1")
     d = n - 1
     color = extraction_color(d)
     rng = random.Random(cfg.seed)
@@ -621,6 +671,8 @@ def oracle_extract(
     """
     if n < 2:
         raise ContractViolation("avoided fractal dimension must be >= 2")
+    if k < 1:
+        raise ContractViolation("fractal arity k must be >= 1")
     d = n - 1
     color = extraction_color(d)
     horizon = min(horizon, f.horizon)

@@ -7,12 +7,20 @@ all serialization uses that order so fixtures are bit-exact.
 
 Every search of a reservoir (realization here, homogeneous blocks in
 `extract`, large blocks in `largeness`) runs on one ascending depth-first
-kernel, `_ascending_search(pool, step, need, budget)`.  It owns the stack,
-the cut of candidates with fewer than `need` pool elements left, node
-counting, the budget (exhaustion raises BudgetExhausted) and the answer
-None for proven absence.  The hook `step(chosen, i, need)` judges pool[i]:
+kernel, `_ascending_search(pool, step, need, budget)`, over a strictly
+ascending pool.  It owns the stack, the cut of candidates with fewer than
+`need` pool elements left, node counting, the budget (exhaustion raises
+BudgetExhausted) and the answer None for proven absence.  The hook
+`step(chosen, i, need)` judges pool[i]:
 None passes it over, BACKTRACK abandons the depth, and an int admits it as
 the number of elements every completion still needs (0 when done).
+
+A step may also settle many candidates in one verdict, a run: the tuple
+(indices, nodes).  The ascending pool indices, the first of them at least
+i, are admitted in order, each needing one element fewer, and the search
+goes on after the last of them.  `nodes` is the count the unit steps
+would have made up to that admission, this call included; a run that
+crosses the budget raises the BudgetExhausted the unit steps would have.
 """
 
 from __future__ import annotations
@@ -318,7 +326,8 @@ BACKTRACK = object()  # step verdict: abandon the current depth
 def _ascending_search(pool, step, need: int, budget: int | None):
     """The search kernel of the module docstring: the hit least in the
     lexicographic order of pool indices, or None when none exists.  Each
-    step call is one node; the node past the budget raises BudgetExhausted."""
+    step call is one node, a run as many as it names; the node past the
+    budget raises BudgetExhausted."""
     if budget is not None and budget <= 0:
         raise ContractViolation("budget must be positive")
     limit = sys.maxsize if budget is None else budget
@@ -336,6 +345,16 @@ def _ascending_search(pool, step, need: int, budget: int | None):
                 i += 1
                 continue
             if verdict is not BACKTRACK:
+                if verdict.__class__ is tuple:
+                    run, cost = verdict
+                    nodes += cost - 1
+                    if nodes > limit:
+                        raise BudgetExhausted(limit + 1)
+                    chosen.extend(map(pool.__getitem__, run))
+                    trail.extend(zip(run, range(need, need - len(run), -1)))
+                    need -= len(run)
+                    i = run[-1] + 1
+                    continue
                 chosen.append(pool[i])
                 trail.append((i, need))
                 need = verdict
@@ -346,7 +365,7 @@ def _ascending_search(pool, step, need: int, budget: int | None):
         chosen.pop()
         i, need = trail.pop()
         i += 1
-    return VertexSet(chosen)
+    return tuple.__new__(VertexSet, chosen)  # ascending and distinct as the pool
 
 
 def find_realization(f, reservoir, p: Pattern, budget: int | None = 10**6):
@@ -354,8 +373,8 @@ def find_realization(f, reservoir, p: Pattern, budget: int | None = 10**6):
     is admitted when its pairs with the chosen vertices carry p's colors.
     The budget counts search nodes, as in _ascending_search."""
     pool = sorted(set(reservoir))
-    if pool and pool[-1] >= f.horizon:
-        raise RangeError(f"vertex {pool[-1]} beyond horizon {f.horizon}")
+    if pool and not 0 <= pool[0] <= pool[-1] < f.horizon:
+        raise RangeError(f"vertices {pool[0]}..{pool[-1]} outside horizon {f.horizon}")
     m = p.size
     color = f.color
     columns = [tuple(p.color(i, t) for i in range(t)) for t in range(m)]

@@ -285,6 +285,7 @@ def test_experiment_random_extract_records_degenerate_trial(capsys):
     assert payload["aggregates"]["trials"] == 38
 
 
+STABLE_4 = '{"type": "stable", "horizon": 4, "limits": [0, 0, 0, 0], "settle": [1, 2, 3, 4]}'
 MALFORMED = [
     # (argv with {dir} standing for the test's temporary directory, files, exit code)
     (["construct", "delta", "--bits", "2"], {}, 2),
@@ -322,6 +323,10 @@ MALFORMED = [
     (["construct", "delta", "{dir}/abc.txt", "--n", "20", "--bits", "0"],
      {"abc.txt": "e abc prefix - stage 1 emit 0\n"}, 1),
     (["construct", "gamma", "--e", "-2"], {}, 1),
+    (["extract", "random", "{dir}/s.json", "--k", "0", "--n", "2"], {"s.json": STABLE_4}, 1),
+    (["extract", "random", "{dir}/s.json", "--k", "-1", "--n", "2"], {"s.json": STABLE_4}, 1),
+    (["extract", "oracle", "{dir}/s.json", "--k", "-3", "--n", "2"], {"s.json": STABLE_4}, 1),
+    (["experiment", "random-extract", "--instances", "0"], {}, 1),
 ]
 
 

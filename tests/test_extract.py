@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import pat
+from rpl import extract
 from rpl.errors import (
     BudgetExhausted,
     ContractViolation,
     DegenerateInstance,
     PreconditionWitness,
+    RangeError,
     ResourceLimit,
 )
 from rpl.extract import (
@@ -17,6 +19,7 @@ from rpl.extract import (
     AdversarialEscapingOracle,
     ExtractionConfig,
     ReferenceEscapingOracle,
+    _extractor_block,
     analyze_blocks,
     brute_force_max_homogeneous,
     compute_spectrum_trace,
@@ -39,7 +42,7 @@ from rpl.instances import (
     single_zero_edge,
     split_order_coloring,
 )
-from rpl.patterns import FiniteColoring, StableColoring, VertexSet
+from rpl.patterns import FiniteColoring, StableColoring, VertexSet, _ascending_search
 
 
 FIXTURE = interleaved_split_order(10_000, seed=123, top_fraction=0.34)
@@ -235,12 +238,121 @@ def test_stable_block_search_matches_generic(f, data):
                 == find_homogeneous_block(generic, reservoir, size, color))
 
 
+def unit_block_search(f, pool, size, color):
+    """Reference for the stable block search: the least block and the node
+    count of a plain depth-first search over the ascending pool, one node
+    per candidate visited while enough of the pool is left, with the
+    settling-time cut and the suffix bound computed over the whole pool.
+    Returns (block as a tuple or None, nodes)."""
+    n = len(pool)
+    good = [0]
+    for v in pool:
+        good.append(good[-1] + (f.limits[v] == color))
+    reach = good[n] + 1 + max([f.settle[v] - v for v in pool], default=1)
+    nodes = 0
+
+    def extend(chosen, start, need, cut):
+        nonlocal nodes
+        if need == 0:
+            return tuple(chosen)
+        for i in range(start, n - need + 1):
+            nodes += 1
+            v = pool[i]
+            if v >= cut or good[i] + need > reach:
+                return None
+            if any(f.color(u, v) != color for u in chosen):
+                continue
+            nxt = min(cut, f.settle[v]) if f.limits[v] != color else cut
+            found = extend(chosen + [v], i + 1, need - 1, nxt)
+            if found is not None:
+                return found
+        return None
+
+    return extend([], 0, size, 1 << 60), nodes
+
+
+@st.composite
+def window_one_stable(draw):
+    """A stable coloring on at most 40 vertices with random limits where
+    every row settles at once (settle(x) = x + 1), so the block search
+    settles whole runs of candidates per step."""
+    h = draw(st.integers(1, 40))
+    limits = draw(st.lists(st.integers(0, 1), min_size=h, max_size=h))
+    return StableColoring(h, limits, range(1, h + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=window_one_stable(), data=st.data())
+def test_stable_block_runs_match_unit_steps(f, data):
+    reservoir = sorted(data.draw(st.sets(st.integers(0, f.horizon - 1)), label="reservoir"))
+    size = data.draw(st.integers(0, len(reservoir) + 1), label="size")
+    for color in (0, 1):
+        block, nodes = unit_block_search(f, reservoir, size, color)
+        if nodes > 1:
+            with pytest.raises(BudgetExhausted) as exc:
+                find_homogeneous_block(f, reservoir, size, color, budget=nodes - 1)
+            assert exc.value.nodes == nodes
+        got = find_homogeneous_block(f, reservoir, size, color, budget=max(nodes, 1))
+        assert (None if got is None else tuple(got)) == block
+
+
+def test_stable_block_search_settles_runs(monkeypatch):
+    # FIXTURE settles every row at once, so the 652 nodes of the pinned
+    # interleaved-300 search come from a handful of step calls
+    calls = []
+
+    def counting(pool, step, need, budget):
+        def counted(*args):
+            calls.append(args)
+            return step(*args)
+        return _ascending_search(pool, counted, need, budget)
+
+    monkeypatch.setattr(extract, "_ascending_search", counting)
+    blk = find_homogeneous_block(FIXTURE, range(10_000), 300, 0, budget=652)
+    assert len(blk) == 300 and len(calls) <= 10
+
+
+@pytest.mark.parametrize("pool, size", [
+    ([3, 1, 2, 4, 5, 6], 4),
+    ([0, 1, 1, 2, 3, 4], 4),
+    (list(range(70)) + [10] + list(range(71, 200)), 80),  # read by the first scan
+], ids=["unsorted", "repeated", "late-repeat"])
+def test_extractor_block_search_needs_ascending_pool(pool, size):
+    f = StableColoring(300, [0] * 300, range(1, 301))
+    with pytest.raises(ContractViolation):
+        _extractor_block(f, pool, size, 1, 0)
+
+
+def test_block_search_argument_errors():
+    f = StableColoring(6, [0] * 6, range(1, 7))
+    with pytest.raises(RangeError):
+        find_homogeneous_block(f, [0, 1, 2, 9], 3, 0)
+    with pytest.raises(RangeError):
+        find_homogeneous_block(f, [-1, 0, 1], 2, 0)
+    with pytest.raises(RangeError):
+        thin_reservoir(f, [0, 1, 2, 3], 9, 0)
+    with pytest.raises(RangeError):
+        thin_reservoir(f, [0, 1, 2, 7], 0, 0)
+    for g in (f, f.restrict(6)):
+        for color in (2, -1):
+            with pytest.raises(ContractViolation, match="not 0 or 1"):
+                find_homogeneous_block(g, range(6), 3, color)
+            with pytest.raises(ContractViolation, match="not 0 or 1"):
+                thin_reservoir(g, list(range(6)), 1, color)
+        with pytest.raises(ContractViolation, match="negative"):
+            find_homogeneous_block(g, range(6), -1, 0)
+
+
 def test_thin_reservoir_fast_path_matches_naive():
-    res = list(range(200))
-    for x in (5, 17, 40):
-        fast = thin_reservoir(FIXTURE, res, x, 0)
-        naive = [y for y in res if y > x and FIXTURE.color(x, y) == 0]
-        assert fast == naive
+    full = list(range(200))
+    gapped = full[::3]  # every x not divisible by 3 is absent
+    for f in (FIXTURE, alternating_stable(200)):  # windows of 1, and wide ones with overrides
+        for res in (full, gapped, gapped[:20]):
+            for x in (5, 17, 40, 57, 100, 199):  # 100 and 199 lie above gapped[:20]
+                for color in (0, 1):
+                    fast = thin_reservoir(f, res, x, color)
+                    naive = [y for y in res if y > x and f.color(x, y) == color]
+                    assert fast == naive and fast is not res
 
 
 # ---------------------------------------------------------------------------
