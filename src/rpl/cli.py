@@ -585,6 +585,8 @@ def run_command(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.budget < 1:
+            parser.error(f"argument --budget: must be >= 1, got {args.budget}")
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2

@@ -39,6 +39,7 @@ from .patterns import (
     StableColoring,
     VertexSet,
     _ascending_search,
+    _realization_search,
     find_realization,
     realizes,
 )
@@ -299,6 +300,10 @@ def find_homogeneous_block(f, reservoir, size: int, color: int, budget=None):
     reservoir, in any order, must hold distinct vertices: a repeated one
     is read as a pair on the diagonal, which raises ContractViolation.
 
+    On any coloring but a stable one this is the realization search of
+    the constant pattern of the size and color, so a FiniteColoring is
+    searched by row masks (see the patterns module).
+
     For stable colorings the pair checks collapse: an element whose limit
     disagrees with the color caps every later candidate at its settling
     time, and only candidates inside a settling window need explicit pair
@@ -332,16 +337,10 @@ def find_homogeneous_block(f, reservoir, size: int, color: int, budget=None):
         raise RangeError(f"vertices {pool[0]}..{pool[-1]} outside horizon {f.horizon}")
     if isinstance(f, StableColoring):
         return _stable_block_search(f, pool, size, color, budget)
-    pair_color = f.color
-
-    def step(chosen, i, need):
-        v = pool[i]
-        for u in chosen:
-            if pair_color(u, v) != color:
-                return None
-        return need - 1
-
-    return _ascending_search(pool, step, size, budget)
+    if not all(map(lt, pool, pool[1:])):
+        raise ContractViolation("block search reservoir repeats a vertex, "
+                                "which is a pair on the diagonal")
+    return _realization_search(f, pool, [(color,) * t for t in range(size)], budget)
 
 
 def _stable_block_search(f: StableColoring, pool: list, size: int, color: int, budget):
@@ -490,8 +489,10 @@ class ExtractionConfig:
 
 
 def default_config(seed: int, horizon: int = 10_000, steps: int = 30) -> ExtractionConfig:
+    if steps < 1:
+        raise ContractViolation(f"steps={steps} must be >= 1")
     base = steps * 2**FAILURE_EXPONENT * 10 // 9 + 2
-    us = tuple(base + 2 * s for s in range(max(steps, 1)))
+    us = tuple(base + 2 * s for s in range(steps))
     return ExtractionConfig(us, seed, steps, horizon)
 
 
@@ -673,6 +674,8 @@ def oracle_extract(
         raise ContractViolation("avoided fractal dimension must be >= 2")
     if k < 1:
         raise ContractViolation("fractal arity k must be >= 1")
+    if steps < 1:
+        raise ContractViolation(f"steps={steps} must be >= 1")
     d = n - 1
     color = extraction_color(d)
     horizon = min(horizon, f.horizon)

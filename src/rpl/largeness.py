@@ -12,6 +12,7 @@ large at every positive level (zero subsets are demanded).
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import BudgetExhausted, ContractViolation, DegenerateInstance, InternalInvariant
@@ -184,7 +185,9 @@ def _constant_across(f, blocks) -> bool:
 
 
 def _minimal_large_prefix(notion: LargenessPredicate, pool: list) -> list | None:
-    """Shortest large prefix of the pool, grown one element at a time.
+    """Shortest large prefix of the pool.  Largeness is closed under
+    superset, so the prefix length is found by doubling it until the
+    prefix is large (the whole pool last), then bisecting below that.
 
     The pool need not ascend (order-sorted reservoirs); largeness always
     judges the prefix as a set of naturals.
@@ -193,10 +196,15 @@ def _minimal_large_prefix(notion: LargenessPredicate, pool: list) -> list | None
     if notion.kind == "omega" and ascending:
         carved = _carve_prefix(pool, notion.level)
         return pool[: carved[0]] if carved else None
-    for t in range(1, len(pool) + 1):
-        if notion.holds(pool[:t]):
-            return pool[:t]
-    return None
+    n = len(pool)
+    small, t = 0, 1  # the prefix of length small is not large
+    while t < n and not notion.holds(pool[:t]):
+        small, t = t, 2 * t
+    if t >= n:
+        if not notion.holds(pool):
+            return None
+        t = n
+    return pool[:bisect_left(range(t), True, small + 1, key=lambda k: notion.holds(pool[:k]))]
 
 
 def find_grouping(f, notion: LargenessPredicate, count: int, horizon: int) -> Grouping:

@@ -21,12 +21,25 @@ i, are admitted in order, each needing one element fewer, and the search
 goes on after the last of them.  `nodes` is the count the unit steps
 would have made up to that admission, this call included; a run that
 crosses the budget raises the BudgetExhausted the unit steps would have.
+A run may be empty, ((), nodes): no candidate left at the depth fits, so
+the kernel charges the nodes of the unit pass-overs and backtracks.
+
+On a FiniteColoring the realization search takes one step call per
+admission.  Each vertex has a row mask per color (FiniteColoring.row),
+and each depth keeps the candidate mask of every later pattern position;
+admitting v at depth d ANDs row(v, p(d, q)) into the mask of each q > d.
+A step takes the least candidate at or above pool[i] as a one-element
+run charging the pass-overs before it, or an empty run when none fits.
+With two positions left, one step settles both: it walks the depth's
+candidates, charges each whose last-position mask is empty its admission
+and the last level's pass-overs, and returns the first pair that fits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
+from itertools import accumulate
 from operator import gt
 import sys
 
@@ -162,15 +175,45 @@ def is_transitive(p) -> bool:
     return True
 
 
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # a 0/1 byte string as int() digits
+
+
 class FiniteColoring(Pattern):
     """A pattern read as a total coloring of pairs over {0..horizon-1}:
-    pairs are read in either order, and the file form lists rows."""
+    pairs are read in either order, and the file form lists rows.
 
-    __slots__ = ()
+    Each vertex's row masks are built on first use and cached; equality,
+    hashing and the file form read only the bits."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, size: int, bits):
+        super().__init__(size, bits)
+        self._rows = [None] * size  # _rows[x]: (row(x, 0), row(x, 1)) once built
 
     @classmethod
     def from_function(cls, horizon: int, fn) -> "FiniteColoring":
         return cls(horizon, tuple(fn(i, j) for i, j in iter_pairs(horizon)))
+
+    def row(self, x: int, c: int) -> int:
+        """Bitmask of the y != x with color(x, y) == c."""
+        if not 0 <= x < self.size:
+            raise RangeError(f"vertex {x} beyond horizon {self.size}")
+        if c not in (0, 1):
+            raise ContractViolation(f"color {c!r} is not 0 or 1")
+        return (self._rows[x] or self._build_rows(x))[c]
+
+    def _build_rows(self, x: int) -> tuple:
+        n, bits = self.size, self.bits
+        start = x * (2 * n - x - 1) // 2  # pair (x, x + 1), or the end for x = n - 1
+        # the pairs (y, x), y < x: pair_index(n, y, x) starts at x - 1 and
+        # grows by n - 2 - y from each y to the next
+        below = bytes(map(bits.__getitem__, accumulate(range(n - 2, n - 1 - x, -1),
+                                                       initial=x - 1))) if x else b""
+        line = below + b"\0" + bytes(bits[start:start + n - 1 - x])  # y = 0 .. n-1
+        ones = int(line[::-1].translate(_DIGITS), 2)
+        rows = self._rows[x] = (((1 << n) - 1) ^ ones ^ (1 << x), ones)
+        return rows
 
     def color(self, x: int, y: int) -> int:
         if x == y:
@@ -350,6 +393,9 @@ def _ascending_search(pool, step, need: int, budget: int | None):
                     nodes += cost - 1
                     if nodes > limit:
                         raise BudgetExhausted(limit + 1)
+                    if not run:  # every candidate left at this depth was passed over
+                        i = n
+                        continue
                     chosen.extend(map(pool.__getitem__, run))
                     trail.extend(zip(run, range(need, need - len(run), -1)))
                     need -= len(run)
@@ -375,16 +421,68 @@ def find_realization(f, reservoir, p: Pattern, budget: int | None = 10**6):
     pool = sorted(set(reservoir))
     if pool and not 0 <= pool[0] <= pool[-1] < f.horizon:
         raise RangeError(f"vertices {pool[0]}..{pool[-1]} outside horizon {f.horizon}")
-    m = p.size
-    color = f.color
-    columns = [tuple(p.color(i, t) for i in range(t)) for t in range(m)]
+    columns = [tuple(p.color(i, t) for i in range(t)) for t in range(p.size)]
+    return _realization_search(f, pool, columns, budget)
+
+
+def _realization_search(f, pool: list, columns: list, budget):
+    """find_realization over a strictly ascending pool inside the horizon,
+    for the pattern whose column t lists its colors p(i, t), i < t.  A
+    FiniteColoring is searched by row masks, one step call per admission
+    (module docstring); any other coloring reads one pair per check."""
+    m = len(columns)
+    if not isinstance(f, FiniteColoring):
+        color = f.color
+
+        def unit_step(chosen, i, need):
+            v = pool[i]
+            for u, c in zip(chosen, columns[m - need]):
+                if color(u, v) != c:
+                    return None
+            return need - 1
+
+        return _ascending_search(pool, unit_step, m, budget)
+
+    n = len(pool)
+    rows, build = f._rows, f._build_rows
+    at = dict(zip(pool, range(n)))  # pool index of each vertex
+    full = sum(1 << v for v in pool)
+    # cands[d][q], q >= d: the pool vertices that fit position q next to
+    # the vertices chosen at depths below d
+    cands = [[full] * m for _ in range(m + 1)]
+    later = [[(q, columns[q][d]) for q in range(d + 1, m)] for d in range(m)]
 
     def step(chosen, i, need):
-        v = pool[i]
-        for u, c in zip(chosen, columns[m - need]):
-            if color(u, v) != c:
-                return None
-        return need - 1
+        d = m - need
+        lo = pool[i]
+        cand = cands[d][d] >> lo
+        if need == 2:  # settle both last levels
+            last, c = cands[d][d + 1], columns[d + 1][d]
+            cost = 0
+            while cand:
+                low = cand & -cand
+                v = low.bit_length() - 1 + lo
+                j = at[v]
+                if j > n - 2:
+                    break
+                tail = (last & (rows[v] or build(v))[c]) >> (v + 1)
+                if tail:
+                    j2 = at[(tail & -tail).bit_length() + v]
+                    return (j, j2), cost + j2 - i + 1
+                cost += n - i  # pass-overs, the admission, the last level's pass-overs
+                i = j + 1
+                cand ^= low
+            return (), cost + n - 1 - i
+        if cand:
+            v = (cand & -cand).bit_length() - 1 + lo
+            j = at[v]
+            if j <= n - need:
+                here, below = cands[d], cands[d + 1]
+                pair = rows[v] or build(v)
+                for q, c in later[d]:
+                    below[q] = here[q] & pair[c]
+                return (j,), j - i + 1
+        return (), n - need - i + 1
 
     return _ascending_search(pool, step, m, budget)
 

@@ -327,6 +327,13 @@ MALFORMED = [
     (["extract", "random", "{dir}/s.json", "--k", "-1", "--n", "2"], {"s.json": STABLE_4}, 1),
     (["extract", "oracle", "{dir}/s.json", "--k", "-3", "--n", "2"], {"s.json": STABLE_4}, 1),
     (["experiment", "random-extract", "--instances", "0"], {}, 1),
+    (["--budget", "0", "extract", "random", "{dir}/s.json"], {"s.json": STABLE_4}, 2),
+    (["--budget", "-5", "large", "group", "{dir}/g.txt"], {"g.txt": "2\n0\n"}, 2),
+    (["--budget", "0", "pattern", "avoids", "{dir}/g.txt", "01"], {"g.txt": "2\n0\n"}, 2),
+    (["extract", "random", "{dir}/s.json", "--steps", "-3"], {"s.json": STABLE_4}, 1),
+    (["experiment", "random-extract", "--steps", "0"], {}, 1),
+    (["extract", "oracle", "{dir}/s.json", "--steps", "0"], {"s.json": STABLE_4}, 1),
+    (["extract", "oracle", "{dir}/s.json", "--steps", "-2"], {"s.json": STABLE_4}, 1),
 ]
 
 

@@ -372,6 +372,15 @@ def test_config_validation():
     assert sum(1.0 / u for u in cfg.thinning) < 2.0**-FAILURE_EXPONENT
 
 
+@pytest.mark.parametrize("steps", [0, -3])
+def test_step_count_must_be_positive(steps):
+    with pytest.raises(ContractViolation, match="steps"):
+        default_config(7, steps=steps)
+    f = StableColoring(4, [0] * 4, range(1, 5))
+    with pytest.raises(ContractViolation, match="steps"):
+        oracle_extract(f, 2, 2, ReferenceEscapingOracle(), 4, steps=steps)
+
+
 def test_extraction_color_parity():
     assert extraction_color(1) == 0
     assert extraction_color(2) == 1

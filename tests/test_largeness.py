@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import pat
 from rpl import largeness
@@ -14,6 +15,8 @@ from rpl.instances import (
 )
 from rpl.largeness import (
     Grouping,
+    LargenessPredicate,
+    _minimal_large_prefix,
     _homog_large_block,
     check_two_step_transfer,
     check_witness,
@@ -27,7 +30,7 @@ from rpl.largeness import (
     omega_n_decompose,
     pattern_largeness,
 )
-from rpl.patterns import FiniteColoring, VertexSet, avoids
+from rpl.patterns import FiniteColoring, Pattern, VertexSet, avoids
 
 
 # ---------------------------------------------------------------------------
@@ -440,3 +443,41 @@ def test_find_grouping_mirror_double_partial_is_honest():
     assert g.check()
     assert g.obstruction["reason"] == "reservoir emptied by majority thinning"
     assert len(g.blocks) == 2
+
+
+def linear_large_prefix(notion, pool):
+    """Reference for the bisection: the shortest large prefix, grown one
+    element at a time."""
+    for t in range(1, len(pool) + 1):
+        if notion.holds(pool[:t]):
+            return pool[:t]
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_minimal_large_prefix_bisects_to_linear_answer(data):
+    n = data.draw(st.integers(1, 14), label="n")
+    pairs = n * (n - 1) // 2
+    f = FiniteColoring(n, data.draw(st.lists(st.integers(0, 1), min_size=pairs, max_size=pairs)))
+    m = data.draw(st.integers(1, 4), label="m")
+    p = Pattern(m, data.draw(st.lists(st.integers(0, 1), min_size=m * (m - 1) // 2,
+                                      max_size=m * (m - 1) // 2)))
+    # order-sorted reservoirs hand over pools that do not ascend
+    pool = data.draw(st.permutations(range(n)).flatmap(
+        lambda perm: st.integers(0, n).map(lambda k: list(perm[:k]))), label="pool")
+    for notion in (pattern_largeness(p, f), omega_largeness(data.draw(st.integers(0, 2)))):
+        assert _minimal_large_prefix(notion, pool) == linear_large_prefix(notion, pool)
+
+
+def test_minimal_large_prefix_makes_log_many_searches(monkeypatch):
+    calls = []
+    holds = LargenessPredicate.holds
+    monkeypatch.setattr(LargenessPredicate, "holds",
+                        lambda self, xs: calls.append(len(xs)) or holds(self, xs))
+    f = FiniteColoring.constant(64, 0)
+    assert _minimal_large_prefix(pattern_largeness(pat("012"), f), list(range(64))) == [0, 1, 2]
+    assert calls == [1, 2, 4, 3]  # the linear scan made 3 here
+    calls.clear()
+    assert _minimal_large_prefix(pattern_largeness(pat("012"), f.dual()), list(range(64))) is None
+    assert calls == [1, 2, 4, 8, 16, 32, 64]  # the linear scan made 64

@@ -24,7 +24,8 @@ from rpl.patterns import (
 from rpl.extract import find_homogeneous_block
 from rpl.fractals import fractal_perm
 from rpl.perms import pattern_to_perm, perm_coloring, perm_to_pattern
-from rpl.instances import interleaved_split_order, repaired_random_unbalanced
+from rpl import patterns
+from rpl.instances import grouped_unbalanced, interleaved_split_order, repaired_random_unbalanced
 
 
 def test_pair_index_canonical_order():
@@ -189,6 +190,112 @@ def test_find_realization_node_count_pinned(name, make, nodes, hit):
     assert find_realization(f, reservoir, p, budget=nodes) == hit
 
 
+def unit_realization_search(f, pool, p):
+    """Reference for the row-mask search: the least realization of p in
+    the ascending pool and the node count of a plain depth-first search,
+    one node per candidate visited while enough of the pool is left, one
+    pair read per check.  Returns (hit as a tuple or None, nodes)."""
+    n, m = len(pool), p.size
+    nodes = 0
+
+    def extend(chosen, start):
+        nonlocal nodes
+        d = len(chosen)
+        if d == m:
+            return tuple(chosen)
+        for i in range(start, n - (m - d) + 1):
+            nodes += 1
+            v = pool[i]
+            if all(f.color(u, v) == p.color(t, d) for t, u in enumerate(chosen)):
+                found = extend(chosen + [v], i + 1)
+                if found is not None:
+                    return found
+        return None
+
+    return extend([], 0), nodes
+
+
+@st.composite
+def finite_coloring(draw, most=16):
+    n = draw(st.integers(1, most))
+    pairs = n * (n - 1) // 2
+    return FiniteColoring(n, draw(st.lists(st.integers(0, 1), min_size=pairs, max_size=pairs)))
+
+
+def assert_search_matches_unit_steps(search, f, pool, p):
+    hit, nodes = unit_realization_search(f, pool, p)
+    if nodes > 1:
+        with pytest.raises(BudgetExhausted) as exc:
+            search(nodes - 1)
+        assert exc.value.nodes == nodes
+    got = search(max(nodes, 1))
+    assert (None if got is None else tuple(got)) == hit
+
+
+@settings(max_examples=400, deadline=None)
+@given(f=finite_coloring(), data=st.data())
+def test_mask_search_matches_unit_steps(f, data):
+    """Same hit as the unit-step reference, and the node count: budget
+    N - 1 raises at node N, budget N returns the hit.  Pools are random
+    subsets of the horizon, empty ones included, handed over shuffled."""
+    pool = sorted(data.draw(st.sets(st.integers(0, f.horizon - 1)), label="pool"))
+    shuffled = data.draw(st.permutations(pool), label="order")
+    p = data.draw(small_pattern(5), label="pattern")
+    assert_search_matches_unit_steps(
+        lambda budget: find_realization(f, shuffled, p, budget), f, pool, p)
+    size = data.draw(st.integers(1, 5), label="size")
+    for c in (0, 1):
+        assert_search_matches_unit_steps(
+            lambda budget: find_homogeneous_block(f, shuffled, size, c, budget),
+            f, pool, Pattern.constant(size, c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=finite_coloring())
+def test_row_masks_agree_with_color(f):
+    n = f.horizon
+    copy = FiniteColoring(n, f.bits)
+    for x in range(n):
+        for c in (0, 1):
+            assert f.row(x, c) == sum(1 << y for y in range(n) if y != x and f.color(x, y) == c)
+    # the cached rows are invisible to equality, hashing and the file form
+    assert f == copy and hash(f) == hash(copy) and f.to_text() == copy.to_text()
+    fd = f.dual()  # a new coloring with rows of its own
+    for x in range(n):
+        assert (fd.row(x, 0), fd.row(x, 1)) == (f.row(x, 1), f.row(x, 0))
+
+
+def test_row_mask_arguments():
+    f = FiniteColoring.constant(4, 1)
+    assert f.row(2, 1) == 0b1011 and f.row(2, 0) == 0
+    for x in (-1, 4):
+        with pytest.raises(RangeError):
+            f.row(x, 0)
+    with pytest.raises(ContractViolation):
+        f.row(0, 2)
+
+
+def test_mask_search_takes_one_step_per_admission(monkeypatch):
+    # the full search for 0123 on grouped_unbalanced(48, 4, 0), which
+    # avoids it by construction: pinned node count and step calls
+    f, p = grouped_unbalanced(48, 4, 0), pat("0123")
+    with pytest.raises(BudgetExhausted) as exc:
+        find_realization(f, range(48), p, budget=55_475)
+    assert exc.value.nodes == 55_476
+    calls = []
+    kernel = patterns._ascending_search
+
+    def counting(pool, step, need, budget):
+        def counted(*args):
+            calls.append(args)
+            return step(*args)
+        return kernel(pool, counted, need, budget)
+
+    monkeypatch.setattr(patterns, "_ascending_search", counting)
+    assert find_realization(f, range(48), p, budget=55_476) is None
+    assert len(calls) == 1_442
+
+
 def test_realize_dual_symmetry():
     rng = random.Random(7)
     for trial in range(25):
@@ -311,8 +418,8 @@ def triple_scan_transitive(f) -> bool:
 
 
 @st.composite
-def small_pattern(draw):
-    size = draw(st.integers(1, 9))
+def small_pattern(draw, most=9):
+    size = draw(st.integers(1, most))
     pairs = size * (size - 1) // 2
     return Pattern(size, draw(st.lists(st.integers(0, 1), min_size=pairs, max_size=pairs)))
 
