@@ -180,14 +180,13 @@ def priority_build(requirements, horizon: int) -> PriorityResult:
         RequirementState(p, script, marker=i)
         for i, (p, script) in enumerate(requirements)
     ]
-    commit = [0] * horizon
+    committed = 0  # bit x: x's commitment
     last_change = [0] * horizon
-    table_bits: dict = {}
+    rows = [0] * horizon  # the table's row masks
     log: list = []
 
     for s in range(horizon):
-        for x in range(s):
-            table_bits[(x, s)] = commit[x]
+        rows[s] = committed  # the pairs (x, s): only x < s has committed yet
 
         acting = None
         for r, req in enumerate(reqs):
@@ -207,8 +206,10 @@ def priority_build(requirements, horizon: int) -> PriorityResult:
         for i, (a, b) in enumerate(req.intervals):
             c = p.color(i, t + 1) if t < p.size - 1 else 0
             for x in range(a, min(b, horizon - 1) + 1):
-                if commit[x] != c:
-                    commit[x] = c
+                if committed >> x & 1 != c:
+                    if not c:  # x's run of 1s covered the pairs (x, y), last_change[x] < y <= s
+                        rows[x] |= (2 << s) - (2 << last_change[x])
+                    committed ^= 1 << x
                     last_change[x] = s
         req.marker = s + 1
         injured = []
@@ -230,13 +231,16 @@ def priority_build(requirements, horizon: int) -> PriorityResult:
             }
         )
 
-    table = FiniteColoring.from_function(horizon, lambda x, y: table_bits[(x, y)])
-    limits = list(commit)
+    limits = [committed >> x & 1 for x in range(horizon)]
+    for x in range(horizon):
+        if limits[x]:  # a run of 1s still open at the horizon
+            rows[x] |= (1 << horizon) - (2 << last_change[x])
+    table = FiniteColoring._from_rows(horizon, rows)
     settle = [max(x + 1, last_change[x] + 1) for x in range(horizon)]
     overrides = []
-    for x in range(horizon):
+    for x, row in enumerate(rows):
         for y in range(x + 1, min(settle[x], horizon)):
-            v = table_bits[(x, y)]
+            v = row >> y & 1
             if v != limits[x]:
                 overrides.append((x, y, v))
     coloring = StableColoring(horizon, limits, settle, overrides)

@@ -12,6 +12,7 @@ import json
 import random
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 
 from . import instances
 from .build import (
@@ -150,12 +151,7 @@ def load_coloring(path: str):
             return StableColoring.from_json_dict(json.loads(text))
         except (ValueError, KeyError, TypeError) as exc:
             raise InstanceLoadError(path, 1, f"bad stable record: {exc}")
-    try:
-        return FiniteColoring.from_text(text)
-    except RplError:
-        raise
-    except Exception as exc:
-        raise InstanceLoadError(path, 1, str(exc))
+    return FiniteColoring.from_text(text, path)
 
 
 def generate_instance(family: str, params: dict):
@@ -500,6 +496,7 @@ def _bit_string(text: str) -> str:
     return text
 
 
+@cache  # one parser per process: parse_args does not change it
 def _build_parser() -> _Parser:
     p = _Parser(prog="rpl", description="pattern-avoidance laboratory")
     p.add_argument("--seed", type=int, default=0)

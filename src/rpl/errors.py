@@ -61,7 +61,7 @@ class InternalInvariant(RplError):
     """
 
 
-class InstanceLoadError(RplError):
+class InstanceLoadError(ContractViolation):
     """A malformed instance or script file, with the offending line."""
 
     def __init__(self, path: str, line_no: int, message: str):

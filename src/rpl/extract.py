@@ -101,9 +101,10 @@ def thin_reservoir(f, reservoir: list, x: int, color: int) -> list:
 
 
 def brute_force_max_homogeneous(f):
-    """Maximum-cardinality homogeneous set over both colors, exhaustively.
+    """Maximum-cardinality homogeneous set over both colors of a
+    FiniteColoring, exhaustively.
 
-    Branch-and-bound over bitmasks; ties prefer color 0.
+    Branch-and-bound over its row masks; ties prefer color 0.
     """
     n = f.horizon
     if n > BRUTE_FORCE_CAP:
@@ -111,11 +112,7 @@ def brute_force_max_homogeneous(f):
     full = (1 << n) - 1
     results = {}
     for color in (0, 1):
-        adj = [0] * n
-        for x in range(n):
-            for y in range(n):
-                if y != x and f.color(x, y) == color:
-                    adj[x] |= 1 << y
+        adj = [f.row(x, color) for x in range(n)]
         best = 0  # bitmask of best clique
 
         def expand(cur: int, cand: int):

@@ -1,9 +1,12 @@
 """Pair-coloring patterns, finite and stable colorings, realization search.
 
-A pattern of size `l` assigns a color in {0,1} to every ordered pair
-(i, j) with 0 <= i < j < l.  Bits are stored in the canonical
-lexicographic pair order (0,1),(0,2),...,(0,l-1),(1,2),...,(l-2,l-1);
-all serialization uses that order so fixtures are bit-exact.
+A pattern of size `l` colors every pair of distinct positions in
+{0..l-1} with 0 or 1.  Its storage is one row mask per position: bit y of
+`rows[x]` is the color of the pair {x, y}, so the rows are symmetric and
+bit x of `rows[x]` is 0.  The canonical lexicographic pair order
+(0,1),(0,2),...,(0,l-1),(1,2),...,(l-2,l-1) is only the file form: `bits`,
+`to_text` and the repr produce it and `Pattern(size, bits)` reads it, so
+fixtures stay bit-exact.
 
 Every search of a reservoir (realization here, homogeneous blocks in
 `extract`, large blocks in `largeness`) runs on one ascending depth-first
@@ -25,9 +28,10 @@ A run may be empty, ((), nodes): no candidate left at the depth fits, so
 the kernel charges the nodes of the unit pass-overs and backtracks.
 
 On a FiniteColoring the realization search takes one step call per
-admission.  Each vertex has a row mask per color (FiniteColoring.row),
-and each depth keeps the candidate mask of every later pattern position;
-admitting v at depth d ANDs row(v, p(d, q)) into the mask of each q > d.
+admission.  A vertex's row mask holds its color-1 partners and the
+complement its color-0 ones, and each depth keeps the candidate mask of
+every later pattern position; admitting v at depth d intersects the mask
+of each q > d with v's partners of color p(d, q).
 A step takes the least candidate at or above pool[i] as a one-element
 run charging the pass-overs before it, or an empty run when none fits.
 With two positions left, one step settles both: it walks the depth's
@@ -39,18 +43,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from itertools import accumulate
 from operator import gt
 import sys
 
-from .errors import BudgetExhausted, ContractViolation, RangeError
-
-
-def pair_index(size: int, i: int, j: int) -> int:
-    """Index of the pair (i, j), i < j, in canonical lexicographic order."""
-    if not 0 <= i < j < size:
-        raise ContractViolation(f"pair ({i},{j}) invalid for size {size}")
-    return i * (2 * size - i - 1) // 2 + (j - i - 1)
+from .errors import BudgetExhausted, ContractViolation, InstanceLoadError, RangeError
 
 
 def iter_pairs(size: int):
@@ -77,9 +73,10 @@ class VertexSet(tuple):
 
 
 class Pattern:
-    """An upper-triangular 2-coloring of pairs over {0..size-1}."""
+    """A 2-coloring of the pairs of distinct positions in {0..size-1},
+    stored as row masks (module docstring)."""
 
-    __slots__ = ("size", "bits")
+    __slots__ = ("size", "rows")
 
     def __init__(self, size: int, bits):
         if size < 1:
@@ -92,24 +89,51 @@ class Pattern:
             )
         if not set(bits) <= {0, 1}:
             raise ContractViolation("pattern bits must be 0 or 1")
+        text = bytes(bits).hex()[1::2]  # a 0/1 byte is "00" or "01" in hex
+        starts = [x * (2 * size - x - 1) // 2 for x in range(size)]  # index of (x, x + 1)
         self.size = size
-        self.bits = bits
+        self.rows = _symmetric_rows([text[a:b] for a, b in zip(starts, starts[1:])])
+
+    @classmethod
+    def _from_rows(cls, size: int, rows) -> "Pattern":
+        """The pattern of the given row masks, taken as they are."""
+        if size < 1:
+            raise ContractViolation("pattern size must be >= 1")
+        p = object.__new__(cls)
+        p.size, p.rows = size, tuple(rows)
+        return p
 
     @property
     def horizon(self) -> int:
         return self.size
 
+    @property
+    def bits(self) -> tuple:
+        """The colors in canonical pair order."""
+        return tuple(map(int, "".join(self._upper_rows())))
+
+    def _upper_rows(self) -> list:
+        """For each x < size - 1, the colors of (x, y), y > x, as a 0/1 string."""
+        n = self.size
+        return [format(r >> x + 1, f"0{n - 1 - x}b")[::-1] for x, r in enumerate(self.rows[:-1])]
+
     @classmethod
     def constant(cls, size: int, color: int) -> "Pattern":
-        return cls(size, (color,) * (size * (size - 1) // 2))
+        if color not in (0, 1):
+            raise ContractViolation("pattern bits must be 0 or 1")
+        rows = [((1 << size) - 1) ^ (1 << x) for x in range(size)] if color else [0] * size
+        return cls._from_rows(size, rows)
 
     def color(self, i: int, j: int) -> int:
         """Color of the pair (i, j); rejects i >= j."""
-        return self.bits[pair_index(self.size, i, j)]
+        if not 0 <= i < j < self.size:
+            raise ContractViolation(f"pair ({i},{j}) invalid for size {self.size}")
+        return self.rows[i] >> j & 1
 
     def dual(self) -> "Pattern":
         """Bitwise complement; an involution."""
-        return type(self)(self.size, tuple(1 - b for b in self.bits))
+        full = (1 << self.size) - 1
+        return self._from_rows(self.size, [r ^ full ^ (1 << x) for x, r in enumerate(self.rows)])
 
     def restrict(self, positions) -> "Pattern":
         """Induced sub-pattern on a strictly increasing position subset."""
@@ -123,35 +147,32 @@ class Pattern:
             m, tuple(self.color(pos[i], pos[j]) for i, j in iter_pairs(m))
         )
 
-    def last_column(self):
-        """Colors p(x, size-1) for x < size-1, in order."""
-        return tuple(self.color(x, self.size - 1) for x in range(self.size - 1))
-
     def __eq__(self, other):
         return (
             isinstance(other, Pattern)
             and self.size == other.size
-            and self.bits == other.bits
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.size, self.bits))
+        return hash((self.size, self.rows))
 
     def __repr__(self):
-        return f"{type(self).__name__}({self.size}, {''.join(map(str, self.bits))})"
+        return f"{type(self).__name__}({self.size}, {''.join(self._upper_rows())})"
 
     def to_text(self) -> str:
         """File form: `size=l` then the bits in canonical pair order."""
-        return f"size={self.size}\n{''.join(map(str, self.bits))}\n"
+        return f"size={self.size}\n{''.join(self._upper_rows())}\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> "Pattern":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("size="):
-            raise ContractViolation("pattern text must start with size=<l>")
-        size = int(lines[0][5:])
-        bits = "".join(lines[1:])
-        return cls(size, tuple(int(b) for b in bits))
+
+def _symmetric_rows(upper) -> tuple:
+    """Row masks of the pattern of size len(upper) + 1 whose row x lists
+    the colors of (x, y), y > x, as the 0/1 string upper[x]."""
+    # row x of the square reads color(x, y) for y > x and 0 elsewhere, so
+    # column x reads color(y, x) for y < x
+    square = ["0" * (x + 1) + u for x, u in enumerate([*upper, ""])]
+    return tuple(int(("".join(column[:x]) + line[x:])[::-1], 2)
+                 for x, (column, line) in enumerate(zip(zip(*square), square)))
 
 
 # The two non-transitivity configurations on three vertices: the induced
@@ -175,21 +196,11 @@ def is_transitive(p) -> bool:
     return True
 
 
-_DIGITS = bytes.maketrans(b"\0\1", b"01")  # a 0/1 byte string as int() digits
-
-
 class FiniteColoring(Pattern):
     """A pattern read as a total coloring of pairs over {0..horizon-1}:
-    pairs are read in either order, and the file form lists rows.
+    pairs are read in either order, and the file form lists rows."""
 
-    Each vertex's row masks are built on first use and cached; equality,
-    hashing and the file form read only the bits."""
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, size: int, bits):
-        super().__init__(size, bits)
-        self._rows = [None] * size  # _rows[x]: (row(x, 0), row(x, 1)) once built
+    __slots__ = ()
 
     @classmethod
     def from_function(cls, horizon: int, fn) -> "FiniteColoring":
@@ -201,56 +212,42 @@ class FiniteColoring(Pattern):
             raise RangeError(f"vertex {x} beyond horizon {self.size}")
         if c not in (0, 1):
             raise ContractViolation(f"color {c!r} is not 0 or 1")
-        return (self._rows[x] or self._build_rows(x))[c]
-
-    def _build_rows(self, x: int) -> tuple:
-        n, bits = self.size, self.bits
-        start = x * (2 * n - x - 1) // 2  # pair (x, x + 1), or the end for x = n - 1
-        # the pairs (y, x), y < x: pair_index(n, y, x) starts at x - 1 and
-        # grows by n - 2 - y from each y to the next
-        below = bytes(map(bits.__getitem__, accumulate(range(n - 2, n - 1 - x, -1),
-                                                       initial=x - 1))) if x else b""
-        line = below + b"\0" + bytes(bits[start:start + n - 1 - x])  # y = 0 .. n-1
-        ones = int(line[::-1].translate(_DIGITS), 2)
-        rows = self._rows[x] = (((1 << n) - 1) ^ ones ^ (1 << x), ones)
-        return rows
+        ones = self.rows[x]
+        return ones if c else ones ^ ((1 << self.size) - 1) ^ (1 << x)
 
     def color(self, x: int, y: int) -> int:
         if x == y:
             raise ContractViolation("coloring undefined on the diagonal")
-        if x > y:
-            x, y = y, x
         n = self.size  # the slot, not the horizon property: read once per pair
-        if y >= n or x < 0:
-            raise RangeError(f"pair ({x},{y}) beyond horizon {n}")
-        return self.bits[pair_index(n, x, y)]
+        if not (0 <= x < n and 0 <= y < n):
+            raise RangeError(f"pair ({min(x, y)},{max(x, y)}) beyond horizon {n}")
+        return self.rows[x] >> y & 1  # the rows are symmetric
 
     def to_text(self) -> str:
         """File form: first line N, then one upper-triangular row per vertex."""
-        rows = [str(self.size)]
-        for x in range(self.size - 1):
-            rows.append(
-                "".join(str(self.color(x, y)) for y in range(x + 1, self.size))
-            )
-        return "\n".join(rows) + "\n"
+        return "\n".join([str(self.size), *self._upper_rows()]) + "\n"
 
     @classmethod
-    def from_text(cls, text: str) -> "FiniteColoring":
+    def from_text(cls, text: str, path: str = "<text>") -> "FiniteColoring":
+        """Parse the file form; row x is line x + 2.  A first line that is
+        not a vertex count, a row of the wrong length or with a character
+        other than 0 and 1, and any line after the last row raise
+        InstanceLoadError naming the path and the line."""
         lines = [ln.strip() for ln in text.splitlines()]
         while lines and not lines[-1]:
             lines.pop()
-        if not lines:
-            raise ContractViolation("empty coloring text")
-        n = int(lines[0])
-        bits = []
-        for x in range(n - 1):
-            row = lines[1 + x] if 1 + x < len(lines) else ""
-            if len(row) != n - 1 - x:
-                raise ContractViolation(
-                    f"row {x} must have {n - 1 - x} bits, got {len(row)}"
-                )
-            bits.extend(int(b) for b in row)
-        return cls(n, tuple(bits))
+        head = lines[0] if lines else ""
+        if not (head.isascii() and head.isdigit() and len(head) <= 9 and int(head)):
+            raise InstanceLoadError(path, 1, f"vertex count {head!r} is not in 1..999999999")
+        n = int(head)
+        upper = lines[1:n] + [""] * (n - len(lines))  # a missing row reads empty
+        for x, row in enumerate(upper):
+            if len(row) != n - 1 - x or not set(row) <= {"0", "1"}:
+                raise InstanceLoadError(path, x + 2,
+                                        f"row {x} must be {n - 1 - x} 0s and 1s, got {row!r}")
+        if len(lines) > n:
+            raise InstanceLoadError(path, n + 1, f"a line after the last of {n - 1} rows")
+        return cls._from_rows(n, _symmetric_rows(upper))
 
 
 class StableColoring:
@@ -444,20 +441,22 @@ def _realization_search(f, pool: list, columns: list, budget):
         return _ascending_search(pool, unit_step, m, budget)
 
     n = len(pool)
-    rows, build = f._rows, f._build_rows
+    rows = f.rows
     at = dict(zip(pool, range(n)))  # pool index of each vertex
     full = sum(1 << v for v in pool)
     # cands[d][q], q >= d: the pool vertices that fit position q next to
     # the vertices chosen at depths below d
     cands = [[full] * m for _ in range(m + 1)]
-    later = [[(q, columns[q][d]) for q in range(d + 1, m)] for d in range(m)]
+    # a row mask XOR flip, flip = c - 1, holds the partners of color c (and
+    # the vertex itself for c = 0); masks are read only above the last admission
+    later = [[(q, columns[q][d] - 1) for q in range(d + 1, m)] for d in range(m)]
 
     def step(chosen, i, need):
         d = m - need
         lo = pool[i]
         cand = cands[d][d] >> lo
         if need == 2:  # settle both last levels
-            last, c = cands[d][d + 1], columns[d + 1][d]
+            last, flip = cands[d][d + 1], columns[d + 1][d] - 1
             cost = 0
             while cand:
                 low = cand & -cand
@@ -465,7 +464,7 @@ def _realization_search(f, pool: list, columns: list, budget):
                 j = at[v]
                 if j > n - 2:
                     break
-                tail = (last & (rows[v] or build(v))[c]) >> (v + 1)
+                tail = (last & (rows[v] ^ flip)) >> (v + 1)
                 if tail:
                     j2 = at[(tail & -tail).bit_length() + v]
                     return (j, j2), cost + j2 - i + 1
@@ -478,9 +477,9 @@ def _realization_search(f, pool: list, columns: list, budget):
             j = at[v]
             if j <= n - need:
                 here, below = cands[d], cands[d + 1]
-                pair = rows[v] or build(v)
-                for q, c in later[d]:
-                    below[q] = here[q] & pair[c]
+                ones = rows[v]
+                for q, flip in later[d]:
+                    below[q] = here[q] & (ones ^ flip)
                 return (j,), j - i + 1
         return (), n - need - i + 1
 

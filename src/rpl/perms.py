@@ -97,7 +97,7 @@ def pattern_to_perm(p: Pattern) -> Permutation | None:
 
 def perm_coloring(perm: Permutation) -> FiniteColoring:
     """The permutation's pattern viewed as a coloring of a clique."""
-    return FiniteColoring(perm.size, perm_to_pattern(perm).bits)
+    return FiniteColoring._from_rows(perm.size, perm_to_pattern(perm).rows)
 
 
 def direct_sum(a: Permutation, b: Permutation) -> Permutation:
@@ -142,10 +142,8 @@ def is_convergent(p: Pattern) -> int | None:
     """The color c with p = p' followed by a c-constant last column, else None."""
     if p.size < 2:
         return None
-    col = p.last_column()
-    if all(b == col[0] for b in col):
-        return col[0]
-    return None
+    last = p.rows[-1]  # the colors p(x, size - 1), x < size - 1
+    return 0 if last == 0 else 1 if last == (1 << p.size - 1) - 1 else None
 
 
 def split_reducible(p: Pattern) -> tuple[Pattern, Pattern] | None:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import pat, perm
+from test_acceptance import priority_scenarios
 from rpl.build import (
     AdversaryScript,
     GammaNode,
@@ -24,7 +25,7 @@ from rpl.build import (
 from rpl.errors import ContractViolation, InstanceLoadError
 from rpl.extract import AdversarialEscapingOracle, ReferenceEscapingOracle
 from rpl.instances import dipped_split_order
-from rpl.patterns import LinearOrderView, avoids, is_transitive
+from rpl.patterns import FiniteColoring, LinearOrderView, StableColoring, avoids, is_transitive
 from rpl.perms import Permutation, perm_to_pattern
 
 
@@ -161,6 +162,49 @@ def test_priority_random_scripts_give_stable_transitive_coloring(run):
             assert coloring.color(x, y) == res.table.color(x, y)
             if y >= coloring.settle[x]:
                 assert res.table.color(x, y) == coloring.limits[x]
+
+
+def table_by_pairs(res, reqs, horizon):
+    """Reference for the table rows: the per-pair dict of commitments,
+    replayed from the log, and the stable coloring read from it."""
+    commit, last_change, table_bits = [0] * horizon, [0] * horizon, {}
+    acts = {entry["stage"]: entry for entry in res.log}
+    for s in range(horizon):
+        for x in range(s):
+            table_bits[(x, s)] = commit[x]
+        act = acts.get(s)
+        if act is None:
+            continue
+        p, t = reqs[act["acted"]][0], act["state_length"] - 1
+        for i, (a, b) in enumerate(act["states"][act["acted"]]):
+            c = p.color(i, t + 1) if t < p.size - 1 else 0
+            for x in range(a, min(b, horizon - 1) + 1):
+                if commit[x] != c:
+                    commit[x], last_change[x] = c, s
+    table = FiniteColoring.from_function(horizon, lambda x, y: table_bits[(x, y)])
+    settle = [max(x + 1, last_change[x] + 1) for x in range(horizon)]
+    overrides = [(x, y, table_bits[(x, y)]) for x in range(horizon)
+                 for y in range(x + 1, min(settle[x], horizon)) if table_bits[(x, y)] != commit[x]]
+    return table, StableColoring(horizon, commit, settle, overrides)
+
+
+def assert_table_matches_pairs(reqs, horizon):
+    res = priority_build(reqs, horizon)
+    table, coloring = table_by_pairs(res, reqs, horizon)
+    assert res.table.rows == table.rows
+    assert res.coloring.to_json_dict() == coloring.to_json_dict()
+
+
+@pytest.mark.parametrize("horizon", [1, 7, 80, 128])
+def test_priority_table_rows_match_pairs_on_scenarios(horizon):
+    for reqs in priority_scenarios(horizon):
+        assert_table_matches_pairs(reqs, horizon)
+
+
+@settings(max_examples=60, deadline=None)
+@given(priority_runs())
+def test_priority_table_rows_match_pairs_on_random_scripts(run):
+    assert_table_matches_pairs(*run)
 
 
 def test_priority_transversal_checker_detects_breaks():

@@ -7,6 +7,7 @@ import pytest
 from rpl import patterns, perms
 from rpl.cli import (
     ExperimentReport,
+    _build_parser,
     generate_instance,
     load_coloring,
     run_command,
@@ -348,6 +349,51 @@ def test_malformed_input_exits_with_one_line(capsys, tmp_path, argv, files, code
     assert out == ""
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+
+
+# (coloring file text, the line its error names)
+BAD_COLORINGS = [
+    ("3\n01\n1\n111\n", 4),      # a row after the last one
+    ("3\n01\n", 3),              # row 1 missing
+    ("3\n0\n1\n", 2),            # row 0 too short
+    ("3\n\n01\n1\n", 2),         # a blank line stands for row 0
+    ("3\n0x\n1\n", 2),           # a bad character on line 2
+    ("3\n01\n2\n", 3),
+    ("4\n0_1\n01\n1\n", 2),      # int() reads these three rows
+    ("4\n0 1\n01\n1\n", 2),
+    ("3\n+1\n1\n", 2),
+    ("1_0\n", 1),                # int() reads 10
+    ("+3\n01\n1\n", 1),
+    ("0\n", 1),
+    ("\n\n", 1),
+    ("1234567890\n", 1),
+]
+
+
+@pytest.mark.parametrize("text, line", BAD_COLORINGS, ids=[repr(t) for t, _ in BAD_COLORINGS])
+def test_bad_coloring_file_names_file_and_line(capsys, tmp_path, text, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, ["pattern", "avoids", str(path), "01"])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}:{line}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_parser_is_shared_across_calls(capsys):
+    # a usage error between two good commands leaves the parser as it was
+    argvs = [["sep-check", "2031"], ["pattern", "frobnicate", "2031"],
+             ["construct", "delta", "--bits", "2"], ["pattern", "show", "2031"],
+             ["--budget", "0", "sep-check", "2301"], ["large", "check", "2,5,9", "1"]]
+    _build_parser.cache_clear()
+    shared = [run(capsys, argv) for argv in argvs]
+    assert _build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in argvs:
+        _build_parser.cache_clear()
+        fresh.append(run(capsys, argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 2, 0, 2, 0]
 
 
 # sha256 of stdout for the README's cheap CLI examples and `gen dipped`,

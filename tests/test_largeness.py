@@ -11,6 +11,7 @@ from rpl.errors import ContractViolation, DegenerateInstance
 from rpl.instances import (
     constant_coloring,
     dipped_split_order,
+    interleaved_split_order,
     split_order_coloring,
 )
 from rpl.largeness import (
@@ -481,3 +482,21 @@ def test_minimal_large_prefix_makes_log_many_searches(monkeypatch):
     calls.clear()
     assert _minimal_large_prefix(pattern_largeness(pat("012"), f.dual()), list(range(64))) is None
     assert calls == [1, 2, 4, 8, 16, 32, 64]  # the linear scan made 64
+
+
+def test_find_grouping_asks_the_final_search_once(monkeypatch):
+    calls = []
+    holds = LargenessPredicate.holds
+    monkeypatch.setattr(LargenessPredicate, "holds",
+                        lambda self, xs: calls.append(list(xs)) or holds(self, xs))
+    # the whole reservoir avoids 2031: the prefix search ends on the full
+    # reservoir, and that search is not repeated
+    f = interleaved_split_order(200, 1)
+    g = find_grouping(f, pattern_largeness(pat("2031"), f), 3, 200)
+    assert g.obstruction["reason"] == "no large subset in the reservoir"
+    assert [len(xs) for xs in calls] == [1, 2, 4, 8, 16, 32, 64, 128, 200]
+    # the omega route carves instead of searching, so holds cross-checks it
+    calls.clear()
+    g = find_grouping(constant_coloring(12, 0), omega_largeness(2), 3, 12)
+    assert g.obstruction["reservoir_size"] == 7
+    assert calls[0] == list(range(5, 12))

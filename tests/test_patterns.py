@@ -18,7 +18,6 @@ from rpl.patterns import (
     is_transitive,
     iter_pairs,
     order_key,
-    pair_index,
     realizes,
 )
 from rpl.extract import find_homogeneous_block
@@ -28,14 +27,18 @@ from rpl import patterns
 from rpl.instances import grouped_unbalanced, interleaved_split_order, repaired_random_unbalanced
 
 
-def test_pair_index_canonical_order():
+def test_bits_follow_canonical_pair_order():
     # (0,1),(0,2),(0,3),(1,2),(1,3),(2,3)
     order = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    assert [pair_index(4, i, j) for i, j in order] == list(range(6))
+    assert list(iter_pairs(4)) == order
+    for k in range(6):
+        bits = tuple(int(i == k) for i in range(6))
+        p = Pattern(4, bits)
+        assert tuple(p.color(i, j) for i, j in order) == p.bits == bits
     with pytest.raises(ContractViolation):
-        pair_index(4, 2, 2)
+        p.color(2, 2)
     with pytest.raises(ContractViolation):
-        pair_index(4, 3, 1)
+        p.color(3, 1)
 
 
 def test_vertex_set_rejects_duplicates():
@@ -275,6 +278,46 @@ def test_row_mask_arguments():
         f.row(0, 2)
 
 
+def pairwise_rows(n, color):
+    """Row masks rebuilt pair by pair: bit y of row x is color(min, max)."""
+    return tuple(sum(color(min(x, y), max(x, y)) << y for y in range(n) if y != x)
+                 for x in range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 20), data=st.data())
+def test_pattern_rows_match_pairwise_rebuild(n, data):
+    pairs = n * (n - 1) // 2
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=pairs, max_size=pairs), label="bits")
+    color = dict(zip(iter_pairs(n), bits))
+    for cls in (Pattern, FiniteColoring):
+        p = cls(n, bits)
+        assert p.rows == pairwise_rows(n, lambda x, y: color[x, y])
+        assert p.bits == tuple(bits)
+        assert p.dual().rows == pairwise_rows(n, lambda x, y: 1 - color[x, y])
+        assert type(p.dual()) is cls and p.dual().dual() == p
+        for c in (0, 1):
+            assert cls.constant(n, c).rows == pairwise_rows(n, lambda x, y: c)
+            assert cls.constant(n, c) == cls(n, [c] * pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 20), data=st.data())
+def test_coloring_text_parse_matches_per_character_parse(n, data):
+    lines = [data.draw(st.text("01", min_size=n - 1 - x, max_size=n - 1 - x), label=f"row {x}")
+             for x in range(n - 1)]
+    pad = st.text(" \t", max_size=2)
+    text = "\n".join(data.draw(pad) + ln + data.draw(pad) for ln in [str(n), *lines])
+    text += data.draw(st.sampled_from(["", "\n", "\n\n", "\r\n"]), label="end")
+    color = {}
+    for x, line in enumerate(lines):  # one character per pair
+        for k, ch in enumerate(line):
+            color[x, x + 1 + k] = int(ch)
+    f = FiniteColoring.from_text(text)
+    assert f.rows == pairwise_rows(n, lambda x, y: color[x, y])
+    assert f.to_text() == "\n".join([str(n), *lines]) + "\n"
+
+
 def test_mask_search_takes_one_step_per_admission(monkeypatch):
     # the full search for 0123 on grouped_unbalanced(48, 4, 0), which
     # avoids it by construction: pinned node count and step calls
@@ -314,8 +357,6 @@ def test_coloring_file_round_trip():
     f = FiniteColoring.from_function(7, lambda x, y: rng.randint(0, 1))
     g = FiniteColoring.from_text(f.to_text())
     assert g.bits == f.bits
-    p = pat("2031")
-    assert Pattern.from_text(p.to_text()) == p
 
 
 def test_coloring_symmetric_access_and_errors():
