@@ -347,6 +347,8 @@ def _load_scripts(path) -> dict:
 
 def _cmd_construct(args, out: _Out) -> int:
     if args.kind == "priority":
+        if args.arg is None:
+            raise _UsageError("missing priority scenario file")
         reqs, horizon = _load_scenario(args.arg)
         if args.horizon_set:
             horizon = args.horizon

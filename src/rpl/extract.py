@@ -61,11 +61,12 @@ def verify_homogeneous(f, vertices, color: int) -> bool:
 @dataclass
 class StemCondition:
     """A stem of chosen vertices plus the reservoir of permitted future
-    vertices; every stem-to-reservoir pair has the target color."""
+    vertices; every stem-to-reservoir pair has the target color.  The
+    reservoir ascends: a list, or a range while thin_reservoir keeps it one."""
 
     color: int
     stem: list = field(default_factory=list)
-    reservoir: list = field(default_factory=list)
+    reservoir: list | range = field(default_factory=list)
 
     def extend(self, f, x: int) -> None:
         idx = bisect_left(self.reservoir, x)
@@ -75,12 +76,14 @@ class StemCondition:
         self.reservoir = thin_reservoir(f, self.reservoir, x, self.color)
 
 
-def thin_reservoir(f, reservoir: list, x: int, color: int) -> list:
+def thin_reservoir(f, reservoir, x: int, color: int):
     """Keep reservoir elements above x whose pair with x has the color.
 
-    The reservoir ascends; the result is a new list.  Fast path for
-    stable colorings: beyond x's settling time the pair color equals x's
-    limit, so only the window below settle(x) needs explicit checks.
+    The reservoir ascends, a list or a range.  Fast path for stable
+    colorings: beyond x's settling time the pair color equals x's limit,
+    so only the window below settle(x) needs explicit checks.  When x
+    keeps its limit and no element lies in that window, the result is the
+    slice past x, so a range stays a range; otherwise it is a new list.
     """
     if color not in (0, 1):
         raise ContractViolation(f"color {color!r} is not 0 or 1")
@@ -90,8 +93,11 @@ def thin_reservoir(f, reservoir: list, x: int, color: int) -> list:
         if reservoir and reservoir[-1] >= f.horizon:
             raise RangeError(f"vertex {reservoir[-1]} beyond horizon {f.horizon}")
         j = bisect_left(reservoir, f.settle[x], idx)
-        out = reservoir[j:] if keep else []
-        out[:0] = [y for y in reservoir[idx:j] if f.color(x, y) == color]
+        if keep and j == idx:
+            return reservoir[j:]
+        out = [y for y in reservoir[idx:j] if f.color(x, y) == color]
+        if keep:
+            out += reservoir[j:]
         return out
     return [y for y in reservoir[idx:] if f.color(x, y) == color]
 
@@ -321,6 +327,11 @@ def find_homogeneous_block(f, reservoir, size: int, color: int, budget=None):
     admitted, and each wrong-limit element between them is admitted and
     cut at its settling time x + 1, two nodes, as the unit steps do.
 
+    A step-1 range is used as given.  If every settle(x) is x + 1, it is
+    not scanned either: the coloring's cached limit index gives exact
+    bounds at once, a prefix count by bisection and a run as a slice, so
+    the search costs about the block; cuts and node count are the scan's.
+
     The extractors skip the sort: their reservoir ascends, and the stable
     search checks each chunk it scans, so a repeated or out-of-order
     vertex there still raises ContractViolation.
@@ -329,7 +340,7 @@ def find_homogeneous_block(f, reservoir, size: int, color: int, budget=None):
         raise ContractViolation(f"color {color!r} is not 0 or 1")
     if size < 0:
         raise ContractViolation(f"block size {size} is negative")
-    pool = sorted(reservoir)
+    pool = reservoir if reservoir.__class__ is range and reservoir.step == 1 else sorted(reservoir)
     if pool and not 0 <= pool[0] <= pool[-1] < f.horizon:
         raise RangeError(f"vertices {pool[0]}..{pool[-1]} outside horizon {f.horizon}")
     if isinstance(f, StableColoring):
@@ -340,10 +351,15 @@ def find_homogeneous_block(f, reservoir, size: int, color: int, budget=None):
     return _realization_search(f, pool, [(color,) * t for t in range(size)], budget)
 
 
-def _stable_block_search(f: StableColoring, pool: list, size: int, color: int, budget):
+def _stable_block_search(f: StableColoring, pool, size: int, color: int, budget):
     """find_homogeneous_block on a stable coloring, over a pool of vertices
     below the horizon that must ascend strictly.  The pool is used as
-    given; each chunk the bound scan reads is checked to ascend."""
+    given; each chunk the bound scan reads is checked to ascend.  A step-1
+    range with every settle(x) = x + 1 takes the indexed search."""
+    if pool.__class__ is range and pool.step == 1:
+        index = f.limit_index()
+        if index[2]:
+            return _indexed_block_search(f, index[color], pool, size, color, budget)
     n = len(pool)
     limits, settle, pair_color = f.limits, f.settle, f.color
     frontier = 0  # length of the scanned prefix of the pool
@@ -410,6 +426,37 @@ def _stable_block_search(f: StableColoring, pool: list, size: int, color: int, b
                 if settle[u] > v and pair_color(u, v) != color:
                     return None
         cutoffs[need - 1] = settle[v] if limits[v] != color and settle[v] < cut else cut
+        return need - 1
+
+    return _ascending_search(pool, step, size, budget)
+
+
+def _indexed_block_search(f: StableColoring, pos, pool: range, size: int, color: int, budget):
+    """_stable_block_search's step over a step-1 range when every
+    settle(x) is x + 1, with the scan's state read off pos, the ascending
+    vertices of the matching limit: good[i] is a bisect, the frontier is
+    the end of the pool, reach is the pool's matching count + 2, and a run
+    is a slice of pos shifted to pool indices."""
+    a, n = pool.start, len(pool)
+    lo, hi = bisect_left(pos, a), bisect_left(pos, pool.stop)
+    reach = hi - lo + 2
+    cutoffs = [0] * size + [1 << 60]
+
+    def step(chosen, i, need):
+        v = a + i
+        g = bisect_left(pos, v, lo, hi)  # pos[g]: the next matching vertex
+        cut = cutoffs[need]
+        if v >= cut or g - lo + need > reach:
+            return BACKTRACK
+        if need > 2:
+            k = bisect_left(pos, cut, g, min(g + need - 1, hi)) - g
+            while k and pos[g + k - 1] - a - k >= n - need:
+                k -= 1
+            if k:
+                run = [u - a for u in pos[g:g + k]]
+                cutoffs[need - k:need] = [cut] * k
+                return run, 2 * (run[-1] - i + 1) - k
+        cutoffs[need - 1] = v + 1 if f.limits[v] != color and v + 1 < cut else cut
         return need - 1
 
     return _ascending_search(pool, step, size, budget)
@@ -528,7 +575,7 @@ def randomized_extract(
     color = extraction_color(d)
     rng = random.Random(cfg.seed)
     horizon = min(cfg.horizon, f.horizon)
-    cond = StemCondition(color, [], list(range(horizon)))
+    cond = StemCondition(color, [], range(horizon))
     transcript: list[dict] = []
 
     for step in range(cfg.steps):
@@ -676,7 +723,7 @@ def oracle_extract(
     d = n - 1
     color = extraction_color(d)
     horizon = min(horizon, f.horizon)
-    cond = StemCondition(color, [], list(range(horizon)))
+    cond = StemCondition(color, [], range(horizon))
     transcript: list[dict] = []
 
     for step in range(steps):

@@ -41,9 +41,11 @@ and the last level's pass-overs, and returns the first pair that fits.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cmp_to_key
-from operator import gt
+from itertools import compress
+from operator import eq, gt, not_
 import sys
 
 from .errors import BudgetExhausted, ContractViolation, InstanceLoadError, RangeError
@@ -259,7 +261,7 @@ class StableColoring:
     the limit unless an override names the pair.
     """
 
-    __slots__ = ("horizon", "limits", "settle", "overrides")
+    __slots__ = ("horizon", "limits", "settle", "overrides", "_index")
 
     def __init__(self, horizon: int, limits, settle, overrides=()):
         if isinstance(limits, (str, bytes)) or isinstance(settle, (str, bytes)):
@@ -285,6 +287,18 @@ class StableColoring:
                 raise ContractViolation(f"override ({x},{y}) has color {c}, not 0 or 1")
             ov[(x, y)] = c
         self.overrides = ov
+        self._index = None
+
+    def limit_index(self) -> tuple:
+        """(vertices of limit 0, vertices of limit 1, whether every
+        settle(x) is x + 1), the vertices as ascending arrays; built on
+        first use and cached."""
+        if self._index is None:
+            h, limits = self.horizon, self.limits
+            self._index = (array("i", compress(range(h), map(not_, limits))),
+                           array("i", compress(range(h), limits)),
+                           all(map(eq, self.settle, range(1, h + 1))))
+        return self._index
 
     @classmethod
     def from_function(cls, horizon: int, fn) -> "StableColoring":

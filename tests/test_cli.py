@@ -293,6 +293,7 @@ MALFORMED = [
     (["construct", "delta", "--bits", "10a"], {}, 2),
     (["large", "check", "1,x", "1"], {}, 2),
     (["large", "check", "1,2", "y"], {}, 2),
+    (["construct", "priority"], {}, 2),
     (["construct", "priority", "{dir}/empty.json"], {"empty.json": "{}"}, 1),
     (["construct", "priority", "{dir}/list.json"], {"list.json": "[1, 2]"}, 1),
     (["construct", "priority", "{dir}/text.json"], {"text.json": "not json"}, 1),

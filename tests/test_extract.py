@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +35,7 @@ from rpl.extract import (
 )
 from rpl.instances import (
     alternating_stable,
+    blocked_split_order,
     constant_coloring,
     dipped_split_order,
     grouped_unbalanced,
@@ -294,6 +296,90 @@ def test_stable_block_runs_match_unit_steps(f, data):
             assert exc.value.nodes == nodes
         got = find_homogeneous_block(f, reservoir, size, color, budget=max(nodes, 1))
         assert (None if got is None else tuple(got)) == block
+
+
+def search_with_nodes(f, pool, size, color, budget):
+    """find_homogeneous_block (None, a block, or "exhausted") and the
+    kernel's node count, summed from the verdicts of its step hook, plus
+    whether the indexed search answered."""
+    nodes = 0
+    kernel = extract._ascending_search
+
+    def counting(pool, step, need, budget):
+        def counted(*args):
+            nonlocal nodes
+            verdict = step(*args)
+            nodes += verdict[1] if verdict.__class__ is tuple else 1
+            return verdict
+        return kernel(pool, counted, need, budget)
+
+    with mock.patch.object(extract, "_ascending_search", counting), \
+            mock.patch.object(extract, "_indexed_block_search",
+                              wraps=extract._indexed_block_search) as indexed:
+        try:
+            block = find_homogeneous_block(f, pool, size, color, budget)
+        except BudgetExhausted:
+            block = "exhausted"
+    return block, nodes, indexed.called
+
+
+def assert_range_pool_matches_list_pool(f, a, b, size, indexed, budget):
+    """A range pool and the list of its vertices give the same block and
+    node count; the range pool takes the indexed search iff `indexed`."""
+    for color in (0, 1):
+        want, nodes, via_index = search_with_nodes(f, list(range(a, b)), size, color, budget)
+        assert not via_index  # a list is scanned
+        got, got_nodes, via_index = search_with_nodes(f, range(a, b), size, color, budget)
+        assert (got, got_nodes, via_index) == (want, nodes, indexed)
+        if want == "exhausted":
+            continue
+        if nodes > 1:
+            with pytest.raises(BudgetExhausted) as exc:
+                find_homogeneous_block(f, range(a, b), size, color, budget=nodes - 1)
+            assert exc.value.nodes == nodes
+        assert find_homogeneous_block(f, range(a, b), size, color, budget=max(nodes, 1)) == want
+
+
+_R = random.Random(11)
+WINDOW_ONE = [interleaved_split_order(3000, seed=5), blocked_split_order(3000, seed=6),
+              StableColoring(3000, [_R.randrange(2) for _ in range(3000)], range(1, 3001))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=st.one_of(st.sampled_from(WINDOW_ONE), window_one_stable()), data=st.data())
+def test_range_pools_match_list_pools_on_window_one(f, data):
+    a = data.draw(st.integers(0, f.horizon), label="start")
+    b = data.draw(st.integers(a, f.horizon), label="stop")
+    size = data.draw(st.integers(1, min(400, b - a + 1)), label="size")
+    assert_range_pool_matches_list_pool(f, a, b, size, indexed=True, budget=100_000)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=st.one_of(st.sampled_from([alternating_stable(600), dipped_split_order(2000)]),
+                   small_stable().filter(lambda f: f.settle != tuple(range(1, f.horizon + 1)))),
+       data=st.data())
+def test_range_pools_keep_the_scan_on_wide_windows(f, data):
+    a = data.draw(st.integers(0, f.horizon), label="start")
+    b = data.draw(st.integers(a, f.horizon), label="stop")
+    size = data.draw(st.integers(1, min(400, b - a + 1)), label="size")
+    assert_range_pool_matches_list_pool(f, a, b, size, indexed=False, budget=2_000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=st.one_of(st.sampled_from(WINDOW_ONE), window_one_stable(), small_stable()),
+       data=st.data())
+def test_thin_reservoir_keeps_a_range(f, data):
+    h = f.horizon
+    a = data.draw(st.integers(0, h), label="start")
+    b = data.draw(st.integers(a, h), label="stop")
+    x = data.draw(st.integers(0, h - 1), label="x")
+    color = data.draw(st.integers(0, 1), label="color")
+    got = thin_reservoir(f, range(a, b), x, color)
+    assert list(got) == thin_reservoir(f, list(range(a, b)), x, color)
+    if f.limit(x) == color and not any(x < y < f.settle[x] for y in range(a, b)):
+        assert got.__class__ is range  # every window-1 keep
+    else:
+        assert got.__class__ is list
 
 
 def test_stable_block_search_settles_runs(monkeypatch):

@@ -24,7 +24,13 @@ from rpl.extract import find_homogeneous_block
 from rpl.fractals import fractal_perm
 from rpl.perms import pattern_to_perm, perm_coloring, perm_to_pattern
 from rpl import patterns
-from rpl.instances import grouped_unbalanced, interleaved_split_order, repaired_random_unbalanced
+from rpl.instances import (
+    alternating_stable,
+    avoiding_family,
+    grouped_unbalanced,
+    interleaved_split_order,
+    repaired_random_unbalanced,
+)
 
 
 def test_bits_follow_canonical_pair_order():
@@ -401,6 +407,24 @@ def test_stable_coloring_rejects_non_binary_overrides():
 def test_stable_coloring_accepts_settle_just_past_x():
     st = StableColoring(3, (0, 1, 0), range(1, 4))
     assert st.settle == (1, 2, 3) and st.limits == (0, 1, 0)
+
+
+def test_limit_index_is_lazy_and_matches_limits():
+    family = avoiding_family(3, 500, 7)
+    assert all(f._index is None for f in family)  # construction builds no index
+    for f in family + [alternating_stable(50), StableColoring(3, (0, 1, 0), (3, 3, 3))]:
+        record = f.to_json_dict()
+        zeros, ones, unit = f.limit_index()
+        assert f.limit_index() is f._index  # built once, then cached
+        assert list(zeros) == [x for x in range(f.horizon) if f.limits[x] == 0]
+        assert list(ones) == [x for x in range(f.horizon) if f.limits[x] == 1]
+        assert unit == all(f.settle[x] == x + 1 for x in range(f.horizon))
+        assert f.to_json_dict() == record  # the index is not part of the record
+        g = StableColoring.from_json_dict(record)
+        assert g._index is None and g.to_json_dict() == record
+        assert g.limit_index() == f.limit_index()
+    assert [f.limit_index()[2] for f in family] == [True] * 3
+    assert not alternating_stable(50).limit_index()[2]
 
 
 def test_finite_coloring_rejects_non_binary_bits():
