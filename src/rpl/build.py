@@ -9,7 +9,7 @@ escaping oracles of `extract`, through their one `pick` protocol.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -44,50 +44,81 @@ class AdversaryScript:
     enumeration of every oracle extending the prefix, at every stage from
     its own on; monotonicity in both stage and prefix therefore holds by
     construction.
+
+    The events are indexed once, here: for each prefix, the first stage at
+    which it enumerates each of its elements, kept element-sorted and
+    stage-sorted, and the prefix's proper ancestors among the script's
+    prefixes.  A query bisects each prefix's lists instead of scanning
+    the events.
     """
 
     def __init__(self, ident, events):
         self.ident = ident
         evs = []
         for prefix, stage, elements in events:
-            if any(ch not in "01" for ch in prefix):
+            if not isinstance(prefix, str) or any(ch not in "01" for ch in prefix):
                 raise ContractViolation(f"prefix {prefix!r} is not a bit string")
-            if stage < 0:
-                raise ContractViolation("stages are naturals")
-            elems = frozenset(int(x) for x in elements)
-            if any(x < 0 for x in elems):
+            if not _is_natural(stage):
+                raise ContractViolation(f"stage {stage!r} is not a natural number")
+            elems = list(elements)
+            if not all(map(_is_natural, elems)):
                 raise ContractViolation("enumerated elements are naturals")
-            evs.append(ScriptEvent(prefix, int(stage), elems))
+            evs.append(ScriptEvent(prefix, stage, frozenset(elems)))
         self.events = tuple(sorted(evs, key=lambda e: (e.stage, e.prefix)))
+        first: dict = {}  # prefix -> {element: first stage}, in stage order
+        for ev in self.events:
+            seen = first.setdefault(ev.prefix, {})
+            for x in ev.elements:
+                seen.setdefault(x, ev.stage)
+        # prefix -> (elements ascending, their first stages,
+        #            first stages ascending, their elements)
+        self._index = {}
+        for prefix, seen in first.items():
+            by_element = sorted(seen.items())
+            self._index[prefix] = (
+                [x for x, _ in by_element], [t for _, t in by_element],
+                list(seen.values()), list(seen),
+            )
+        self._ancestors = {
+            p: [q for q in first if q != p and p.startswith(q)] for p in first
+        }
+        self._depth = max(map(len, first), default=0)
+
+    def first_stages(self, prefix: str) -> zip:
+        """(element, first stage) pairs of the events at exactly `prefix`,
+        in stage order."""
+        _, _, stages, elements = self._index.get(prefix, ((), (), (), ()))
+        return zip(elements, stages)
 
     def enumerated(self, prefix: str, stage: int) -> set:
         """W^prefix[stage]: everything contributed by events at compatible
         prefixes up to the stage."""
         out: set = set()
-        for ev in self.events:
-            if ev.stage <= stage and prefix.startswith(ev.prefix):
-                out |= ev.elements
+        for q, (_, _, stages, elements) in self._index.items():
+            if prefix.startswith(q):
+                out.update(elements[: bisect_right(stages, stage)])
         return out
 
     def hitting_measure(self, stage: int, lo: int, hi: int) -> Fraction:
         """Exact measure of oracles whose enumeration by `stage` meets
         [lo, hi], as a union of cylinders over event prefixes of length
         at most `stage`."""
-        if lo > hi:
-            return Fraction(0)
-        prefixes = {
-            ev.prefix
-            for ev in self.events
-            if ev.stage <= stage
-            and len(ev.prefix) <= stage
-            and any(lo <= x <= hi for x in ev.elements)
-        }
-        minimal = [
-            p
-            for p in prefixes
-            if not any(q != p and p.startswith(q) for q in prefixes)
-        ]
-        return sum((Fraction(1, 2 ** len(p)) for p in minimal), Fraction(0))
+        hit = set()
+        if lo <= hi:
+            for p, (elements, firsts, _, _) in self._index.items():
+                if len(p) <= stage:
+                    i, j = bisect_left(elements, lo), bisect_right(elements, hi)
+                    if i < j and min(firsts[i:j]) <= stage:
+                        hit.add(p)
+        top = self._depth
+        return Fraction(
+            sum(1 << (top - len(p)) for p in hit if hit.isdisjoint(self._ancestors[p])),
+            1 << top,
+        )
+
+
+def _is_natural(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
 def parse_script_file(text: str, path: str = "<script>") -> dict:
@@ -176,10 +207,13 @@ def priority_build(requirements, horizon: int) -> PriorityResult:
     to the stage, commits limits along its pattern, moves markers, and
     resets every lower-priority state.
     """
+    if horizon < 1:
+        raise ContractViolation(f"horizon {horizon} must be >= 1")
     reqs = [
         RequirementState(p, script, marker=i)
         for i, (p, script) in enumerate(requirements)
     ]
+    thresholds = [1 - Fraction(1, 2 * req.pattern.size) for req in reqs]
     committed = 0  # bit x: x's commitment
     last_change = [0] * horizon
     rows = [0] * horizon  # the table's row masks
@@ -192,8 +226,8 @@ def priority_build(requirements, horizon: int) -> PriorityResult:
         for r, req in enumerate(reqs):
             if req.length >= req.pattern.size:
                 continue
-            threshold = 1 - Fraction(1, 2 * req.pattern.size)
-            if _attention_measure(req, s) > threshold:
+            measure = _attention_measure(req, s)
+            if measure > thresholds[r]:
                 acting = r
                 break
         if acting is None:
@@ -227,7 +261,7 @@ def priority_build(requirements, horizon: int) -> PriorityResult:
                 "injured": injured,
                 "markers": [q.marker for q in reqs],
                 "states": [list(q.intervals) for q in reqs],
-                "measure": str(_attention_measure(req, s)),
+                "measure": str(measure),
             }
         )
 
@@ -247,8 +281,7 @@ def priority_build(requirements, horizon: int) -> PriorityResult:
 
     verdicts = []
     final_stage = horizon - 1
-    for r, req in enumerate(reqs):
-        threshold = 1 - Fraction(1, 2 * req.pattern.size)
+    for r, (req, threshold) in enumerate(zip(reqs, thresholds)):
         measure = _attention_measure(req, final_stage)
         if req.length == req.pattern.size:
             kind = "realized"
@@ -412,8 +445,12 @@ def gamma_build(direction: str, e: int, n: int, scripts=None) -> BuiltOrder:
     ground becomes witnessed, at stage max(first stage enumerating y, y + 1),
     or when the node moved at stage s - 1, since the next candidate block
     may move it again.  A hit at level L lies in at most one node, the one
-    with e == L on its root path, so each stage visits only its due nodes,
-    in preorder; without scripts the protocol never runs.
+    with e == L on its root path, so the due map records each hit once,
+    with its node and its witness stage, and each stage visits only its
+    due nodes, in preorder; without scripts the protocol never runs.  A
+    node keeps the sorted block indices of its witnessed member hits: its
+    cut fires on the first of them, and a transition takes the first
+    block past the disabled one.
     """
     if direction not in ("inc", "dec"):
         raise ContractViolation("direction must be inc or dec")
@@ -432,14 +469,9 @@ def gamma_build(direction: str, e: int, n: int, scripts=None) -> BuiltOrder:
             collect(ch)
 
     collect(root)
-    due: dict[int, set] = {}  # stage -> nodes whose protocol may fire
+    due: dict[int, dict] = {}  # stage -> {node: its hits witnessed at that stage}
     for level, script in scripts.items():
-        first: dict[int, int] = {}
-        for ev in script.events:  # ascending stages
-            if ev.prefix == "":
-                for y in ev.elements:
-                    first.setdefault(y, ev.stage)
-        for y, t in first.items():
+        for y, t in script.first_stages(""):
             s = max(t, y + 1)
             if s >= n:
                 continue
@@ -447,39 +479,35 @@ def gamma_build(direction: str, e: int, n: int, scripts=None) -> BuiltOrder:
             while node.e < level and node.local[y] >= len(node.heads):
                 node = node.children[node.block_of[y]]
             if node.e == level:
-                due.setdefault(s, set()).add(node)
+                due.setdefault(s, {}).setdefault(node, []).append(y)
 
+    witnessed: dict[GammaNode, list] = {}  # node -> blocks of its witnessed member hits
     for s in range(n):
         # protocol updates before the stage's arrival is placed
-        enum_now: dict[int, set] = {}
-        for node in sorted(due.pop(s, ()), key=lambda nd: nd.path):  # preorder
-            if node.e not in enum_now:
-                enum_now[node.e] = scripts[node.e].enumerated("", s)
-            hits = enum_now[node.e]
-            if node.dec and node.cut_from is None:
-                if any(member[y] for y in hits if y in node.local and y < s):
-                    node.cut_from = bisect_left(node.ground, s)
-                    log.append(
-                        {"stage": s, "node": list(node.path), "event": "cut",
-                         "local": node.cut_from}
-                    )
+        for node, hits in sorted(due.pop(s, {}).items(), key=lambda item: item[0].path):
+            fresh = [y for y in hits if member[y]]
+            if fresh and node.dec and node.cut_from is None:
+                node.cut_from = bisect_left(node.ground, s)
+                log.append(
+                    {"stage": s, "node": list(node.path), "event": "cut",
+                     "local": node.cut_from}
+                )
             if node.is_leaf:
                 continue
-            candidates = sorted(
-                node.block_of[y]
-                for y in hits
-                if y < s and member[y] and y in node.block_of
-                and node.block_of[y] > node.disabled
-            )
-            if candidates:
-                new = candidates[0]
+            blocks = witnessed.setdefault(node, [])
+            for y in fresh:
+                if y in node.block_of:
+                    insort(blocks, node.block_of[y])
+            i = bisect_right(blocks, node.disabled)
+            if i < len(blocks):
+                new = blocks[i]
                 log.append(
                     {"stage": s, "node": list(node.path), "event": "transition",
                      "old": node.disabled, "new": new}
                 )
                 node.transitions.append((s, node.disabled, new))
                 node.disabled = new
-                due.setdefault(s + 1, set()).add(node)
+                due.setdefault(s + 1, {}).setdefault(node, [])
 
         # placement
         node = root

@@ -322,9 +322,12 @@ def _load_scenario(path: str):
                 [(ev[0], ev[1], ev[2]) for ev in entry.get("script", [])],
             )
             reqs.append((p, script))
-        return reqs, int(data.get("horizon", 100))
-    except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+        horizon = data.get("horizon", 100)
+    except (ValueError, KeyError, IndexError, TypeError, AttributeError, ContractViolation) as exc:
         raise InstanceLoadError(path, 1, f"bad priority scenario: {type(exc).__name__} {exc}")
+    if not isinstance(horizon, int) or isinstance(horizon, bool):
+        raise InstanceLoadError(path, 1, f"bad priority scenario: horizon {horizon!r} is not an integer")
+    return reqs, horizon
 
 
 def _load_scripts(path) -> dict:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, compress
 from operator import lt
 import random
@@ -511,25 +512,31 @@ class ExtractionConfig:
     horizon: int
 
     def __post_init__(self):
-        us = self.thinning
-        if not us or us[0] < 2:
-            raise ContractViolation("thinning sequence must start at >= 2")
-        if any(b <= a for a, b in zip(us, us[1:])):
-            raise ContractViolation("thinning sequence must be strictly increasing")
-        if self.steps > len(us):
+        _check_thinning(tuple(self.thinning))
+        if self.steps > len(self.thinning):
             raise ContractViolation("thinning sequence shorter than the step budget")
-        total = sum(Fraction(1, u) for u in us)
-        if total >= Fraction(1, 2**FAILURE_EXPONENT):
-            raise ContractViolation(
-                f"sum of reciprocals {float(total):.4f} is not below "
-                f"2**-{FAILURE_EXPONENT}"
-            )
 
     def block_size(self, step: int, k: int, dim: int) -> int:
         # arity sized so a uniformly random descent can go wrong with
         # chance at most 1/u_step: at most k-1 bad blocks per level over
         # dim levels
         return max(k, self.thinning[step] * (k - 1) * dim)
+
+
+@cache
+def _check_thinning(us: tuple) -> None:
+    """Validate a thinning sequence, once per distinct sequence; a bad one
+    raises on every call, since a raising call caches nothing."""
+    if not us or us[0] < 2:
+        raise ContractViolation("thinning sequence must start at >= 2")
+    if any(b <= a for a, b in zip(us, us[1:])):
+        raise ContractViolation("thinning sequence must be strictly increasing")
+    total = sum(Fraction(1, u) for u in us)
+    if total >= Fraction(1, 2**FAILURE_EXPONENT):
+        raise ContractViolation(
+            f"sum of reciprocals {float(total):.4f} is not below "
+            f"2**-{FAILURE_EXPONENT}"
+        )
 
 
 def default_config(seed: int, horizon: int = 10_000, steps: int = 30) -> ExtractionConfig:

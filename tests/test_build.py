@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -58,9 +59,72 @@ def test_script_hitting_measure():
     assert sc2.hitting_measure(2, 5, 5) == Fraction(1, 2)
 
 
-def test_script_validation_and_file_format(tmp_path):
+@pytest.mark.parametrize("event", [
+    ("2", 0, [1]), (["0"], 0, [1]), (None, 0, [1]),
+    ("", 1.5, [1]), ("", True, [1]), ("", "3", [1]), ("", -1, [1]),
+    ("", 0, [1.0]), ("", 0, [True]), ("", 0, ["3"]), ("", 0, "3"), ("", 0, [-2]),
+])
+def test_script_rejects_untyped_fields(event):
+    # no stage or element is coerced: 1.5 does not become 1, nor true 1
     with pytest.raises(ContractViolation):
-        AdversaryScript("x", [("2", 0, [1])])
+        AdversaryScript("x", [("", 0, [1]), event])
+
+
+def scan_enumerated(script, prefix, stage):
+    """`enumerated` as a scan of every event."""
+    out = set()
+    for ev in script.events:
+        if ev.stage <= stage and prefix.startswith(ev.prefix):
+            out |= ev.elements
+    return out
+
+
+def scan_hitting_measure(script, stage, lo, hi):
+    """`hitting_measure` as a scan of every event: the minimal prefixes
+    among those with an event by `stage` that meets [lo, hi]."""
+    if lo > hi:
+        return Fraction(0)
+    prefixes = {
+        ev.prefix
+        for ev in script.events
+        if ev.stage <= stage
+        and len(ev.prefix) <= stage
+        and any(lo <= x <= hi for x in ev.elements)
+    }
+    minimal = [p for p in prefixes if not any(q != p and p.startswith(q) for q in prefixes)]
+    return sum((Fraction(1, 2 ** len(p)) for p in minimal), Fraction(0))
+
+
+@st.composite
+def scripts_and_queries(draw):
+    """A script over a horizon of up to 10 with prefixes of length 0-3, and
+    queries whose stages and elements run past the horizon."""
+    horizon = draw(st.integers(0, 10))
+    top = horizon + 3
+    bits = st.text("01", max_size=3)
+    events = draw(st.lists(st.tuples(bits, st.integers(0, top),
+                                     st.lists(st.integers(0, top), max_size=4)), max_size=12))
+    for _ in range(draw(st.integers(0, 2))):
+        # one element under a chain of nested prefixes, at random stages
+        x, deep = draw(st.integers(0, top)), draw(bits)
+        events += [(deep[:k], draw(st.integers(0, top)), [x]) for k in range(len(deep) + 1)]
+    events = draw(st.permutations(events))
+    queries = draw(st.lists(st.tuples(bits, st.integers(0, top), st.integers(0, top),
+                                      st.integers(0, top)), min_size=1, max_size=8))
+    return AdversaryScript("f", events), queries
+
+
+@settings(max_examples=200, deadline=None)
+@given(scripts_and_queries())
+def test_script_index_matches_event_scans(args):
+    script, queries = args
+    for prefix, stage, lo, hi in queries:
+        assert script.enumerated(prefix, stage) == scan_enumerated(script, prefix, stage)
+        for a, b in ((lo, hi), (hi, lo), (lo, lo)):  # lo > hi and lo == hi included
+            assert script.hitting_measure(stage, a, b) == scan_hitting_measure(script, stage, a, b)
+
+
+def test_script_validation_and_file_format(tmp_path):
     text = "\n".join([
         "# comment",
         "e a prefix - stage 0 emit 3,4",
@@ -135,6 +199,29 @@ def test_priority_stability_and_override_consistency():
             assert res.table.color(x, y) == st.limits[x]
 
 
+def assert_logged_measures_acted(res):
+    """Each log entry carries the measure that made its requirement act."""
+    for entry in res.log:
+        req = res.requirements[entry["acted"]]
+        measure = Fraction(entry["measure"])
+        assert measure > 1 - Fraction(1, 2 * req.pattern.size)
+        assert measure == req.script.hitting_measure(entry["stage"], *entry["interval"])
+
+
+def test_priority_logs_the_acting_measure():
+    for reqs in priority_scenarios(80):
+        res = priority_build(reqs, 80)
+        assert_logged_measures_acted(res)
+    res = priority_build([(pat("01"), full_script(40))], 40)
+    assert [entry["measure"] for entry in res.log] == ["1", "1"]
+
+
+@pytest.mark.parametrize("horizon", [0, -5])
+def test_priority_rejects_an_empty_horizon(horizon):
+    with pytest.raises(ContractViolation, match=f"horizon {horizon} "):
+        priority_build([(pat("01"), full_script(4))], horizon)
+
+
 @st.composite
 def priority_runs(draw):
     """A horizon up to 40 and up to three requirements: a permutation
@@ -156,6 +243,7 @@ def test_priority_random_scripts_give_stable_transitive_coloring(run):
     res = priority_build(reqs, horizon)
     coloring = res.coloring
     assert check_state_properties(res) == []
+    assert_logged_measures_acted(res)
     assert is_transitive(res.table) and is_transitive(coloring)
     for x in range(horizon):
         for y in range(x + 1, horizon):
@@ -414,17 +502,28 @@ def test_gamma_dense_hits_move_on_consecutive_stages():
 
 
 def test_gamma_visits_only_due_stages(monkeypatch):
-    # an every-stage loop enumerates each level its nodes use at every
-    # stage, 12,000 calls here; a hit makes one node due, and so does each
-    # transition, which needs a hit of its own
-    calls = []
-    real = AdversaryScript.enumerated
+    # an every-stage loop reads each level's script and visits each node at
+    # every stage, 4,000 stages here; the build reads each script's index
+    # once, and visits a node once per hit and once after each transition,
+    # which needs a hit of its own
+    reads, visits = [], []
+    real_first_stages = AdversaryScript.first_stages
+    real_is_leaf = GammaNode.is_leaf.fget
 
-    def counted(self, prefix, stage):
-        calls.append(stage)
-        return real(self, prefix, stage)
+    def first_stages(self, prefix):
+        reads.append(prefix)
+        return real_first_stages(self, prefix)
 
-    monkeypatch.setattr(AdversaryScript, "enumerated", counted)
+    def is_leaf(node):  # read once per visit, by the protocol body alone
+        visits.append(node)
+        return real_is_leaf(node)
+
+    def scan(*args):
+        raise AssertionError("the build reads only the script index")
+
+    monkeypatch.setattr(AdversaryScript, "first_stages", first_stages)
+    monkeypatch.setattr(AdversaryScript, "enumerated", scan)
+    monkeypatch.setattr(GammaNode, "is_leaf", property(is_leaf))
     rng = random.Random(5)
     scripts = {}
     for level in range(4):
@@ -436,7 +535,19 @@ def test_gamma_visits_only_due_stages(monkeypatch):
     elements = sum(len(ev.elements) for sc in scripts.values() for ev in sc.events)
     b = gamma_build("dec", 1, 4000, scripts)
     assert any(entry["event"] != "exclude" for entry in b.log)
-    assert 0 < len(calls) <= 2 * elements
+    assert reads == [""] * len(scripts)
+    assert 0 < len(visits) <= 2 * elements
+
+
+def test_gamma_dense_scripts_build_in_linear_time():
+    # every arrival is witnessed the stage after it is placed, at three
+    # levels; rescanning each level's hits per visit took 3.8 s here
+    n = 4000
+    scripts = {level: AdversaryScript(f"d{level}", [("", 0, range(n))]) for level in (1, 2, 3)}
+    start = time.perf_counter()
+    b = gamma_build("dec", 0, n, scripts)
+    assert time.perf_counter() - start < 1.0
+    assert sum(1 for entry in b.log if entry["event"] == "transition") > 100
 
 
 def test_gamma_wide_node_and_level_contract():

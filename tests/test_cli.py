@@ -210,6 +210,7 @@ def test_construct_priority_scenario(capsys, tmp_path):
     assert out.startswith("limits ")
     payload = json.loads(out.splitlines()[1])
     assert payload["verdicts"][0]["kind"] == "realized"
+    assert [entry["measure"] for entry in payload["log"]] == ["1", "1"]
 
 
 def test_construct_mirror(capsys):
@@ -287,6 +288,31 @@ def test_experiment_random_extract_records_degenerate_trial(capsys):
 
 
 STABLE_4 = '{"type": "stable", "horizon": 4, "limits": [0, 0, 0, 0], "settle": [1, 2, 3, 4]}'
+# priority scenarios the loader rejects: no field is coerced to an integer
+BAD_SCENARIOS = [
+    '{"horizon": 1.5, "requirements": []}',
+    '{"horizon": "10", "requirements": []}',
+    '{"horizon": true, "requirements": []}',
+    '{"requirements": [{"pattern": "01", "script": [["", 1.5, [1]]]}]}',
+    '{"requirements": [{"pattern": "01", "script": [["", true, [1]]]}]}',
+    '{"requirements": [{"pattern": "01", "script": [["", 1, [true]]]}]}',
+    '{"requirements": [{"pattern": "01", "script": [["", 1, [2.0]]]}]}',
+    '{"requirements": [{"pattern": "01", "script": [["2", 1, [1]]]}]}',
+    '{"requirements": [{"pattern": "01", "script": [[0, 1, [1]]]}]}',
+    '{"requirements": [{"pattern": "0x", "script": []}]}',
+]
+
+
+@pytest.mark.parametrize("text", BAD_SCENARIOS)
+def test_bad_scenario_names_its_file(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, ["construct", "priority", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}:1: bad priority scenario: ")
+    assert err.count("\n") == 1
+
+
 MALFORMED = [
     # (argv with {dir} standing for the test's temporary directory, files, exit code)
     (["construct", "delta", "--bits", "2"], {}, 2),
@@ -299,6 +325,10 @@ MALFORMED = [
     (["construct", "priority", "{dir}/text.json"], {"text.json": "not json"}, 1),
     (["construct", "priority", "{dir}/nopat.json"],
      {"nopat.json": '{"requirements": [{"script": []}]}'}, 1),
+    *[(["construct", "priority", "{dir}/bad.json"], {"bad.json": text}, 1) for text in BAD_SCENARIOS],
+    (["construct", "priority", "{dir}/neg.json"], {"neg.json": '{"horizon": -5, "requirements": []}'}, 1),
+    (["--horizon", "-5", "construct", "priority", "{dir}/ok.json"],
+     {"ok.json": '{"horizon": 5, "requirements": []}'}, 1),
     (["pattern", "avoids", "{dir}/two.txt", "01"], {"two.txt": "3\n01\n2\n"}, 1),
     (["pattern", "avoids", "{dir}/settle.json", "01"],
      {"settle.json": '{"type": "stable", "horizon": 2, "limits": [0, 1], "settle": [0, 2]}'}, 1),

@@ -446,16 +446,23 @@ def test_thin_reservoir_fast_path_matches_naive():
 
 
 def test_config_validation():
-    with pytest.raises(ContractViolation):
-        ExtractionConfig((2, 2, 3), 0, 3, 100)  # not strictly increasing
-    with pytest.raises(ContractViolation):
-        ExtractionConfig((1, 2, 3), 0, 3, 100)  # starts below 2
-    with pytest.raises(ContractViolation):
-        ExtractionConfig((8, 9, 10), 0, 3, 100)  # sum too big
-    with pytest.raises(ContractViolation):
-        ExtractionConfig((100, 200), 0, 5, 100)  # shorter than steps
+    # each distinct sequence is validated once; a bad one still raises on
+    # every construction, and a good one cannot lift the step check
+    for _ in range(3):
+        with pytest.raises(ContractViolation, match="increasing"):
+            ExtractionConfig((2, 2, 3), 0, 3, 100)
+        with pytest.raises(ContractViolation, match=">= 2"):
+            ExtractionConfig((1, 2, 3), 0, 3, 100)
+        with pytest.raises(ContractViolation, match="reciprocals"):
+            ExtractionConfig((8, 9, 10), 0, 3, 100)
+        with pytest.raises(ContractViolation, match="shorter"):
+            ExtractionConfig((100, 200), 0, 5, 100)
+        ExtractionConfig((100, 200), 0, 2, 100)
+        with pytest.raises(ContractViolation, match=">= 2"):
+            ExtractionConfig((), 0, 0, 100)
     cfg = default_config(7)
     assert sum(1.0 / u for u in cfg.thinning) < 2.0**-FAILURE_EXPONENT
+    assert default_config(8).thinning == cfg.thinning
 
 
 @pytest.mark.parametrize("steps", [0, -3])
