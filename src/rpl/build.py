@@ -22,7 +22,7 @@ from .patterns import (
     VertexSet,
     order_key,
 )
-from .perms import Permutation, SeparatingTree, separating_tree
+from .perms import Permutation, SeparatingTree, parse_naturals, separating_tree
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +142,11 @@ def parse_script_file(text: str, path: str = "<script>") -> dict:
         if any(ch not in "01" for ch in prefix):
             raise InstanceLoadError(path, no, f"bad prefix {tok[3]!r}")
         try:
-            stage = int(tok[5])
-            elems = [int(t) for t in tok[7].split(",") if t]
+            stage, *elems = parse_naturals([tok[5], *filter(None, tok[7].split(","))])
         except ValueError:
-            raise InstanceLoadError(path, no, "stage and emitted elements must be integers")
-        if stage < 0 or any(x < 0 for x in elems) or not elems:
-            raise InstanceLoadError(path, no, "stage and elements must be naturals, emit non-empty")
+            raise InstanceLoadError(path, no, "stage and elements must be ASCII-digit naturals")
+        if not elems:
+            raise InstanceLoadError(path, no, "emit must be non-empty")
         events.setdefault(ident, []).append((prefix, stage, elems))
     return {ident: AdversaryScript(ident, evs) for ident, evs in events.items()}
 

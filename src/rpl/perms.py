@@ -64,13 +64,21 @@ class Permutation:
     def from_text(cls, text: str) -> "Permutation":
         text = text.strip()
         try:
-            return cls([int(t) for t in (text.split(",") if "," in text else text)])
+            return cls(parse_naturals(text.split(",") if "," in text else text))
         except ValueError:
-            raise ContractViolation(f"permutation text {text!r} is not a digit string "
-                                    "or comma-separated integers") from None
+            raise ContractViolation(f"permutation text {text!r} is not a string of ASCII digits "
+                                    "or comma-separated ASCII-digit naturals") from None
 
 
-TRIVIAL_PERM = Permutation((0,))
+def parse_naturals(tokens) -> list:
+    """Tokens of ASCII digits read as natural numbers, else ValueError.
+    int() alone would also take a sign, underscores, surrounding spaces
+    and non-ASCII digits."""
+    tokens = list(tokens)
+    for t in tokens:
+        if not (t.isascii() and t.isdigit()):
+            raise ValueError(f"{t!r} is not a natural number in ASCII digits")
+    return [int(t) for t in tokens]
 
 
 def perm_to_pattern(perm: Permutation) -> Pattern:
@@ -166,7 +174,8 @@ class SeparatingTree:
 
     op is "+" for the direct sum, "-" for the skew sum.  Evaluating the
     tree reproduces the permutation it was built from; the leaf count is
-    the permutation size.
+    the permutation size.  leaf_count, evaluate and to_term keep an
+    explicit stack, so they take a tree as deep as its permutation is long.
     """
 
     op: str | None  # None for leaves, "+" or "-" otherwise
@@ -177,25 +186,58 @@ class SeparatingTree:
         return self.op is None
 
     def leaf_count(self) -> int:
-        if self.is_leaf:
-            return 1
-        return sum(c.leaf_count() for c in self.children)
+        count, todo = 0, [self]
+        while todo:
+            node = todo.pop()
+            if node.is_leaf:
+                count += 1
+            else:
+                todo.extend(node.children)
+        return count
 
     def evaluate(self) -> Permutation:
-        if self.is_leaf:
-            return TRIVIAL_PERM
-        parts = [c.evaluate() for c in self.children]
-        out = parts[0]
-        combine = direct_sum if self.op == "+" else skew_sum
-        for part in parts[1:]:
-            out = combine(out, part)
-        return out
+        """The permutation, from the sizes of the inner nodes, taken in
+        reverse pre-order so children come first, and a pre-order pass that
+        hands each child the least value of its block: a "+" child sits
+        above its left siblings, a "-" child above its right siblings."""
+        inner, todo = [], [self]
+        while todo:
+            node = todo.pop()
+            if node.op is not None:
+                inner.append(node)
+                todo.extend(node.children)
+        size = {}  # leaves are absent and count 1
+        for node in reversed(inner):
+            size[id(node)] = sum([size.get(id(c), 1) for c in node.children])
+        values, todo = [], [(self, 0)]
+        while todo:
+            node, base = todo.pop()
+            if node.op is None:
+                values.append(base)
+                continue
+            kids = node.children if node.op == "+" else node.children[::-1]
+            placed = []
+            for c in kids:
+                placed.append((c, base))
+                base += size.get(id(c), 1)
+            todo.extend(placed if node.op == "-" else placed[::-1])
+        return Permutation(values)
 
     def to_term(self) -> str:
-        if self.is_leaf:
-            return "0"
-        inner = ",".join(c.to_term() for c in self.children)
-        return f"{self.op}({inner})"
+        out, todo = [], [self]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                out.append(item)
+            elif item.is_leaf:
+                out.append("0")
+            else:
+                parts = [f"{item.op}("]
+                for c in item.children:
+                    parts += [c, ","]
+                parts[-1] = ")"
+                todo.extend(reversed(parts))
+        return "".join(out)
 
 
 LEAF = SeparatingTree(None)
@@ -203,69 +245,113 @@ LEAF = SeparatingTree(None)
 FORBIDDEN = (Permutation((1, 3, 0, 2)), Permutation((2, 0, 3, 1)))  # 1302, 2031
 
 
+def _node(op, kids) -> SeparatingTree:
+    return LEAF if op is None else SeparatingTree(op, tuple(kids))
+
+
 def separating_tree(perm: Permutation) -> SeparatingTree | None:
-    """Recursive block decomposition into direct/skew sums.
+    """Block decomposition into direct/skew sums by one stack pass (Bose,
+    Buss and Lubiw 1998), in O(n).
 
-    Splits greedily at every proper consecutive-interval boundary, so the
-    children of a node are its finest one-level blocks.  Returns None when
-    no proper split exists at some composite step.
+    Each value is pushed as a block: a value interval with its node.
+    While the top two blocks' intervals abut they merge, by "+" when the
+    lower one comes first and by "-" otherwise; a child with the merge's
+    own operator gives up its children instead, so each node's children
+    are its finest one-level blocks.  The permutation is separable iff
+    one block is left; otherwise None.
     """
-    v = perm.values
-    n = perm.size
-    if n == 1:
-        return LEAF
+    stack = []  # (lo, hi, op, children): open blocks, left to right
+    for x in perm.values:
+        lo, hi, op, kids = x, x, None, None
+        while stack:
+            plo, phi, pop, pkids = stack[-1]
+            if phi + 1 == lo:
+                merge = "+"
+            elif hi + 1 == plo:
+                merge = "-"
+            else:
+                break
+            stack.pop()
+            merged = pkids if pop == merge else [_node(pop, pkids)]
+            if op == merge:
+                merged += kids
+            else:
+                merged.append(_node(op, kids))
+            lo, hi, op, kids = min(lo, plo), max(hi, phi), merge, merged
+        stack.append((lo, hi, op, kids))
+    if len(stack) > 1:
+        return None
+    _, _, op, kids = stack[0]
+    return _node(op, kids)
 
-    def prefix_cuts(kind: str) -> list[int]:
-        # proper boundaries m where the first m values fill a bottom
-        # interval ("+") or a top interval ("-")
-        out = []
-        lo = hi = v[0]
-        for m in range(1, n):
-            if hi - lo == m - 1:
-                if kind == "+" and lo == 0:
-                    out.append(m)
-                elif kind == "-" and hi == n - 1:
-                    out.append(m)
-            lo = min(lo, v[m])
-            hi = max(hi, v[m])
-        return out
 
-    for op in ("+", "-"):
-        bounds = prefix_cuts(op)
-        if not bounds:
-            continue
-        edges = [0] + bounds + [n]
-        children = []
-        for a, b in zip(edges, edges[1:]):
-            block = v[a:b]
-            base = min(block)
-            sub = separating_tree(Permutation(tuple(x - base for x in block)))
-            if sub is None:
-                return None
-            children.append(sub)
-        return SeparatingTree(op, tuple(children))
+def _least_bcd(v, a: int) -> tuple | None:
+    """Least (a, b, c, d) with a < b < c < d and v[c] < v[a] < v[d] < v[b]
+    for this a, in O(n).  For b above v[a], the next position below v[a]
+    is the least c and leaves d the most room, so (a, b) extends iff a
+    value between v[a] and v[b] follows it; suffix tables answer both."""
+    n = len(v)
+    va = v[a]
+    below = [n] * (n + 1)  # next position at or after j valued below va
+    above = [n] * (n + 1)  # least value above va at or after j; n: none
+    for j in range(n - 1, a, -1):
+        below[j] = j if v[j] < va else below[j + 1]
+        above[j] = above[j + 1] if v[j] < va else min(v[j], above[j + 1])
+    for b in range(a + 1, n - 2):
+        c = below[b + 1]
+        if c >= n - 1:  # no c with a d after it, for this b or any later one
+            break
+        if v[b] > va and above[c + 1] < v[b]:
+            return a, b, c, next(d for d in range(c + 1, n) if va < v[d] < v[b])
     return None
 
 
 def _least_1302(v) -> tuple | None:
-    """Least position tuple a < b < c < d with v[c] < v[a] < v[d] < v[b],
-    in O(n^2).  For b above v[a], the next position below v[a] is the
-    least c and leaves d the most room, so (a, b) extends iff a value
-    between v[a] and v[b] follows it; suffix tables per a answer both."""
+    """Least position tuple a < b < c < d with v[c] < v[a] < v[d] < v[b].
+
+    Each a gets an existence test over the chain r = nge[a], nge[r], ...
+    of left-to-right maxima above v[a] after it, where nge[r] is the next
+    position right of r with a greater value.  Within the segment
+    [r, nge[r]) no b beats b = r, whose value is largest, and a c after
+    nge[r] is better paired with b = nge[r]; so a hits iff for some r the
+    least c in (r, nge[r]) valued below v[a] is followed by a value in
+    (v[a], v[r]).  Both questions are bit operations on below[t], the mask
+    of the positions valued below t, built up to the largest t asked so
+    far.  The first a that hits gets the O(n) pass of _least_bcd.
+    """
     n = len(v)
+    pos = [0] * n
+    for i, x in enumerate(v):
+        pos[x] = i
+    nge = [n] * n
+    rising = []  # positions whose next greater value is still unseen
+    for i, x in enumerate(v):
+        while rising and v[rising[-1]] < x:
+            nge[rising.pop()] = i
+        rising.append(i)
+    below = [0]
+
+    def mask(t: int) -> int:
+        while len(below) <= t:
+            below.append(below[-1] | 1 << pos[len(below) - 1])
+        return below[t]
+
     for a in range(n - 3):
         va = v[a]
-        below = [n] * (n + 1)  # next position at or after j valued below va
-        above = [n] * (n + 1)  # least value above va at or after j; n: none
-        for j in range(n - 1, a, -1):
-            below[j] = j if v[j] < va else below[j + 1]
-            above[j] = above[j + 1] if v[j] < va else min(v[j], above[j + 1])
-        for b in range(a + 1, n - 2):
-            c = below[b + 1]
-            if c >= n - 1:  # no c with a d after it, for this b or any later one
+        low = mask(va)
+        r = nge[a]
+        while r < n:
+            after = low >> r + 1
+            if not after:  # no c after r, nor after any later r
                 break
-            if v[b] > va and above[c + 1] < v[b]:
-                return a, b, c, next(d for d in range(c + 1, n) if va < v[d] < v[b])
+            c = r + (after & -after).bit_length()
+            nxt = nge[r]
+            if c < nxt and (mask(v[r]) ^ mask(va + 1)) >> c + 1:
+                hit = _least_bcd(v, a)
+                if hit is None:
+                    raise InternalInvariant(f"1302 test hit at {a} but no occurrence starts there")
+                return hit
+            r = nxt
     return None
 
 

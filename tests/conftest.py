@@ -65,6 +65,20 @@ def oracle_separable(p: Permutation) -> bool:
     )
 
 
+def zigzag(n: int) -> list:
+    """Values of the zigzag separable permutation of size n: starting from
+    one point, alternately take the direct sum with a point on top and
+    the skew sum with a point below.  Its separating tree is a path of
+    depth n - 1.  Value i is where the point added at step i starts (i
+    for a point on top, 0 below), raised by each later skew step."""
+    values, skews = [0] * n, 0
+    for i in range(n - 1, 0, -1):
+        values[i] = (i if i % 2 else 0) + skews
+        skews += i % 2 == 0
+    values[0] = skews
+    return values
+
+
 @pytest.fixture
 def clique_2031():
     return perm_coloring(Permutation.from_text("2031"))

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import zigzag
 from rpl import patterns, perms
 from rpl.cli import (
     ExperimentReport,
@@ -35,27 +36,41 @@ def test_sep_check_verbs(capsys):
 
 def evaluate_term(term: str) -> list:
     """Values of a separating term: "0" is one point, "+(...)" stacks its
-    children upward left to right, "-(...)" downward."""
-    def parse(i):
-        if term[i] == "0":
-            return [0], i + 1
-        op, i, parts = term[i], i + 2, []
-        while True:
-            part, i = parse(i)
-            parts.append(part)
-            if term[i] == ")":
-                break
+    children upward left to right, "-(...)" downward.  Open nodes sit on
+    an explicit stack, so a term of any depth reads."""
+    open_nodes = [("", [])]  # (op, values of each child read so far)
+    i = 0
+    while i < len(term):
+        ch = term[i]
+        if ch == "0":
+            open_nodes[-1][1].append([0])
+        elif ch in "+-":
+            assert term[i + 1] == "("
+            open_nodes.append((ch, []))
             i += 1
-        values, base = [], sum(len(p) for p in parts)
-        for part in parts:
-            if op == "-":
-                base -= len(part)
-            values += [v + (base if op == "-" else len(values)) for v in part]
-        return values, i + 1
+        elif ch == ")":
+            op, parts = open_nodes.pop()
+            values, base = [], sum(len(p) for p in parts)
+            for part in parts:
+                if op == "-":
+                    base -= len(part)
+                values += [v + (base if op == "-" else len(values)) for v in part]
+            open_nodes[-1][1].append(values)
+        else:
+            assert ch == ","
+        i += 1
+    assert len(open_nodes) == 1 and len(open_nodes[0][1]) == 1
+    return open_nodes[0][1][0]
 
-    values, end = parse(0)
-    assert end == len(term)
-    return values
+
+@pytest.mark.parametrize("n", [500, 3000])
+def test_sep_check_reads_back_a_deep_separating_tree(capsys, n):
+    values = zigzag(n)  # its separating tree has depth n - 1
+    code, out, err = run(capsys, ["sep-check", ",".join(map(str, values))])
+    assert (code, err) == (0, "")
+    verdict, _, rest = out.strip().partition(" (")
+    assert verdict == "separable" and rest.endswith(")")
+    assert evaluate_term(rest[:-1]) == values
 
 
 def test_sep_check_never_reaches_search_kernel(capsys, monkeypatch):
@@ -343,6 +358,10 @@ MALFORMED = [
     (["fractal", "embed", "120", "x"], {}, 2),
     (["fractal", "partition", "2", "2"], {}, 2),
     (["sep-check", "12x"], {}, 1),
+    # int() reads each of these three as a permutation
+    (["sep-check", "0,+1"], {}, 1),
+    (["sep-check", "0,1,2,3,4,5,6,7,8,9,1_0"], {}, 1),
+    (["sep-check", "\u0661\u0660"], {}, 1),
     (["pattern", "show", "0x"], {}, 1),
     (["fractal", "embed", "1x", "2"], {}, 1),
     (["gen", "perm-clique"], {}, 2),
@@ -354,6 +373,8 @@ MALFORMED = [
      {"abc.txt": "e 0 prefix - stage 1 emit 3\ne abc prefix - stage 1 emit 0\n"}, 1),
     (["construct", "delta", "{dir}/abc.txt", "--n", "20", "--bits", "0"],
      {"abc.txt": "e abc prefix - stage 1 emit 0\n"}, 1),
+    (["construct", "gamma", "{dir}/s.txt", "--n", "20"], {"s.txt": "e 0 prefix - stage 1_0 emit 3\n"}, 1),
+    (["construct", "gamma", "{dir}/s.txt", "--n", "20"], {"s.txt": "e 0 prefix - stage 1 emit +3,\u0663\n"}, 1),
     (["construct", "gamma", "--e", "-2"], {}, 1),
     (["extract", "random", "{dir}/s.json", "--k", "0", "--n", "2"], {"s.json": STABLE_4}, 1),
     (["extract", "random", "{dir}/s.json", "--k", "-1", "--n", "2"], {"s.json": STABLE_4}, 1),
@@ -406,6 +427,29 @@ def test_bad_coloring_file_names_file_and_line(capsys, tmp_path, text, line):
     path = tmp_path / "bad.txt"
     path.write_text(text)
     code, out, err = run(capsys, ["pattern", "avoids", str(path), "01"])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}:{line}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+# (script file text, the line its error names); int() reads the first four
+BAD_SCRIPTS = [
+    ("e 0 prefix - stage 1_0 emit 3\n", 1),
+    ("# a comment\ne 0 prefix - stage 1 emit +3\n", 2),
+    ("e 0 prefix - stage 1 emit 3,\u0663\n", 1),
+    ("e 0 prefix - stage 1 emit 3\ne 0 prefix - stage \uff12 emit 4\n", 2),
+    ("e 0 prefix - stage -1 emit 3\n", 1),
+    ("e 0 prefix - stage 1 emit ,\n", 1),
+    ("e 0 prefix 2 stage 1 emit 3\n", 1),
+    ("e 0 prefix - stage 1\n", 1),
+]
+
+
+@pytest.mark.parametrize("text, line", BAD_SCRIPTS, ids=[repr(t) for t, _ in BAD_SCRIPTS])
+def test_bad_script_file_names_file_and_line(capsys, tmp_path, text, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, ["construct", "gamma", str(path), "--n", "20"])
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {path}:{line}: ")
     assert err.count("\n") == 1 and err.endswith("\n")

@@ -1,14 +1,19 @@
 import itertools
+import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import all_perms, oracle_separable, pat, perm
+from conftest import all_perms, oracle_separable, pat, perm, zigzag
 from rpl.errors import ContractViolation
+from rpl.fractals import fractal_perm
 from rpl.patterns import Pattern, find_realization, is_transitive
 from rpl.perms import (
     FORBIDDEN,
+    LEAF,
     Permutation,
+    SeparatingTree,
+    _least_1302,
     Trichotomy,
     classify_trichotomy,
     converge,
@@ -21,6 +26,7 @@ from rpl.perms import (
     perm_coloring,
     perm_to_pattern,
     separating_tree,
+    separation,
     skew_sum,
     split_reducible,
 )
@@ -36,6 +42,11 @@ def test_permutation_validation_and_text():
     big = Permutation(tuple(range(11)))
     assert big.to_text() == "0,1,2,3,4,5,6,7,8,9,10"
     assert Permutation.from_text(big.to_text()) == big
+    assert Permutation.from_text(" 0,1 ") == perm("01")
+    # int() would read each of these as a permutation
+    for text in ("0,+1", "0,1,2,3,4,5,6,7,8,9,1_0", "0, 1", "\u0661\u0660", "0,1,2,3,4,5,6,7,8,9,\uff11\uff10"):
+        with pytest.raises(ContractViolation):
+            Permutation.from_text(text)
 
 
 def test_sum_examples():
@@ -142,6 +153,13 @@ def scan_witness(pm: Permutation):
     return None if found is None else (found[0], tuple(found[1]))
 
 
+def swap_up_to_two(draw, rng, values: list) -> Permutation:
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = rng.randrange(len(values)), rng.randrange(len(values))
+        values[i], values[j] = values[j], values[i]
+    return Permutation(values)
+
+
 @st.composite
 def near_separable(draw, lo: int, hi: int):
     """A random direct/skew-sum tree, evaluated, then up to two values
@@ -157,16 +175,108 @@ def near_separable(draw, lo: int, hi: int):
             return a + [v + k for v in b]
         return [v + n - k for v in a] + b
 
-    values = tree(draw(st.integers(lo, hi)))
-    for _ in range(draw(st.integers(0, 2))):
-        i, j = rng.randrange(len(values)), rng.randrange(len(values))
-        values[i], values[j] = values[j], values[i]
-    return Permutation(values)
+    return swap_up_to_two(draw, rng, tree(draw(st.integers(lo, hi))))
+
+
+@st.composite
+def near_zigzag(draw, lo: int, hi: int):
+    """A zigzag permutation, the deepest separating tree, with up to two
+    values swapped."""
+    rng = draw(st.randoms(use_true_random=False))
+    return swap_up_to_two(draw, rng, zigzag(draw(st.integers(lo, hi))))
 
 
 def perms(lo: int, hi: int):
     shuffled = st.integers(lo, hi).flatmap(lambda n: st.permutations(range(n)))
     return st.one_of(near_separable(lo, hi), shuffled.map(Permutation))
+
+
+def reference_separating_tree(pm: Permutation):
+    """The recursive block decomposition: split at every proper prefix
+    that fills a bottom ("+") or top ("-") value interval, and recurse on
+    each block; None when a composite block has no such split."""
+    v = pm.values
+    n = pm.size
+    if n == 1:
+        return LEAF
+
+    def prefix_cuts(kind: str) -> list:
+        out = []
+        lo = hi = v[0]
+        for m in range(1, n):
+            if hi - lo == m - 1 and (lo == 0 if kind == "+" else hi == n - 1):
+                out.append(m)
+            lo, hi = min(lo, v[m]), max(hi, v[m])
+        return out
+
+    for op in ("+", "-"):
+        edges = [0] + prefix_cuts(op) + [n]
+        if len(edges) == 2:
+            continue
+        children = []
+        for a, b in zip(edges, edges[1:]):
+            base = min(v[a:b])
+            sub = reference_separating_tree(Permutation([x - base for x in v[a:b]]))
+            if sub is None:
+                return None
+            children.append(sub)
+        return SeparatingTree(op, tuple(children))
+    return None
+
+
+def reference_least_1302(v):
+    """Least a < b < c < d with v[c] < v[a] < v[d] < v[b], in O(n^2): per
+    a, suffix tables give the next position below v[a] (the best c for
+    any b) and the least value above v[a] after it (the best d)."""
+    n = len(v)
+    for a in range(n - 3):
+        va = v[a]
+        below = [n] * (n + 1)
+        above = [n] * (n + 1)
+        for j in range(n - 1, a, -1):
+            below[j] = j if v[j] < va else below[j + 1]
+            above[j] = above[j + 1] if v[j] < va else min(v[j], above[j + 1])
+        for b in range(a + 1, n - 2):
+            c = below[b + 1]
+            if c >= n - 1:
+                break
+            if v[b] > va and above[c + 1] < v[b]:
+                return a, b, c, next(d for d in range(c + 1, n) if va < v[d] < v[b])
+    return None
+
+
+def assert_routes_match_references(pm: Permutation):
+    tree, want = separating_tree(pm), reference_separating_tree(pm)
+    assert (tree is None) == (want is None)
+    if tree is not None:
+        assert tree.to_term() == want.to_term()
+    for seq in (pm.values, [pm.size - 1 - x for x in pm.values]):
+        assert _least_1302(seq) == reference_least_1302(seq)
+
+
+def test_routes_match_references_up_to_8():
+    for size in range(1, 9):
+        for pm in all_perms(size):
+            assert_routes_match_references(pm)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(near_separable(1, 200), near_zigzag(1, 200)))
+@example(fractal_perm(2, 10))
+@example(Permutation(zigzag(200)))
+def test_routes_match_references_random(pm):
+    assert_routes_match_references(pm)
+
+
+def test_separation_of_a_large_fractal_is_fast():
+    pm = fractal_perm(2, 10)
+    best = float("inf")
+    for _ in range(3):  # the least of three, so a stalled CPU does not fail it
+        start = time.perf_counter()
+        tree, witness = separation(pm)
+        best = min(best, time.perf_counter() - start)
+    assert witness is None and tree.leaf_count() == 1024
+    assert best < 0.1
 
 
 def test_forbidden_witness_is_least_realization_up_to_7():
