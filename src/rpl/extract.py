@@ -21,7 +21,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, compress
+from itertools import accumulate, compress, islice
 from operator import lt
 import random
 
@@ -300,20 +300,25 @@ SCAN_CHUNK = 64  # least number of pool elements one bound-scan step reads
 
 def find_homogeneous_block(f, reservoir, size: int, color: int, budget=None):
     """Lexicographically least size-`size` subset of the reservoir whose
-    pairs all have the color, by ascending depth-first search.  The
-    reservoir, in any order, must hold distinct vertices: a repeated one
-    is read as a pair on the diagonal, which raises ContractViolation.
+    pairs all have the color, or None.  The reservoir, in any order, must
+    hold distinct vertices: a repeated one is read as a pair on the
+    diagonal, which raises ContractViolation.  The budget, positive or
+    None, caps the nodes of the ascending depth-first search.
 
     On any coloring but a stable one this is the realization search of
     the constant pattern of the size and color, so a FiniteColoring is
     searched by row masks (see the patterns module).
 
-    For stable colorings the pair checks collapse: an element whose limit
-    disagrees with the color caps every later candidate at its settling
-    time, and only candidates inside a settling window need explicit pair
-    reads.  A suffix holding g elements with the matching limit adds at
-    most g + 1 + window vertices (window: the largest settle(x) - x in
-    the pool), which cuts hopeless branches.
+    A stable coloring whose every settle(x) is x + 1 is answered without
+    search (see _window_one_block): no node is expanded, so the budget
+    cannot run out.
+
+    On other stable colorings the pair checks collapse: an element whose
+    limit disagrees with the color caps every later candidate at its
+    settling time, and only candidates inside a settling window need
+    explicit pair reads.  A suffix holding g elements with the matching
+    limit adds at most g + 1 + window vertices (window: the largest
+    settle(x) - x in the pool), which cuts hopeless branches.
 
     Both bounds come from a lazily scanned prefix of the pool, where they
     are lower bounds of the true ones: a branch is kept as soon as they
@@ -322,25 +327,16 @@ def find_homogeneous_block(f, reservoir, size: int, color: int, budget=None):
     those of the full bounds, while a block near the front of a long
     reservoir never pays for the rest of it.
 
-    Where every scanned window is 1 there are no pair reads at all, and a
-    step settles a run of candidates at once (see the patterns module):
-    the next matching-limit elements up to the scanned frontier are
-    admitted, and each wrong-limit element between them is admitted and
-    cut at its settling time x + 1, two nodes, as the unit steps do.
-
-    A step-1 range is used as given.  If every settle(x) is x + 1, it is
-    not scanned either: the coloring's cached limit index gives exact
-    bounds at once, a prefix count by bisection and a run as a slice, so
-    the search costs about the block; cuts and node count are the scan's.
-
     The extractors skip the sort: their reservoir ascends, and the stable
-    search checks each chunk it scans, so a repeated or out-of-order
+    search checks that a list pool does, so a repeated or out-of-order
     vertex there still raises ContractViolation.
     """
     if color not in (0, 1):
         raise ContractViolation(f"color {color!r} is not 0 or 1")
     if size < 0:
         raise ContractViolation(f"block size {size} is negative")
+    if budget is not None and budget <= 0:
+        raise ContractViolation("budget must be positive")
     pool = reservoir if reservoir.__class__ is range and reservoir.step == 1 else sorted(reservoir)
     if pool and not 0 <= pool[0] <= pool[-1] < f.horizon:
         raise RangeError(f"vertices {pool[0]}..{pool[-1]} outside horizon {f.horizon}")
@@ -354,18 +350,17 @@ def find_homogeneous_block(f, reservoir, size: int, color: int, budget=None):
 
 def _stable_block_search(f: StableColoring, pool, size: int, color: int, budget):
     """find_homogeneous_block on a stable coloring, over a pool of vertices
-    below the horizon that must ascend strictly.  The pool is used as
-    given; each chunk the bound scan reads is checked to ascend.  A step-1
-    range with every settle(x) = x + 1 takes the indexed search."""
-    if pool.__class__ is range and pool.step == 1:
-        index = f.limit_index()
-        if index[2]:
-            return _indexed_block_search(f, index[color], pool, size, color, budget)
+    below the horizon, used as given: a step-1 range, or a list, which is
+    checked to ascend strictly.  Window-1 colorings take the closed form."""
+    if pool.__class__ is not range and not all(map(lt, pool, pool[1:])):
+        raise ContractViolation("block search pool does not ascend strictly; "
+                                "a repeated vertex is a pair on the diagonal")
+    if f.limit_index()[2]:
+        return _window_one_block(f, pool, size, color)
     n = len(pool)
     limits, settle, pair_color = f.limits, f.settle, f.color
     frontier = 0  # length of the scanned prefix of the pool
     good = [0]  # good[i]: elements of pool[:i] with the matching limit
-    matching = []  # pool indices of the scanned elements with the matching limit
     wmax = 1  # max of settle(x) - x over the scanned prefix; settle(x) > x
     reach = 2  # good[frontier] + 1 + wmax
 
@@ -381,13 +376,8 @@ def _stable_block_search(f: StableColoring, pool, size: int, color: int, budget)
                 return False
             end = min(n, frontier + max(-slack, SCAN_CHUNK))
             chunk = pool[frontier:end]
-            if frontier and pool[frontier - 1] >= chunk[0] or not all(map(lt, chunk, chunk[1:])):
-                raise ContractViolation("block search pool does not ascend strictly; "
-                                        "a repeated vertex is a pair on the diagonal")
-            flags = [limits[v] == color for v in chunk]
             # accumulate re-emits the popped running count first
-            good.extend(accumulate(flags, initial=good.pop()))
-            matching.extend(compress(range(frontier, end), flags))
+            good.extend(accumulate([limits[v] == color for v in chunk], initial=good.pop()))
             wmax = max(wmax, *[settle[v] - v for v in chunk])
             frontier = end
             reach = good[frontier] + 1 + wmax
@@ -404,21 +394,6 @@ def _stable_block_search(f: StableColoring, pool, size: int, color: int, budget)
                 and suffix_short(i, need):
             return BACKTRACK
         cut = cutoffs[need]
-        if wmax == 1 and need > 2:
-            # No windows, so no pair reads; good[j] + need stays put along
-            # the run, so every unit step before the frontier passes the
-            # bound test.  A wrong-limit x is admitted and cut at once at
-            # settle(x) = x + 1, two nodes, so only matching elements stay.
-            g = good[i]
-            stop = bisect_left(pool, cut, i, frontier)
-            k = bisect_left(matching, stop, g, min(g + need - 1, len(matching))) - g
-            # the kernel visits index j at need m only while j <= n - m
-            while k and matching[g + k - 1] - k >= n - need:
-                k -= 1
-            if k:
-                run = matching[g:g + k]
-                cutoffs[need - k:need] = [cut] * k
-                return run, 2 * (run[-1] - i + 1) - k
         lo = v - wmax  # u <= lo is scanned, so u settled before v
         if chosen and chosen[-1] > lo:  # else no chosen u needs a pair read
             for u in reversed(chosen):
@@ -432,35 +407,28 @@ def _stable_block_search(f: StableColoring, pool, size: int, color: int, budget)
     return _ascending_search(pool, step, size, budget)
 
 
-def _indexed_block_search(f: StableColoring, pos, pool: range, size: int, color: int, budget):
-    """_stable_block_search's step over a step-1 range when every
-    settle(x) is x + 1, with the scan's state read off pos, the ascending
-    vertices of the matching limit: good[i] is a bisect, the frontier is
-    the end of the pool, reach is the pool's matching count + 2, and a run
-    is a slice of pos shifted to pool indices."""
-    a, n = pool.start, len(pool)
-    lo, hi = bisect_left(pos, a), bisect_left(pos, pool.stop)
-    reach = hi - lo + 2
-    cutoffs = [0] * size + [1 << 60]
-
-    def step(chosen, i, need):
-        v = a + i
-        g = bisect_left(pos, v, lo, hi)  # pos[g]: the next matching vertex
-        cut = cutoffs[need]
-        if v >= cut or g - lo + need > reach:
-            return BACKTRACK
-        if need > 2:
-            k = bisect_left(pos, cut, g, min(g + need - 1, hi)) - g
-            while k and pos[g + k - 1] - a - k >= n - need:
-                k -= 1
-            if k:
-                run = [u - a for u in pos[g:g + k]]
-                cutoffs[need - k:need] = [cut] * k
-                return run, 2 * (run[-1] - i + 1) - k
-        cutoffs[need - 1] = v + 1 if f.limits[v] != color and v + 1 < cut else cut
-        return need - 1
-
-    return _ascending_search(pool, step, size, budget)
+def _window_one_block(f: StableColoring, pool, size: int, color: int):
+    """_stable_block_search in closed form when every settle(x) is x + 1.
+    Then color(x, y) = limit(x) for x < y, so a block is size - 1
+    vertices of limit `color` and any vertex above them, and the least
+    one is the first size - 1 of those in the pool plus the pool vertex
+    right after the last; None when the pool holds fewer or nothing
+    follows.  A step-1 range reads them off the coloring's limit index,
+    a list filters its limits.  No search runs: no node is expanded, so
+    no budget can run out."""
+    if size < 2:
+        return tuple.__new__(VertexSet, pool[:size]) if len(pool) >= size else None
+    if pool.__class__ is range and pool.step == 1:
+        pos = f.limit_index()[color]
+        lo = bisect_left(pos, pool.start)
+        head = pos[lo:lo + size - 1]  # may run past the pool; then nothing follows
+    else:
+        head = [*islice(compress(pool, map(color.__eq__, map(f.limits.__getitem__, pool))),
+                        size - 1)]
+    if len(head) < size - 1:
+        return None
+    j = bisect_right(pool, head[-1])
+    return tuple.__new__(VertexSet, [*head, pool[j]]) if j < len(pool) else None
 
 
 EXTRACTOR_SEARCH_BUDGET = 2_000_000
@@ -468,10 +436,11 @@ EXTRACTOR_SEARCH_BUDGET = 2_000_000
 
 def _extractor_block(f, reservoir, arity: int, dim: int, step: int):
     """Least occurrence of the arity-ary dimension-dim fractal in the
-    reservoir (dimension 1 takes the fast homogeneous-block path), by a
-    budgeted search inside an extractor loop.  Exhaustion, like proven
-    absence, ends the run as a degenerate instance (the unbalanced route
-    applies); the cause and the step are named."""
+    reservoir, inside an extractor loop.  Dimension 1 takes the stable
+    homogeneous-block search, which answers a window-1 coloring without
+    search; every search runs under a node budget.  Exhaustion, like
+    proven absence, ends the run as a degenerate instance (the unbalanced
+    route applies); the cause and the step are named."""
     try:
         if dim == 1:  # the reservoir ascends, as StemCondition keeps it
             block = _stable_block_search(f, reservoir, arity, 0, EXTRACTOR_SEARCH_BUDGET)

@@ -44,10 +44,13 @@ from rpl.instances import (
     single_zero_edge,
     split_order_coloring,
 )
-from rpl.patterns import FiniteColoring, StableColoring, VertexSet, _ascending_search
+from rpl.patterns import FiniteColoring, StableColoring, VertexSet
 
 
 FIXTURE = interleaved_split_order(10_000, seed=123, top_fraction=0.34)
+# FIXTURE's first 300 rows, the last one settling a step late (past the
+# horizon), so the block search scans instead of answering in closed form
+LATE_ROW = StableColoring(300, FIXTURE.limits[:300], [*range(1, 300), 301])
 
 
 def build_occurrence(limits, want):
@@ -151,7 +154,11 @@ def test_find_homogeneous_block_lex_least():
     assert tuple(blk) == (0, 1, 2, 3)
     assert find_homogeneous_block(f, range(10), 4, 1) is None
     with pytest.raises(BudgetExhausted):
-        find_homogeneous_block(FIXTURE, range(3000), 400, 0, budget=5)
+        find_homogeneous_block(alternating_stable(600), range(600), 12, 1, budget=5)
+    # FIXTURE settles every row at once: answered without search, so no
+    # budget runs out
+    blk = find_homogeneous_block(FIXTURE, range(3000), 400, 0, budget=1)
+    assert len(blk) == 400 and verify_homogeneous(FIXTURE, blk, 0)
 
 
 def test_find_homogeneous_block_rejects_nonpositive_budget():
@@ -178,21 +185,25 @@ def test_find_homogeneous_block_skips_poison():
 
 # Exact node counts of the ascending search on fixtures, with the least
 # block it returns as (size, first twelve elements, last, sum), or None.
-# The counts were measured on the search that computed its stable-window
-# bounds over the whole reservoir, so they pin that the lazily scanned
-# bounds cut the same branches.  The last case asks for one vertex more
-# than a 300-prefix of FIXTURE can hold, so only the cuts made once the
-# scan reaches the end of the pool keep its search from blowing up.  The
-# two finite cases, measured on the search before it moved onto the shared
-# kernel, pin the finite path: one proven absence, one early hit.
+# The stable counts were measured on the search that computed its
+# stable-window bounds over the whole reservoir, so they pin that the
+# lazily scanned bounds cut the same branches.  late-row-infeasible asks
+# for one vertex more than the largest block (193) of its pool, whose one
+# window above 1 is at the pool's last vertex, so only the cuts made once
+# the scan reaches the end of the pool keep its search from blowing up.
+# FIXTURE settles every row at once, so its two cases are answered without
+# search: 0 nodes, and the kernel is never called.
+# The two finite cases, measured on the search before it moved onto the
+# shared kernel, pin the finite path: one proven absence, one early hit.
 NODE_PINS = [
-    ("interleaved-300", lambda: (FIXTURE, range(10_000), 300, 0), 652,
+    ("interleaved-300", lambda: (FIXTURE, range(10_000), 300, 0), 0,
      (300, (2, 4, 6, 8, 14, 16, 19, 20, 23, 25, 26, 28), 475, 70873)),
     ("alternating-600", lambda: (alternating_stable(600), range(600), 12, 1), 858,
      (12, (1, 5, 13, 28, 30, 32, 34, 36, 38, 40, 42, 43), 43, 342)),
     ("dipped-2000", lambda: (dipped_split_order(2000), range(2000), 10, 1), 2950,
      (10, (13, 14, 15, 37, 38, 39, 109, 110, 111, 112), 112, 598)),
-    ("interleaved-infeasible", lambda: (FIXTURE, range(300), 194, 0), 598, None),
+    ("interleaved-infeasible", lambda: (FIXTURE, range(300), 194, 0), 0, None),
+    ("late-row-infeasible", lambda: (LATE_ROW, range(300), 194, 0), 55564, None),
     ("finite-absent", lambda: (repaired_random_unbalanced(60, 3, 0), range(60), 4, 0),
      3698, None),
     ("finite-hit", lambda: (repaired_random_unbalanced(30, 3, 2), range(30), 8, 1), 12,
@@ -204,10 +215,14 @@ NODE_PINS = [
                          ids=[p[0] for p in NODE_PINS])
 def test_find_homogeneous_block_node_count_pinned(name, make, nodes, pinned):
     f, reservoir, size, color = make()
-    with pytest.raises(BudgetExhausted) as exc:
-        find_homogeneous_block(f, reservoir, size, color, budget=nodes - 1)
-    assert exc.value.nodes == nodes
-    blk = find_homogeneous_block(f, reservoir, size, color, budget=nodes)
+    if nodes:
+        with pytest.raises(BudgetExhausted) as exc:
+            find_homogeneous_block(f, reservoir, size, color, budget=nodes - 1)
+        assert exc.value.nodes == nodes
+        blk = find_homogeneous_block(f, reservoir, size, color, budget=nodes)
+    else:
+        with mock.patch.object(extract, "_ascending_search", side_effect=AssertionError):
+            blk = find_homogeneous_block(f, reservoir, size, color, budget=1)
     if pinned is None:
         assert blk is None
     else:
@@ -228,16 +243,34 @@ def small_stable(draw):
     return StableColoring(h, limits, settle, overrides)
 
 
+@st.composite
+def window_one_stable(draw):
+    """A stable coloring on at most 40 vertices with random limits where
+    every row settles at once (settle(x) = x + 1), so the block search
+    answers in closed form."""
+    h = draw(st.integers(1, 40))
+    limits = draw(st.lists(st.integers(0, 1), min_size=h, max_size=h))
+    return StableColoring(h, limits, range(1, h + 1))
+
+
 @settings(max_examples=300, deadline=None)
-@given(f=small_stable(), data=st.data())
+@given(f=st.one_of(small_stable(), window_one_stable()), data=st.data())
 def test_stable_block_search_matches_generic(f, data):
     h = f.horizon
     reservoir = data.draw(st.lists(st.integers(0, h - 1), unique=True), label="reservoir")
+    a = data.draw(st.integers(0, h), label="start")
+    b = data.draw(st.integers(a, h), label="stop")
     size = data.draw(st.integers(0, h + 1), label="size")
     generic = f.restrict(h)  # a FiniteColoring: plain pair reads, no cuts
-    for color in (0, 1):
-        assert (find_homogeneous_block(f, reservoir, size, color)
-                == find_homogeneous_block(generic, reservoir, size, color))
+    for pool in (reservoir, range(a, b)):
+        for color in (0, 1):
+            assert (find_homogeneous_block(f, pool, size, color)
+                    == find_homogeneous_block(generic, pool, size, color))
+    if not f.limit_index()[2]:  # the scan makes the unit steps' nodes
+        for color in (0, 1):
+            block, nodes = unit_block_search(f, range(a, b), size, color)
+            got, got_nodes, _ = search_with_nodes(f, range(a, b), size, color, None)
+            assert (None if got is None else tuple(got), got_nodes) == (block, nodes)
 
 
 def unit_block_search(f, pool, size, color):
@@ -273,39 +306,43 @@ def unit_block_search(f, pool, size, color):
     return extend([], 0, size, 1 << 60), nodes
 
 
-@st.composite
-def window_one_stable(draw):
-    """A stable coloring on at most 40 vertices with random limits where
-    every row settles at once (settle(x) = x + 1), so the block search
-    settles whole runs of candidates per step."""
-    h = draw(st.integers(1, 40))
-    limits = draw(st.lists(st.integers(0, 1), min_size=h, max_size=h))
-    return StableColoring(h, limits, range(1, h + 1))
-
-
 @settings(max_examples=300, deadline=None)
 @given(f=window_one_stable(), data=st.data())
 def test_stable_block_runs_match_unit_steps(f, data):
-    reservoir = sorted(data.draw(st.sets(st.integers(0, f.horizon - 1)), label="reservoir"))
-    size = data.draw(st.integers(0, len(reservoir) + 1), label="size")
-    for color in (0, 1):
-        block, nodes = unit_block_search(f, reservoir, size, color)
-        if nodes > 1:
-            with pytest.raises(BudgetExhausted) as exc:
-                find_homogeneous_block(f, reservoir, size, color, budget=nodes - 1)
-            assert exc.value.nodes == nodes
-        got = find_homogeneous_block(f, reservoir, size, color, budget=max(nodes, 1))
-        assert (None if got is None else tuple(got)) == block
+    # the closed form against the unit-step search and the generic one,
+    # with the kernel never called
+    h = f.horizon
+    listed = sorted(data.draw(st.sets(st.integers(0, h - 1)), label="reservoir"))
+    a = data.draw(st.integers(0, h), label="start")
+    b = data.draw(st.integers(a, h), label="stop")
+    drawn = data.draw(st.integers(0, h + 1), label="size")
+    generic = f.restrict(h)
+    for pool in (listed, range(a, b)):
+        for color in (0, 1):
+            matching = sum(f.limits[v] == color for v in pool)
+            # matching + 1 ends the block's matching vertices at the last
+            # one in the pool, which may be the pool's last vertex
+            for size in {0, 1, 2, len(pool) + 1, drawn, matching, matching + 1}:
+                block, _ = unit_block_search(f, pool, size, color)
+                with mock.patch.object(extract, "_ascending_search",
+                                       side_effect=AssertionError):
+                    got = find_homogeneous_block(f, pool, size, color, budget=1)
+                assert (None if got is None else tuple(got)) == block
+                assert got == find_homogeneous_block(generic, pool, size, color)
 
 
 def search_with_nodes(f, pool, size, color, budget):
     """find_homogeneous_block (None, a block, or "exhausted") and the
     kernel's node count, summed from the verdicts of its step hook, plus
-    whether the indexed search answered."""
+    whether the kernel ran."""
     nodes = 0
+    searched = False
     kernel = extract._ascending_search
 
     def counting(pool, step, need, budget):
+        nonlocal searched
+        searched = True
+
         def counted(*args):
             nonlocal nodes
             verdict = step(*args)
@@ -313,24 +350,21 @@ def search_with_nodes(f, pool, size, color, budget):
             return verdict
         return kernel(pool, counted, need, budget)
 
-    with mock.patch.object(extract, "_ascending_search", counting), \
-            mock.patch.object(extract, "_indexed_block_search",
-                              wraps=extract._indexed_block_search) as indexed:
+    with mock.patch.object(extract, "_ascending_search", counting):
         try:
             block = find_homogeneous_block(f, pool, size, color, budget)
         except BudgetExhausted:
             block = "exhausted"
-    return block, nodes, indexed.called
+    return block, nodes, searched
 
 
-def assert_range_pool_matches_list_pool(f, a, b, size, indexed, budget):
+def assert_range_pool_matches_list_pool(f, a, b, size, searched, budget):
     """A range pool and the list of its vertices give the same block and
-    node count; the range pool takes the indexed search iff `indexed`."""
+    node count; both reach the search kernel iff `searched`."""
     for color in (0, 1):
-        want, nodes, via_index = search_with_nodes(f, list(range(a, b)), size, color, budget)
-        assert not via_index  # a list is scanned
-        got, got_nodes, via_index = search_with_nodes(f, range(a, b), size, color, budget)
-        assert (got, got_nodes, via_index) == (want, nodes, indexed)
+        want, nodes, ran = search_with_nodes(f, list(range(a, b)), size, color, budget)
+        assert ran == searched
+        assert search_with_nodes(f, range(a, b), size, color, budget) == (want, nodes, ran)
         if want == "exhausted":
             continue
         if nodes > 1:
@@ -351,7 +385,7 @@ def test_range_pools_match_list_pools_on_window_one(f, data):
     a = data.draw(st.integers(0, f.horizon), label="start")
     b = data.draw(st.integers(a, f.horizon), label="stop")
     size = data.draw(st.integers(1, min(400, b - a + 1)), label="size")
-    assert_range_pool_matches_list_pool(f, a, b, size, indexed=True, budget=100_000)
+    assert_range_pool_matches_list_pool(f, a, b, size, searched=False, budget=100_000)
 
 
 @settings(max_examples=150, deadline=None)
@@ -362,7 +396,7 @@ def test_range_pools_keep_the_scan_on_wide_windows(f, data):
     a = data.draw(st.integers(0, f.horizon), label="start")
     b = data.draw(st.integers(a, f.horizon), label="stop")
     size = data.draw(st.integers(1, min(400, b - a + 1)), label="size")
-    assert_range_pool_matches_list_pool(f, a, b, size, indexed=False, budget=2_000)
+    assert_range_pool_matches_list_pool(f, a, b, size, searched=True, budget=2_000)
 
 
 @settings(max_examples=300, deadline=None)
@@ -382,20 +416,16 @@ def test_thin_reservoir_keeps_a_range(f, data):
         assert got.__class__ is list
 
 
-def test_stable_block_search_settles_runs(monkeypatch):
-    # FIXTURE settles every row at once, so the 652 nodes of the pinned
-    # interleaved-300 search come from a handful of step calls
-    calls = []
-
-    def counting(pool, step, need, budget):
-        def counted(*args):
-            calls.append(args)
-            return step(*args)
-        return _ascending_search(pool, counted, need, budget)
-
-    monkeypatch.setattr(extract, "_ascending_search", counting)
-    blk = find_homogeneous_block(FIXTURE, range(10_000), 300, 0, budget=652)
-    assert len(blk) == 300 and len(calls) <= 10
+def test_window_one_extraction_never_searches(monkeypatch):
+    # every row settles at once, so each block of a randomized extraction
+    # is read off in closed form: a success, a bad pick, and a reservoir
+    # that runs out of blocks, never out of budget
+    monkeypatch.setattr(extract, "_ascending_search", mock.Mock(side_effect=AssertionError))
+    assert randomized_extract(FIXTURE, 2, 2, default_config(seed=42)).success
+    assert randomized_extract(FIXTURE, 2, 2, default_config(seed=5)).failure_step == 2
+    dried = split_order_coloring(300, top=set(range(50, 300)))
+    with pytest.raises(DegenerateInstance, match="no .*-ary dimension-1 block"):
+        randomized_extract(dried, 2, 2, default_config(seed=1, horizon=300, steps=10))
 
 
 @pytest.mark.parametrize("pool, size", [
