@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ContractViolation, InstanceLoadError, InternalInvariant
+from .errors import ContractViolation, InstanceLoadError, InternalInvariant, RangeError
 from .patterns import (
     FiniteColoring,
     LinearOrderView,
@@ -82,7 +82,7 @@ class AdversaryScript:
         self._ancestors = {
             p: [q for q in first if q != p and p.startswith(q)] for p in first
         }
-        self._depth = max(map(len, first), default=0)
+        self.depth = max(map(len, first), default=0)  # the longest event prefix
 
     def first_stages(self, prefix: str) -> zip:
         """(element, first stage) pairs of the events at exactly `prefix`,
@@ -103,6 +103,11 @@ class AdversaryScript:
         """Exact measure of oracles whose enumeration by `stage` meets
         [lo, hi], as a union of cylinders over event prefixes of length
         at most `stage`."""
+        return Fraction(self.hitting_weight(stage, lo, hi), 1 << self.depth)
+
+    def hitting_weight(self, stage: int, lo: int, hi: int) -> int:
+        """`hitting_measure` times 2**depth: the number of depth-long
+        prefixes whose cylinders the hitting oracles fill."""
         hit = set()
         if lo <= hi:
             for p, (elements, firsts, _, _) in self._index.items():
@@ -110,11 +115,8 @@ class AdversaryScript:
                     i, j = bisect_left(elements, lo), bisect_right(elements, hi)
                     if i < j and min(firsts[i:j]) <= stage:
                         hit.add(p)
-        top = self._depth
-        return Fraction(
-            sum(1 << (top - len(p)) for p in hit if hit.isdisjoint(self._ancestors[p])),
-            1 << top,
-        )
+        top = self.depth
+        return sum(1 << (top - len(p)) for p in hit if hit.isdisjoint(self._ancestors[p]))
 
 
 def _is_natural(v) -> bool:
@@ -189,10 +191,6 @@ class PriorityResult:
         return LinearOrderView(self.table)
 
 
-def _attention_measure(req: RequirementState, stage: int) -> Fraction:
-    return req.script.hitting_measure(stage, req.marker, stage)
-
-
 def priority_build(requirements, horizon: int) -> PriorityResult:
     """Stagewise construction of a stable transitive coloring against
     scripted enumeration adversaries.
@@ -213,6 +211,8 @@ def priority_build(requirements, horizon: int) -> PriorityResult:
         for i, (p, script) in enumerate(requirements)
     ]
     thresholds = [1 - Fraction(1, 2 * req.pattern.size) for req in reqs]
+    # weight / 2**depth > 1 - 1/(2m)  iff  weight * 2m > (2m - 1) << depth
+    bars = [(2 * req.pattern.size - 1) << req.script.depth for req in reqs]
     committed = 0  # bit x: x's commitment
     last_change = [0] * horizon
     rows = [0] * horizon  # the table's row masks
@@ -223,10 +223,11 @@ def priority_build(requirements, horizon: int) -> PriorityResult:
 
         acting = None
         for r, req in enumerate(reqs):
-            if req.length >= req.pattern.size:
+            m = req.pattern.size
+            if len(req.intervals) >= m:
                 continue
-            measure = _attention_measure(req, s)
-            if measure > thresholds[r]:
+            weight = req.script.hitting_weight(s, req.marker, s)
+            if weight * 2 * m > bars[r]:
                 acting = r
                 break
         if acting is None:
@@ -260,7 +261,7 @@ def priority_build(requirements, horizon: int) -> PriorityResult:
                 "injured": injured,
                 "markers": [q.marker for q in reqs],
                 "states": [list(q.intervals) for q in reqs],
-                "measure": str(measure),
+                "measure": str(Fraction(weight, 1 << req.script.depth)),
             }
         )
 
@@ -281,7 +282,7 @@ def priority_build(requirements, horizon: int) -> PriorityResult:
     verdicts = []
     final_stage = horizon - 1
     for r, (req, threshold) in enumerate(zip(reqs, thresholds)):
-        measure = _attention_measure(req, final_stage)
+        measure = req.script.hitting_measure(final_stage, req.marker, final_stage)
         if req.length == req.pattern.size:
             kind = "realized"
         elif measure > threshold:
@@ -296,15 +297,19 @@ def priority_build(requirements, horizon: int) -> PriorityResult:
 
 def check_transversal_realization(table, intervals, p: Pattern) -> bool:
     """Every choice of one element per stacked interval realizes the
-    pattern prefix of the state's length."""
-    t = len(intervals)
-    for i in range(t):
-        for j in range(i + 1, t):
-            want = p.color(i, j)
-            for x in range(intervals[i][0], intervals[i][1] + 1):
-                for y in range(intervals[j][0], intervals[j][1] + 1):
-                    if table.color(x, y) != want:
-                        return False
+    pattern prefix of the state's length: for x in interval i, the bits of
+    x's row mask over a later interval j all equal p(i, j)."""
+    if len(intervals) > 1 and any(a < 0 or b >= table.size for a, b in intervals if a <= b):
+        raise RangeError(f"intervals {intervals} reach beyond horizon {table.size}")
+    rows = table.rows
+    spans = [(2 << b) - (1 << a) if a <= b else 0 for a, b in intervals]
+    for i, (a, b) in enumerate(intervals):
+        for j in range(i + 1, len(intervals)):
+            span = spans[j]
+            want = span if p.color(i, j) else 0
+            for x in range(a, b + 1):
+                if rows[x] & span != want:
+                    return False
     return True
 
 
@@ -360,45 +365,57 @@ class GammaNode:
     disabled index there.  Nodes built in the descending flavor also hold
     cut points: once an enumerated member exists below the current local
     stage, every future local stage starts a fresh top layer.
+
+    A ground is a `range`: the root's is range(n), and block i of a node
+    is ground[width + i::width].  Local index j >= width lies in block
+    (j - width) % width, at local index (j - width) // width there.  A
+    child is built on first use by `child` (`children` builds them all);
+    one never asked for is exactly an eagerly built node in its initial
+    state.
     """
 
     __slots__ = (
-        "e", "dec", "path", "ground", "local", "heads", "block_of",
-        "children", "disabled", "transitions", "cut_from",
+        "e", "dec", "path", "ground", "width", "slots",
+        "disabled", "transitions", "cut_from",
     )
 
-    def __init__(self, e, dec, path, ground):
+    def __init__(self, e, dec, path, ground: range):
         self.e = e
         self.dec = dec
         self.path = path
-        self.ground = list(ground)
-        self.local = {x: i for i, x in enumerate(self.ground)}
-        width = 2 ** (e + 1)
-        self.heads = self.ground[:width]
-        rest = self.ground[width:]
-        self.block_of = {}
-        self.children = []
-        if rest:  # a wide node with no rest builds no empty blocks
-            grounds = [rest[i::width] for i in range(width)]
-            for i, g in enumerate(grounds):
-                for x in g:
-                    self.block_of[x] = i
-            self.children = [
-                GammaNode(e + 1, True, path + (i,), g) for i, g in enumerate(grounds)
-            ]
+        self.ground = ground
+        self.width = width = 2 << e
+        # a wide node with no rest has no blocks
+        self.slots = [None] * width if len(ground) > width else []
         self.disabled = 0
         self.transitions = []
         self.cut_from = None
 
     @property
     def is_leaf(self) -> bool:
-        return not self.children
+        return not self.slots
 
-    def cut_level(self, x) -> int:
-        if not self.dec or self.cut_from is None:
-            return 0
-        j = self.local[x]
-        return 0 if j < self.cut_from else j - self.cut_from + 1
+    @property
+    def heads(self) -> list:
+        return list(self.ground[: self.width])
+
+    @property
+    def children(self) -> list:
+        return [self.child(i) for i in range(len(self.slots))]
+
+    def child(self, i: int) -> "GammaNode":
+        node = self.slots[i]
+        if node is None:
+            w = self.width
+            node = self.slots[i] = GammaNode(self.e + 1, True, self.path + (i,),
+                                             self.ground[w + i :: w])
+        return node
+
+    def block_of(self, x: int):
+        """The block of ground element x, or None when x is a head."""
+        g = self.ground
+        j = (x - g.start) // g.step - self.width
+        return None if j < 0 else j % self.width
 
 
 @dataclass
@@ -449,7 +466,10 @@ def gamma_build(direction: str, e: int, n: int, scripts=None) -> BuiltOrder:
     due nodes, in preorder; without scripts the protocol never runs.  A
     node keeps the sorted block indices of its witnessed member hits: its
     cut fires on the first of them, and a transition takes the first
-    block past the disabled one.
+    block past the disabled one.  Only the nodes a hit or a placement
+    reaches are built.  A member's key is fixed when it is placed: a cut
+    made at stage t <= s already holds then, and a later one counts the
+    ground below t, which puts s in its level 0.
     """
     if direction not in ("inc", "dec"):
         raise ContractViolation("direction must be inc or dec")
@@ -457,17 +477,10 @@ def gamma_build(direction: str, e: int, n: int, scripts=None) -> BuiltOrder:
         raise ContractViolation("e must be >= 0")
     scripts = scripts or {}
     root = GammaNode(e, direction == "dec", (), range(n))
-    member = [False] * n
+    members: list = []
+    keys: dict = {}
     log: list = []
 
-    nodes: list[GammaNode] = []
-
-    def collect(node):
-        nodes.append(node)
-        for ch in node.children:
-            collect(ch)
-
-    collect(root)
     due: dict[int, dict] = {}  # stage -> {node: its hits witnessed at that stage}
     for level, script in scripts.items():
         for y, t in script.first_stages(""):
@@ -475,8 +488,8 @@ def gamma_build(direction: str, e: int, n: int, scripts=None) -> BuiltOrder:
             if s >= n:
                 continue
             node = root
-            while node.e < level and node.local[y] >= len(node.heads):
-                node = node.children[node.block_of[y]]
+            while node.e < level and (i := node.block_of(y)) is not None:
+                node = node.child(i)
             if node.e == level:
                 due.setdefault(s, {}).setdefault(node, []).append(y)
 
@@ -484,7 +497,7 @@ def gamma_build(direction: str, e: int, n: int, scripts=None) -> BuiltOrder:
     for s in range(n):
         # protocol updates before the stage's arrival is placed
         for node, hits in sorted(due.pop(s, {}).items(), key=lambda item: item[0].path):
-            fresh = [y for y in hits if member[y]]
+            fresh = [y for y in hits if y in keys]
             if fresh and node.dec and node.cut_from is None:
                 node.cut_from = bisect_left(node.ground, s)
                 log.append(
@@ -495,11 +508,14 @@ def gamma_build(direction: str, e: int, n: int, scripts=None) -> BuiltOrder:
                 continue
             blocks = witnessed.setdefault(node, [])
             for y in fresh:
-                if y in node.block_of:
-                    insort(blocks, node.block_of[y])
+                i = node.block_of(y)
+                if i is not None:
+                    insort(blocks, i)
             i = bisect_right(blocks, node.disabled)
             if i < len(blocks):
                 new = blocks[i]
+                if node.transitions and node.transitions[-1][0] == s:
+                    raise InternalInvariant("two disable transitions in one stage")
                 log.append(
                     {"stage": s, "node": list(node.path), "event": "transition",
                      "old": node.disabled, "new": new}
@@ -508,51 +524,32 @@ def gamma_build(direction: str, e: int, n: int, scripts=None) -> BuiltOrder:
                 node.disabled = new
                 due.setdefault(s + 1, {}).setdefault(node, [])
 
-        # placement
-        node = root
-        excluded = False
+        # placement, reading s's key on the way down
+        node, j = root, s
+        key = []
         while True:
-            j = node.local[s]
-            if j < len(node.heads):
+            w = node.width
+            if node.dec:
+                cut = node.cut_from
+                key.append(0 if cut is None or j < cut else j - cut + 1)
+            if j < w:
+                key.append(2 * j)
+                members.append(s)
+                keys[s] = tuple(key)
                 break
-            i = node.block_of[s]
+            j -= w
+            i = j % w
             if i == node.disabled:
-                excluded = True
                 log.append(
                     {"stage": s, "node": list(node.path), "event": "exclude",
                      "block": i}
                 )
                 break
-            node = node.children[i]
-        member[s] = not excluded
+            key.append(2 * i + 1)
+            j //= w
+            node = node.child(i)
 
-    members = [x for x in range(n) if member[x]]
-    keys = {}
-
-    def key_of(x) -> tuple:
-        node = root
-        out: list = []
-        while True:
-            if node.dec:
-                out.append(node.cut_level(x))
-            j = node.local[x]
-            if j < len(node.heads):
-                out.append(2 * j)
-                return tuple(out)
-            i = node.block_of[x]
-            out.append(2 * i + 1)
-            node = node.children[i]
-
-    for x in members:
-        keys[x] = key_of(x)
-    order = BuiltOrder(n, direction, e, root, members, keys, log)
-    # single-disabled invariant: transitions are atomic swaps, so it can
-    # only break if a node ever logged two moves at one stage
-    for node in nodes:
-        stages = [t[0] for t in node.transitions]
-        if len(stages) != len(set(stages)):
-            raise InternalInvariant("two disable transitions in one stage")
-    return order
+    return BuiltOrder(n, direction, e, root, members, keys, log)
 
 
 @dataclass
@@ -592,18 +589,17 @@ def delta_extract(direction: str, e: int, bits, built: BuiltOrder) -> DeltaResul
         if node.is_leaf:
             # finite ground ran out: close the sequence with the remaining
             # heads; only a disabled pick counts as failure
-            tail = [h for h in node.heads[j:] if h in built.keys]
+            tail = [h for h in node.ground[j:] if h in built.keys]  # a leaf's ground is its heads
             if not tail:
                 flags.append(f"leaf choice {j} beyond populated heads")
             seq.extend(tail)
             break
         if j == node.disabled:
             return DeltaResult("dead_block", seq, flags + [f"picked disabled block {j} at node {node.path}"], pos)
-        if j < len(node.heads):
-            head = node.heads[j]
-            if head in built.keys:
-                seq.append(head)
-        node = node.children[j]
+        head = node.ground[j]  # an inner node has all its heads
+        if head in built.keys:
+            seq.append(head)
+        node = node.child(j)
 
     for a, b in zip(seq, seq[1:]):
         if not (a < b and built.less(a, b)):

@@ -23,7 +23,7 @@ from rpl.build import (
     parse_script_file,
     priority_build,
 )
-from rpl.errors import ContractViolation, InstanceLoadError
+from rpl.errors import ContractViolation, InstanceLoadError, RangeError
 from rpl.extract import AdversarialEscapingOracle, ReferenceEscapingOracle
 from rpl.instances import dipped_split_order
 from rpl.patterns import FiniteColoring, LinearOrderView, StableColoring, avoids, is_transitive
@@ -121,7 +121,9 @@ def test_script_index_matches_event_scans(args):
     for prefix, stage, lo, hi in queries:
         assert script.enumerated(prefix, stage) == scan_enumerated(script, prefix, stage)
         for a, b in ((lo, hi), (hi, lo), (lo, lo)):  # lo > hi and lo == hi included
-            assert script.hitting_measure(stage, a, b) == scan_hitting_measure(script, stage, a, b)
+            measure = scan_hitting_measure(script, stage, a, b)
+            assert script.hitting_measure(stage, a, b) == measure
+            assert script.hitting_weight(stage, a, b) == measure * 2 ** script.depth
 
 
 def test_script_validation_and_file_format(tmp_path):
@@ -300,6 +302,63 @@ def test_priority_transversal_checker_detects_breaks():
     good = res.requirements[0].intervals
     assert check_transversal_realization(res.table, good, pat("01"))
     assert not check_transversal_realization(res.table, good, pat("10"))
+    with pytest.raises(RangeError):
+        check_transversal_realization(res.table, good + [(29, 30)], pat("012"))
+
+
+def pairwise_transversal_realization(table, intervals, p):
+    """The transversal check pair by pair: one color lookup per choice of
+    x in interval i and y in a later interval j."""
+    t = len(intervals)
+    for i in range(t):
+        for j in range(i + 1, t):
+            want = p.color(i, j)
+            for x in range(intervals[i][0], intervals[i][1] + 1):
+                for y in range(intervals[j][0], intervals[j][1] + 1):
+                    if table.color(x, y) != want:
+                        return False
+    return True
+
+
+def test_transversal_check_matches_pairwise_on_logged_states():
+    # every logged state against its own pattern and against each other
+    # pattern of its size, so both verdicts come up
+    for horizon in (7, 80):
+        for reqs in priority_scenarios(horizon):
+            res = priority_build(reqs, horizon)
+            for entry in res.log:
+                for intervals in entry["states"]:
+                    for p in {q for q, _ in reqs if q.size >= len(intervals)}:
+                        assert (check_transversal_realization(res.table, intervals, p)
+                                == pairwise_transversal_realization(res.table, intervals, p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.permutations(range(k))),
+       st.lists(st.integers(0, 5), min_size=1, max_size=4), st.integers(0, 2 ** 30), st.data())
+def test_transversal_check_matches_pairwise_on_random_stacks(values, widths, seed, data):
+    # a stack of contiguous intervals, some empty, on a random table and on
+    # one whose rows are constant over each interval
+    p = perm_to_pattern(Permutation(values))
+    start = data.draw(st.integers(0, 3))
+    intervals = []
+    for w in widths[: p.size]:
+        intervals.append((start, start + w - 1))
+        start += w
+    horizon = start + data.draw(st.integers(1, 3))
+    rng = random.Random(seed)
+    noisy = FiniteColoring.from_function(horizon, lambda x, y: rng.randint(0, 1))
+    block = {x: i for i, (a, b) in enumerate(intervals) for x in range(a, b + 1)}
+
+    def by_pattern(x, y):
+        i, j = block.get(x), block.get(y)
+        if i is None or j is None or i == j:
+            return 0
+        return p.color(min(i, j), max(i, j))
+
+    for table in (noisy, FiniteColoring.from_function(horizon, by_pattern)):
+        assert (check_transversal_realization(table, intervals, p)
+                == pairwise_transversal_realization(table, intervals, p))
 
 
 def test_priority_output_avoids_forbidden_pair_patterns():
@@ -324,7 +383,7 @@ def test_gamma_empty_scripts_shape():
     root = b.root
     # heads ordered first
     assert b.less(0, 1)
-    block0 = [x for x in root.ground[2:] if root.block_of[x] == 0]
+    block0 = [x for x in root.ground[2:] if root.block_of(x) == 0]
     assert all(x not in b.keys for x in block0)  # stays disabled forever
     rest = [x for x in b.members if x not in (0, 1)]
     assert all(b.less(1, x) for x in rest)
@@ -338,11 +397,11 @@ def test_gamma_transition_and_finite_block():
     b = gamma_build("inc", 0, 60, sc)
     assert b.root.transitions, "a witnessed hit must move the disabled index"
     stage, old, new = b.root.transitions[0]
-    assert old == 0 and new == b.root.block_of[3]
+    assert old == 0 and new == b.root.block_of(3)
     # the block disabled at the end collected no members after its stage
     final = b.root.disabled
     late = [x for x in b.root.ground[2:]
-            if b.root.block_of[x] == final and x > stage]
+            if b.root.block_of(x) == final and x > stage]
     assert all(x not in b.keys for x in late)
 
 
@@ -373,11 +432,50 @@ def test_gamma_dec_cut():
             assert b.less(c, a)
 
 
+class DictNode:
+    """The reference's node: an eagerly built subtree whose ground is a
+    list, addressed through dicts from elements to local indices and to
+    blocks."""
+
+    def __init__(self, e, dec, path, ground):
+        self.e = e
+        self.dec = dec
+        self.path = path
+        self.ground = list(ground)
+        self.local = {x: i for i, x in enumerate(self.ground)}
+        width = 2 ** (e + 1)
+        self.heads = self.ground[:width]
+        rest = self.ground[width:]
+        self.block_of = {}
+        self.children = []
+        if rest:  # a wide node with no rest builds no empty blocks
+            grounds = [rest[i::width] for i in range(width)]
+            for i, g in enumerate(grounds):
+                for x in g:
+                    self.block_of[x] = i
+            self.children = [
+                DictNode(e + 1, True, path + (i,), g) for i, g in enumerate(grounds)
+            ]
+        self.disabled = 0
+        self.transitions = []
+        self.cut_from = None
+
+    @property
+    def is_leaf(self):
+        return not self.children
+
+    def cut_level(self, x):
+        if not self.dec or self.cut_from is None:
+            return 0
+        j = self.local[x]
+        return 0 if j < self.cut_from else j - self.cut_from + 1
+
+
 def reference_gamma_build(direction, e, n, scripts):
     """The protocol as first written: every node at every stage, with one
     cached enumeration per level and stage.  Returns the members, keys,
     log and root of the build."""
-    root = GammaNode(e, direction == "dec", (), range(n))
+    root = DictNode(e, direction == "dec", (), range(n))
     member = [False] * n
     log = []
     nodes = []
@@ -448,7 +546,8 @@ def node_states(root):
     stack = [root]
     while stack:
         node = stack.pop()
-        out.append((node.path, node.transitions, node.cut_from, node.disabled))
+        out.append((node.path, list(node.ground), node.heads, node.transitions,
+                    node.cut_from, node.disabled))
         stack.extend(reversed(node.children))
     return out
 
@@ -557,6 +656,78 @@ def test_gamma_wide_node_and_level_contract():
     assert all(b.less(x, x + 1) for x in range(9))
     with pytest.raises(ContractViolation):
         gamma_build("inc", -2, 10)
+
+
+def built_nodes(node):
+    """The nodes of a build reachable through built slots, without
+    building any more."""
+    return [node] + [x for ch in node.slots if ch is not None for x in built_nodes(ch)]
+
+
+def test_gamma_builds_only_the_nodes_it_visits():
+    b = gamma_build("dec", 0, 1200)
+    lazy = len(built_nodes(b.root))
+    every = node_states(b.root)  # forces every node
+    assert len(every) == 1099
+    assert sum(1 for state in every if state[1]) == 177  # nonempty grounds
+    assert lazy < 177
+    assert len(built_nodes(b.root)) == 1099
+
+
+def test_gamma_lazy_nodes_match_reference_states():
+    # scripted and unscripted builds on both sides of the jump in node
+    # count at base index 1, node for node against the eager reference
+    rng = random.Random(11)
+    for n, scripted in ((500, True), (640, True), (640, False)):
+        scripts = {}
+        if scripted:
+            for level in range(4):
+                events = []
+                for _ in range(6):
+                    s = rng.randrange(n // 20, n)
+                    events.append(("", s, sorted(rng.sample(range(s), rng.randint(1, 3)))))
+                scripts[level] = AdversaryScript(f"w{level}", events)
+        for direction in ("inc", "dec"):
+            b = assert_same_build(direction, 1, n, scripts)
+            assert len(node_states(b.root)) == (549 if n == 640 else 37)
+
+
+def test_gamma_block_of_matches_reference_dicts():
+    b = gamma_build("dec", 1, 640)
+    _, _, _, root = reference_gamma_build("dec", 1, 640, {})
+    stack = [(b.root, root)]
+    while stack:
+        node, ref = stack.pop()
+        assert [node.block_of(x) for x in ref.ground] == [ref.block_of.get(x) for x in ref.ground]
+        stack.extend(zip(node.children, ref.children))
+
+
+def test_delta_leaf_pick_closes_with_the_remaining_heads():
+    # bits 1 and 01 pick block 1 at the root and in its child, whose
+    # block 1 is a leaf with six heads; the last three bits pick among them
+    built = gamma_build("inc", 0, 60)
+    _, keys, _, root = reference_gamma_build("inc", 0, 60, {})
+    child = root.children[1]
+    leaf = child.children[1]
+    assert leaf.is_leaf and len(leaf.heads) == 6
+    for j in range(8):
+        res = delta_extract("inc", 0, [1, 0, 1, j >> 2, j >> 1 & 1, j & 1], built)
+        tail = [h for h in leaf.heads[j:] if h in keys]
+        assert res.status == "ok"
+        assert res.sequence == [h for h in (root.heads[1], child.heads[1]) if h in keys] + tail
+        assert res.flags == ([] if tail else [f"leaf choice {j} beyond populated heads"])
+
+
+def test_delta_streams_agree_before_and_after_materializing():
+    built = gamma_build("dec", 0, 800)
+    assert len(built_nodes(built.root)) < 75
+    rng = random.Random(17)
+    streams = [[rng.randint(0, 1) for _ in range(24)] for _ in range(512)]
+    before = [delta_extract("dec", 0, bits, built) for bits in streams]
+    assert len(node_states(built.root)) == 75  # forces every node
+    after = [delta_extract("dec", 0, bits, built) for bits in streams]
+    assert before == after
+    assert {res.status for res in before} == {"ok", "dead_block"}
 
 
 def test_delta_examples():

@@ -493,13 +493,37 @@ README_GOLDEN = [
      "40ca30e5afccad4fee1286f72eca62a0e7b85386a6722e07cc8764fbd7dbdf1c"),
     (["gen", "dipped", "--n", "500"],
      "3964a3f89e65591de2edc2bc6b60775c7f9aeed310b798214681731d6a649a6e"),
+    # scripted builds: cuts and transitions in gamma, injuries in priority
+    (["construct", "gamma", "{dir}/levels.txt", "--direction", "dec", "--e", "0", "--n", "300"],
+     "baecb1be8ccc0b6a835fabebf51cbcb8fcb8f8ce0d36f43def916f21c133cb21"),
+    (["construct", "priority", "{dir}/scenario.json"],
+     "dae37ff62550d720b02e96557bf03d827bca000659c192236ba901e516439949"),
 ]
+
+# the input files the scripted goldens read
+GOLDEN_FILES = {
+    "levels.txt": "\n".join([
+        "e 0 prefix - stage 40 emit 5,9,14",
+        "e 0 prefix - stage 120 emit 31,60",
+        "e 1 prefix - stage 90 emit 10,22,35,47",
+        "e 1 prefix 0 stage 50 emit 12",
+        "e 2 prefix - stage 200 emit 44,71,98,130,150",
+    ]) + "\n",
+    "scenario.json": json.dumps({"horizon": 80, "requirements": [
+        {"pattern": "10", "id": "late", "script": [["", s, [s]] for s in range(26, 80, 7)]},
+        {"pattern": "012", "id": "full", "script": [["", s, [s]] for s in range(80)]},
+        {"pattern": "01", "id": "half",
+         "script": [["0", s, [s, s + 1]] for s in range(0, 80, 3)] + [["1", 30, [31]]]},
+    ]}),
+}
 
 
 @pytest.mark.parametrize("argv, digest", README_GOLDEN,
                          ids=[" ".join(g[0]) for g in README_GOLDEN])
-def test_readme_examples_stdout_pinned(capsys, argv, digest):
-    code, out, err = run(capsys, argv)
+def test_readme_examples_stdout_pinned(capsys, tmp_path, argv, digest):
+    for name, text in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run(capsys, [a.format(dir=tmp_path) for a in argv])
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
