@@ -16,7 +16,6 @@ from fractions import Fraction
 from .errors import ContractViolation, InstanceLoadError, InternalInvariant, RangeError
 from .patterns import (
     FiniteColoring,
-    LinearOrderView,
     Pattern,
     StableColoring,
     VertexSet,
@@ -186,9 +185,6 @@ class PriorityResult:
     requirements: list
     verdicts: list
     log: list
-
-    def order_view(self):
-        return LinearOrderView(self.table)
 
 
 def priority_build(requirements, horizon: int) -> PriorityResult:
@@ -731,6 +727,9 @@ def ads_extract(order, perm: Permutation, horizon: int, target: int = 15,
     out = realize(tree, region)
     if out[0] == "realized":
         witness = VertexSet(out[1])
+        by_order = sorted(witness, key=order_key(less))
+        if tuple(map(by_order.index, witness)) != perm.values:
+            raise InternalInvariant(f"witness {witness} does not realize {perm.to_text()}")
         return AdsOutcome("realized", None, [], witness, None)
     if out[0] == "monotone":
         direction, seq = out[1]

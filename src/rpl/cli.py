@@ -24,7 +24,8 @@ from .build import (
     parse_script_file,
     priority_build,
 )
-from .errors import ContractViolation, DegenerateInstance, InstanceLoadError, RplError
+from .errors import (ContractViolation, DegenerateInstance, InstanceLoadError, InternalInvariant,
+                     RplError)
 from .extract import (
     AdversarialEscapingOracle,
     ReferenceEscapingOracle,
@@ -35,6 +36,7 @@ from .extract import (
 )
 from .fractals import embed_separable, fractal_perm, partition_extract
 from .largeness import (
+    check_witness,
     find_grouping,
     omega_largeness,
     omega_n_decompose,
@@ -392,6 +394,8 @@ def _cmd_large(args, out: _Out) -> int:
             raise _UsageError(f"expected comma-separated integers, got {args.arg!r}") from None
         n = args.level
         witness = omega_n_decompose(elems, n)
+        if witness is not None and not check_witness(witness):
+            raise InternalInvariant("largeness witness failed re-verification")
         verdict = witness is not None
         out.line(f"omega^{n}-large: {'yes' if verdict else 'no'}")
         if witness is not None:

@@ -4,7 +4,8 @@ Four extraction routes share this module: an exhaustive optimum finder
 used as a test oracle, the unbalanced tree extractor for colorings with
 no small clique of one color, a seeded randomized extractor driven by a
 thinning sequence, and an extractor answering to an escaping oracle.
-Block spectra and good/bad block analysis support the latter two.
+The oracle extractor classifies blocks as good or bad with one search,
+_bad_witness; under a good parent at most k - 1 blocks are bad.
 
 An escaping oracle names a value outside a set enumerated against it,
 `pick(enumerated, lo, hi)`; the oracle extractor and the escaping
@@ -42,7 +43,6 @@ from .patterns import (
     _ascending_search,
     _realization_search,
     find_realization,
-    realizes,
 )
 
 BRUTE_FORCE_CAP = 24
@@ -219,76 +219,6 @@ def unbalanced_extract(f, k: int, horizon: int) -> UnbalancedResult:
     parents_above = 1 if level == 1 else populations[level - 2]
     bound = max(1, top // max(1, parents_above))
     return UnbalancedResult(result, level, populations, bound)
-
-
-# ---------------------------------------------------------------------------
-# Good/bad block analysis
-
-
-@dataclass
-class BlockVerdict:
-    index: int
-    good: bool
-    witness: VertexSet | None  # a full sub-fractal settling to the wrong color
-
-
-@dataclass
-class GoodBadReport:
-    arity: int
-    dim: int
-    k: int
-    color: int
-    occurrence: VertexSet
-    occurrence_good: bool
-    blocks: list
-    bound_respected: bool
-
-    @property
-    def bad_count(self) -> int:
-        return sum(1 for b in self.blocks if not b.good)
-
-
-def _bad_witness(f: StableColoring, vertices, k: int, dim: int, color: int):
-    """A k-ary dimension-dim sub-occurrence among the elements settling to
-    the wrong color, or None."""
-    pool = [x for x in vertices if f.limit(x) == 1 - color]
-    if len(pool) < k**dim:
-        return None
-    return find_realization(f, pool, fractal_pattern(k, dim), budget=None)
-
-
-def analyze_blocks(
-    f: StableColoring, occurrence, arity: int, dim: int, k: int, color: int
-) -> GoodBadReport:
-    """Classify each block of a fractal occurrence as good or bad.
-
-    A block is bad for the color when it contains a full k-ary sub-fractal
-    one dimension lower, all of whose elements settle to the opposite
-    color.  When the occurrence itself is good, more than k-1 bad blocks
-    are impossible (their witnesses would assemble into a bad sub-fractal
-    of the occurrence), so that bound is asserted; a bad occurrence gets
-    its verdicts reported without the assertion.
-    """
-    occ = VertexSet(occurrence)
-    if dim < 1:
-        raise ContractViolation("block analysis needs dimension >= 1")
-    if k > arity:
-        raise ContractViolation(f"k={k} exceeds the arity {arity}")
-    if not realizes(f, occ, fractal_pattern(arity, dim)):
-        raise ContractViolation("occurrence does not realize the declared fractal")
-    verdicts = []
-    for idx, block in enumerate(occurrence_blocks(occ, arity, dim)):
-        witness = _bad_witness(f, block, k, dim - 1, color)
-        verdicts.append(BlockVerdict(idx, witness is None, witness))
-    occurrence_good = _bad_witness(f, occ, k, dim, color) is None
-    bad = sum(1 for v in verdicts if not v.good)
-    if occurrence_good and bad > k - 1:
-        raise InternalInvariant(
-            f"good occurrence with {bad} bad blocks contradicts the k-1 bound"
-        )
-    return GoodBadReport(
-        arity, dim, k, color, occ, occurrence_good, verdicts, bad <= k - 1
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -584,60 +514,6 @@ def randomized_extract(
 
 
 # ---------------------------------------------------------------------------
-# Spectrum and trace
-
-
-@dataclass
-class BlockSpectrum:
-    arity: int
-    dim: int
-    k: int
-    color: int
-    spectrum: frozenset
-    traces: dict
-
-    @property
-    def rightmost(self) -> tuple:
-        return max(self.spectrum)
-
-
-def compute_spectrum_trace(
-    f: StableColoring, occurrence, arity: int, dim: int, k: int, color: int
-) -> BlockSpectrum:
-    """Inductive record of bad-block skips down a fractal occurrence.
-
-    At each level a string entry counts how many of the first bad blocks
-    were skipped (at most k-1); the descent continues into the least block
-    outside that skip list.  A skip count of zero is always defined, even
-    with no bad blocks, so an all-good occurrence has exactly the all-zero
-    string.  Each trace lists the blocks witnessing its string; the trace
-    of a full-length string ends in a singleton.
-    """
-    occ = VertexSet(occurrence)
-    if k > arity:  # k - 1 skipped bad blocks must leave one to descend into
-        raise ContractViolation(f"k={k} exceeds the arity {arity}")
-
-    def recurse(vertices: VertexSet, d: int) -> dict:
-        if d == 0:
-            return {(): []}
-        blocks = occurrence_blocks(vertices, arity, d)
-        bads = [
-            i for i, blk in enumerate(blocks)
-            if _bad_witness(f, blk, k, d - 1, color) is not None
-        ]
-        out = {}
-        for ell in range(0, min(len(bads), k - 1) + 1):
-            skipped = set(bads[:ell])
-            target = next(i for i in range(arity) if i not in skipped)
-            for tau, trace in recurse(blocks[target], d - 1).items():
-                out[(ell,) + tau] = [blocks[target]] + trace
-        return out
-
-    traces = recurse(occ, dim)
-    return BlockSpectrum(arity, dim, k, color, frozenset(traces), traces)
-
-
-# ---------------------------------------------------------------------------
 # Oracle-driven extraction
 
 
@@ -670,6 +546,15 @@ class OracleOutcome:
     color: int
     transcript: list
     failure: dict | None
+
+
+def _bad_witness(f: StableColoring, vertices, k: int, dim: int, color: int):
+    """A k-ary dimension-dim sub-occurrence among the elements settling to
+    the wrong color, or None: a block holding one is bad for the color."""
+    pool = [x for x in vertices if f.limit(x) == 1 - color]
+    if len(pool) < k**dim:
+        return None
+    return find_realization(f, pool, fractal_pattern(k, dim), budget=None)
 
 
 def oracle_extract(

@@ -24,7 +24,6 @@ from .patterns import (
     VertexSet,
     _ascending_search,
     find_realization,
-    order_key,
     realizes,
 )
 from .perms import is_convergent
@@ -102,8 +101,9 @@ def is_omega_n_large(elements, n: int) -> bool:
 
 
 def check_witness(w: LargeWitness) -> bool:
-    """A witness tree really decomposes its elements: blocks sit past the
-    minimum, in increasing disjoint order, min-many of them."""
+    """A witness tree really decomposes its elements: blocks one level
+    down sit past the minimum, in increasing disjoint order, min-many of
+    them."""
     xs = list(w.elements)
     if w.level == 0:
         return bool(xs)
@@ -114,7 +114,7 @@ def check_witness(w: LargeWitness) -> bool:
     prev_max = xs[0]
     pool = set(xs)
     for blk in w.blocks:
-        if not blk.elements or min(blk.elements) <= prev_max:
+        if blk.level != w.level - 1 or not blk.elements or min(blk.elements) <= prev_max:
             return False
         if not set(blk.elements) <= pool:
             return False
@@ -185,15 +185,12 @@ def _constant_across(f, blocks) -> bool:
 
 
 def _minimal_large_prefix(notion: LargenessPredicate, pool: list) -> list | None:
-    """Shortest large prefix of the pool.  Largeness is closed under
-    superset, so the prefix length is found by doubling it until the
-    prefix is large (the whole pool last), then bisecting below that.
-
-    The pool need not ascend (order-sorted reservoirs); largeness always
-    judges the prefix as a set of naturals.
+    """Shortest large prefix of the ascending pool.  The omega notion
+    carves it directly.  Otherwise, since largeness is closed under
+    superset, the prefix length is found by doubling it until the prefix
+    is large (the whole pool last), then bisecting below that.
     """
-    ascending = all(a < b for a, b in zip(pool, pool[1:]))
-    if notion.kind == "omega" and ascending:
+    if notion.kind == "omega":
         carved = _carve_prefix(pool, notion.level)
         return pool[: carved[0]] if carved else None
     n = len(pool)
@@ -254,30 +251,6 @@ def find_grouping(f, notion: LargenessPredicate, count: int, horizon: int) -> Gr
     return grouping
 
 
-def increasing_large_sequence(order, notion: LargenessPredicate, k: int,
-                              horizon: int) -> list:
-    """k blocks, each large, each strictly above the previous one in the
-    order: carve minimal large prefixes of the order-sorted reservoir.
-
-    Returns fewer blocks when the tail runs out; callers read the length
-    as the reached depth.
-    """
-    key = order_key(order.less)
-    pool = sorted(range(min(horizon, order.horizon)), key=key)
-    out: list = []
-    pos = 0
-    while len(out) < k and pos < len(pool):
-        block = _minimal_large_prefix(notion, pool[pos:])
-        if block is None:
-            break
-        out.append(VertexSet(block))
-        pos += len(block)
-    for a, b in zip(out, out[1:]):
-        if not order.less(max(a, key=key), min(b, key=key)):
-            raise InternalInvariant("blocks are not order-increasing")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Groupings to homogeneous sets
 
@@ -327,22 +300,6 @@ class EmOutcome:
     vertices: VertexSet | None
 
 
-def check_two_step_transfer(f, a: int, b: int, c: int, d: int, i: int) -> bool:
-    """The transfer fact behind the grouping construction: with a,b joined
-    by color i, both pointing at c with the opposite color, and the
-    ambient coloring transitive and free of the two forbidden size-4
-    permutations, any later d sees a and b with one color.
-
-    Returns whether the conclusion f(a,d) = f(b,d) holds; callers feed
-    triples satisfying the hypothesis.
-    """
-    if not (a < b < c < d):
-        raise ContractViolation("need a < b < c < d")
-    if f.color(a, b) != i or f.color(a, c) != 1 - i or f.color(b, c) != 1 - i:
-        raise ContractViolation("hypothesis colors do not match")
-    return f.color(a, d) == f.color(b, d)
-
-
 def em_grouping_extract(f: StableColoring, n: int, horizon: int,
                         count: int = 4) -> EmOutcome:
     """Extract a level-n grouping from a transitive coloring avoiding the
@@ -351,7 +308,9 @@ def em_grouping_extract(f: StableColoring, n: int, horizon: int,
     The loop gathers a level-n-large block homogeneous in the working
     color, a later witness seeing the block minimum in the opposite color,
     then thins the reservoir to the elements the minimum settles against;
-    the transfer fact makes cross colors constant block to block.  When no
+    the transfer fact makes cross colors constant block to block: if
+    a < b < c, color(a, b) = i and color(a, c) = color(b, c) = 1 - i, then
+    every d > c has color(a, d) = color(b, d).  When no
     witness exists for any candidate block, the block minima themselves
     accumulate into a homogeneous set, returned labeled as such.  Color 0
     is tried first; color 1 when color 0 gives neither minima nor two

@@ -530,8 +530,3 @@ class LinearOrderView:
         if x < y:
             return self.coloring.color(x, y) == 0
         return self.coloring.color(y, x) == 1
-
-    def check_transitive(self) -> bool:
-        """The order is a tournament, so it is transitive iff it has no
-        3-cycle, which is the test of is_transitive."""
-        return is_transitive(self.coloring)

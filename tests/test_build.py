@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import pat, perm
+from conftest import order_type, pat, perm
 from test_acceptance import priority_scenarios
+from rpl import build
 from rpl.build import (
     AdversaryScript,
     GammaNode,
@@ -23,10 +24,11 @@ from rpl.build import (
     parse_script_file,
     priority_build,
 )
-from rpl.errors import ContractViolation, InstanceLoadError, RangeError
+from rpl.errors import ContractViolation, InstanceLoadError, InternalInvariant, RangeError
 from rpl.extract import AdversarialEscapingOracle, ReferenceEscapingOracle
 from rpl.instances import dipped_split_order
-from rpl.patterns import FiniteColoring, LinearOrderView, StableColoring, avoids, is_transitive
+from rpl.patterns import (FiniteColoring, LinearOrderView, StableColoring, VertexSet, avoids,
+                          is_transitive)
 from rpl.perms import Permutation, perm_to_pattern
 
 
@@ -166,7 +168,7 @@ def test_priority_single_requirement_trace():
     # commitments followed the pattern: the pair (0, 1) has color p(0,1)=0
     assert res.table.color(0, 1) == 0
     assert check_state_properties(res) == []
-    assert res.order_view().check_transitive()
+    assert is_transitive(res.table)
 
 
 def test_priority_injury_logged():
@@ -176,7 +178,7 @@ def test_priority_injury_logged():
     assert injuries, "the late high-priority action must reset the lower state"
     assert all(v.kind == "realized" for v in res.verdicts)
     assert check_state_properties(res) == []
-    assert res.order_view().check_transitive()
+    assert is_transitive(res.table)
 
 
 def test_priority_measure_bounded_requirement():
@@ -773,7 +775,7 @@ def test_mirror_three_cases():
 
 def test_mirror_to_stable_is_transitive_split():
     st = mirror_double(chain_order(40)).to_stable()
-    assert LinearOrderView(st).check_transitive()
+    assert is_transitive(st)
     assert st.limits[:6] == (0, 1, 0, 1, 0, 1)
     assert avoids(st, range(60), pat("1302"))
     assert avoids(st, range(60), pat("2031"))
@@ -827,13 +829,17 @@ def test_ads_realization_certificate():
     # an order containing the pattern: the walk surfaces a verified witness
     src = SimpleOrder(30, {x: ((x * 11) % 30,) for x in range(30)})
     out = ads_extract(src, perm("2301"), 30, target=25, tail_threshold=3)
-    if out.status == "realized":
-        ranks = [(x * 11) % 30 for x in out.witness]
-        from conftest import order_type
+    assert out.status == "realized"
+    assert out.witness == VertexSet([2, 5, 6, 7])
+    assert order_type([(x * 11) % 30 for x in out.witness]) == (2, 3, 0, 1)
 
-        assert order_type(ranks) == (2, 3, 0, 1)
-    else:
-        assert out.status in ("monotone", "inconclusive")
+
+def test_ads_rejects_a_wrong_witness(monkeypatch):
+    # a walk that returns a non-realization is caught before it is reported
+    monkeypatch.setattr(build, "VertexSet", lambda xs: VertexSet([0, 1, 2, 3]))
+    src = SimpleOrder(30, {x: ((x * 11) % 30,) for x in range(30)})
+    with pytest.raises(InternalInvariant, match="does not realize 2301"):
+        ads_extract(src, perm("2301"), 30, target=25, tail_threshold=3)
 
 
 def test_ads_inconclusive_on_tiny_region():

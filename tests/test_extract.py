@@ -21,9 +21,7 @@ from rpl.extract import (
     ExtractionConfig,
     ReferenceEscapingOracle,
     _extractor_block,
-    analyze_blocks,
     brute_force_max_homogeneous,
-    compute_spectrum_trace,
     default_config,
     extraction_color,
     find_homogeneous_block,
@@ -33,6 +31,7 @@ from rpl.extract import (
     unbalanced_extract,
     verify_homogeneous,
 )
+from rpl.fractals import fractal_pattern, occurrence_blocks
 from rpl.instances import (
     alternating_stable,
     blocked_split_order,
@@ -44,7 +43,7 @@ from rpl.instances import (
     single_zero_edge,
     split_order_coloring,
 )
-from rpl.patterns import FiniteColoring, StableColoring, VertexSet
+from rpl.patterns import FiniteColoring, StableColoring, VertexSet, realizes
 
 
 FIXTURE = interleaved_split_order(10_000, seed=123, top_fraction=0.34)
@@ -551,91 +550,46 @@ def test_randomized_degenerate_instance():
 
 
 # ---------------------------------------------------------------------------
-# Good/bad blocks and spectra
+# Good and bad blocks
 
 
-def test_analyze_blocks_all_good_and_all_bad():
+def bad_blocks(f, occ, arity, dim, k, color):
+    """Indices of the blocks of a fractal occurrence that _bad_witness
+    finds bad."""
+    return [i for i, blk in enumerate(occurrence_blocks(VertexSet(occ), arity, dim))
+            if extract._bad_witness(f, blk, k, dim - 1, color) is not None]
+
+
+def test_bad_witness_classifies_blocks():
     good = build_occurrence([1] * 4 + [0] * 4, DIM2_PAIRS)
-    rep = analyze_blocks(good, [0, 1, 2, 3], 2, 2, 2, 1)
-    assert rep.occurrence_good and rep.bad_count == 0
+    assert extract._bad_witness(good, [0, 1, 2, 3], 2, 2, 1) is None
+    assert bad_blocks(good, [0, 1, 2, 3], 2, 2, 2, 1) == []
 
     bad = build_occurrence([0] * 8, DIM2_PAIRS)
-    rep = analyze_blocks(bad, [0, 1, 2, 3], 2, 2, 2, 1)
-    assert not rep.occurrence_good
-    assert rep.bad_count == 2
-    for v in rep.blocks:
-        assert not v.good and v.witness is not None
+    assert extract._bad_witness(bad, [0, 1, 2, 3], 2, 2, 1) is not None
+    assert bad_blocks(bad, [0, 1, 2, 3], 2, 2, 2, 1) == [0, 1]
 
-
-def test_analyze_blocks_single_bad():
     want = {(0, 1): 0, (0, 2): 0, (1, 2): 0}
-    f = build_occurrence([0, 1, 1, 0, 0, 0, 0, 0], want)
-    rep = analyze_blocks(f, [0, 1, 2], 3, 1, 2, 1)
-    assert rep.occurrence_good
-    assert rep.bad_count == 1
-    assert rep.blocks[0].good is False and rep.blocks[0].witness == VertexSet([0])
-
-
-def test_analyze_blocks_contract():
-    f = build_occurrence([1] * 8, {})
-    with pytest.raises(ContractViolation):
-        analyze_blocks(f, [0, 1, 2, 3], 2, 2, 2, 1)  # not a fractal occurrence
-
-
-def test_block_analyses_reject_k_above_arity():
-    # every block is bad and k - 1 = 2 skips would cover both blocks; the
-    # k - 1 bound that analyze_blocks reports would hold vacuously
-    bad = build_occurrence([0] * 8, DIM2_PAIRS)
-    with pytest.raises(ContractViolation, match="exceeds the arity"):
-        analyze_blocks(bad, [0, 1, 2, 3], 2, 2, 3, 1)
-    with pytest.raises(ContractViolation, match="exceeds the arity"):
-        compute_spectrum_trace(bad, [0, 1, 2, 3], 2, 2, 3, 1)
+    one_bad = build_occurrence([0, 1, 1, 0, 0, 0, 0, 0], want)
+    assert extract._bad_witness(one_bad, [0, 1, 2], 2, 1, 1) is None
+    assert bad_blocks(one_bad, [0, 1, 2], 3, 1, 2, 1) == [0]
+    assert extract._bad_witness(one_bad, [0], 2, 0, 1) == VertexSet([0])
 
 
 def test_bad_block_bound_randomized():
-    # good occurrences never show more than k-1 bad blocks
+    # the k - 1 bound oracle_extract relies on: under a good occurrence at
+    # most k - 1 = 1 of its blocks is bad
     rng = random.Random(17)
-    checked = 0
-    while checked < 500:
+    occ = VertexSet([0, 1, 2, 3])
+    seen = {}  # bad-block count under a good occurrence -> cases
+    for _ in range(500):
         limits = [rng.randint(0, 1) for _ in range(8)]
         f = build_occurrence(limits, DIM2_PAIRS)
-        rep = analyze_blocks(f, [0, 1, 2, 3], 2, 2, 2, 1)
-        if rep.occurrence_good:
-            assert rep.bad_count <= 1
-            checked += 1
-        else:
-            checked += 1  # analyze_blocks already asserted nothing extra
-
-
-def test_spectrum_examples():
-    st0 = compute_spectrum_trace(build_occurrence([1] * 8, {}), [5], 2, 0, 2, 1)
-    assert st0.spectrum == frozenset({()})
-    assert st0.traces[()] == []
-
-    all_good = build_occurrence([1] * 4 + [0] * 4, DIM2_PAIRS)
-    st = compute_spectrum_trace(all_good, [0, 1, 2, 3], 2, 2, 2, 1)
-    assert st.spectrum == frozenset({(0, 0)})
-    assert [tuple(b) for b in st.traces[(0, 0)]] == [(0, 1), (0,)]
-
-    one_bad = build_occurrence([0, 0, 1, 1, 0, 0, 0, 0], DIM2_PAIRS)
-    st = compute_spectrum_trace(one_bad, [0, 1, 2, 3], 2, 2, 2, 1)
-    assert (0, 0) in st.spectrum and (1, 0) in st.spectrum
-    assert any(s[0] == 0 for s in st.spectrum) and any(s[0] == 1 for s in st.spectrum)
-
-
-def test_spectrum_rightmost_trace_is_good():
-    rng = random.Random(23)
-    for _ in range(80):
-        limits = [rng.randint(0, 1) for _ in range(8)]
-        f = build_occurrence(limits, DIM2_PAIRS)
-        rep = analyze_blocks(f, [0, 1, 2, 3], 2, 2, 2, 1)
-        if not rep.occurrence_good:
-            continue
-        st = compute_spectrum_trace(f, [0, 1, 2, 3], 2, 2, 2, 1)
-        trace = st.traces[st.rightmost]
-        final = trace[-1]
-        assert len(final) == 1
-        assert f.limit(final[0]) != 0  # does not settle to the wrong color
+        assert realizes(f, occ, fractal_pattern(2, 2))
+        if extract._bad_witness(f, occ, 2, 2, 1) is None:
+            bad = len(bad_blocks(f, occ, 2, 2, 2, 1))
+            seen[bad] = seen.get(bad, 0) + 1
+    assert set(seen) == {0, 1}  # both cases occur, and no more bad blocks
 
 
 # ---------------------------------------------------------------------------

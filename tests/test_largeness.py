@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import pat
 from rpl import largeness
-from rpl.build import SimpleOrder, chain_order, mirror_double
+from rpl.build import chain_order, mirror_double
 from rpl.errors import ContractViolation, DegenerateInstance
 from rpl.instances import (
     constant_coloring,
@@ -16,15 +16,14 @@ from rpl.instances import (
 )
 from rpl.largeness import (
     Grouping,
+    LargeWitness,
     LargenessPredicate,
     _minimal_large_prefix,
     _homog_large_block,
-    check_two_step_transfer,
     check_witness,
     em_grouping_extract,
     find_grouping,
     grouping_to_homogeneous,
-    increasing_large_sequence,
     is_omega_n_large,
     minimal_large_size,
     omega_largeness,
@@ -109,6 +108,9 @@ def test_level_zero_and_examples():
     w = omega_n_decompose(big, 2)
     assert [b.elements for b in w.blocks] == [(3, 4, 5, 6), tuple(range(7, 15))]
     assert check_witness(w)
+    # the same blocks claiming level 0 do not witness level 2
+    flat = LargeWitness(w.elements, 2, [LargeWitness(b.elements, 0, []) for b in w.blocks])
+    assert not check_witness(flat)
 
 
 def test_zero_min_quirk():
@@ -268,28 +270,6 @@ def test_pattern_largeness_grouping():
     assert all(len(b) >= 3 for b in g.blocks)
 
 
-def test_increasing_large_sequence_identity():
-    seq = increasing_large_sequence(chain_order(40), omega_largeness(1), 3, 40)
-    assert [tuple(b) for b in seq] == [(0,), (1, 2), (3, 4, 5, 6)]
-    single = increasing_large_sequence(chain_order(40), omega_largeness(1), 1, 40)
-    assert len(single) == 1
-
-
-def test_increasing_large_sequence_reversed():
-    rev = SimpleOrder(40, {x: (-x,) for x in range(40)})
-    seq = increasing_large_sequence(rev, omega_largeness(1), 2, 40)
-    assert len(seq) == 2
-    # blocks ascend in the order: decreasing in naturals
-    assert max(seq[0]) > max(seq[1]) or min(seq[0]) > max(seq[1])
-    a_top = min(seq[0])  # order is reversed, so the order-max is the nat-min
-    assert all(x < a_top for x in seq[1]) or all(x > a_top for x in seq[1])
-
-
-def test_increasing_large_sequence_partial_depth():
-    seq = increasing_large_sequence(chain_order(6), omega_largeness(1), 5, 6)
-    assert 1 <= len(seq) < 5  # tail exhaustion reports the reached depth
-
-
 # ---------------------------------------------------------------------------
 # Grouping to homogeneous
 
@@ -358,15 +338,9 @@ def test_two_step_transfer_on_dipped_fixture():
             for c in range(b + 1, 48):
                 if st.color(a, c) == 1 and st.color(b, c) == 1:
                     for d in range(c + 1, min(c + 20, 200)):
-                        assert check_two_step_transfer(st, a, b, c, d, 0)
+                        assert st.color(a, d) == st.color(b, d)
                         checked += 1
     assert checked > 0
-
-
-def test_two_step_transfer_contract():
-    st = dipped_split_order(60)
-    with pytest.raises(ContractViolation):
-        check_two_step_transfer(st, 3, 2, 5, 9, 0)
 
 
 def test_large_block_search_is_least_first():
@@ -464,9 +438,9 @@ def test_minimal_large_prefix_bisects_to_linear_answer(data):
     m = data.draw(st.integers(1, 4), label="m")
     p = Pattern(m, data.draw(st.lists(st.integers(0, 1), min_size=m * (m - 1) // 2,
                                       max_size=m * (m - 1) // 2)))
-    # order-sorted reservoirs hand over pools that do not ascend
+    # find_grouping hands over ascending pools: a sorted prefix of a permutation
     pool = data.draw(st.permutations(range(n)).flatmap(
-        lambda perm: st.integers(0, n).map(lambda k: list(perm[:k]))), label="pool")
+        lambda perm: st.integers(0, n).map(lambda k: sorted(perm[:k]))), label="pool")
     for notion in (pattern_largeness(p, f), omega_largeness(data.draw(st.integers(0, 2)))):
         assert _minimal_large_prefix(notion, pool) == linear_large_prefix(notion, pool)
 
