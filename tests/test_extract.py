@@ -560,7 +560,7 @@ def bad_blocks(f, occ, arity, dim, k, color):
             if extract._bad_witness(f, blk, k, dim - 1, color) is not None]
 
 
-def test_bad_witness_classifies_blocks():
+def test_analyze_blocks_all_good_and_all_bad():
     good = build_occurrence([1] * 4 + [0] * 4, DIM2_PAIRS)
     assert extract._bad_witness(good, [0, 1, 2, 3], 2, 2, 1) is None
     assert bad_blocks(good, [0, 1, 2, 3], 2, 2, 2, 1) == []
@@ -569,6 +569,8 @@ def test_bad_witness_classifies_blocks():
     assert extract._bad_witness(bad, [0, 1, 2, 3], 2, 2, 1) is not None
     assert bad_blocks(bad, [0, 1, 2, 3], 2, 2, 2, 1) == [0, 1]
 
+
+def test_analyze_blocks_single_bad():
     want = {(0, 1): 0, (0, 2): 0, (1, 2): 0}
     one_bad = build_occurrence([0, 1, 1, 0, 0, 0, 0, 0], want)
     assert extract._bad_witness(one_bad, [0, 1, 2], 2, 1, 1) is None
