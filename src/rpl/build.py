@@ -607,32 +607,15 @@ def delta_extract(direction: str, e: int, bits, built: BuiltOrder) -> DeltaResul
 # Mirror doubling
 
 
-@dataclass
-class MirrorOrder:
-    """Two copies of a source order, evens carrying the copy and odds the
-    reversed copy above it."""
-
-    source: object
-    horizon: int
-
-    def less(self, a: int, b: int) -> bool:
-        if a == b:
-            return False
-        if a % 2 == 0 and b % 2 == 0:
-            return self.source.less(a // 2, b // 2)
-        if a % 2 == 0 and b % 2 == 1:
-            return True
-        if a % 2 == 1 and b % 2 == 1:
-            return self.source.less(b // 2, a // 2)
-        return False
-
-    def to_stable(self) -> StableColoring:
-        """Read the order as a coloring and declare its limit data."""
-        return StableColoring.from_function(self.horizon, lambda x, y: 0 if self.less(x, y) else 1)
-
-
-def mirror_double(source) -> MirrorOrder:
-    return MirrorOrder(source, 2 * source.horizon)
+def mirror_double(source: SimpleOrder) -> SimpleOrder:
+    """Two copies of a source order: 2x carries the copy of x, 2x + 1 the
+    reversed copy above every even element.  If x ranks r of n in the
+    source, 2x gets key (r,) and 2x + 1 the key (2n - 1 - r,)."""
+    n = source.horizon
+    keys = {}
+    for r, x in enumerate(sorted(range(n), key=source.keys.__getitem__)):
+        keys[2 * x], keys[2 * x + 1] = (r,), (2 * n - 1 - r,)
+    return SimpleOrder(2 * n, keys)
 
 
 # ---------------------------------------------------------------------------

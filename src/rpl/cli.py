@@ -47,7 +47,6 @@ from .patterns import (
     StableColoring,
     VertexSet,
     find_realization,
-    order_key,
     realizes,
 )
 from .perms import (
@@ -151,7 +150,7 @@ def load_coloring(path: str):
     if stripped.startswith("{"):
         try:
             return StableColoring.from_json_dict(json.loads(text))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, ContractViolation) as exc:
             raise InstanceLoadError(path, 1, f"bad stable record: {exc}")
     return FiniteColoring.from_text(text, path)
 
@@ -279,11 +278,29 @@ def _cmd_fractal(args, out: _Out) -> int:
         n = _int_arg(args.c, "dimension")
         if args.arg is None:
             raise _UsageError("missing vertex-color file")
-        with open(args.arg) as fh:
-            bits = [int(ch) for ch in fh.read() if ch in "01"]
-        side, positions = partition_extract(a, b, n, lambda v: bits[v])
+        side, positions = partition_extract(a, b, n, _vertex_colors(args.arg))
         out.line(f"color {side} " + ",".join(str(v) for v in positions))
     return 0
+
+
+def _vertex_colors(path: str):
+    """The vertex-color file as a function of the vertex: its 0s and 1s in
+    order, whitespace anywhere.  Another character, or a vertex past the
+    last color, raises InstanceLoadError."""
+    with open(path) as fh:
+        text = fh.read()
+    bad = next((i for i, ch in enumerate(text) if ch not in "01" and not ch.isspace()), None)
+    if bad is not None:
+        raise InstanceLoadError(path, text.count("\n", 0, bad) + 1, f"{text[bad]!r} is not a color 0 or 1")
+    colors = [int(ch) for ch in "".join(text.split())]
+
+    def color(v: int) -> int:
+        if v >= len(colors):
+            raise InstanceLoadError(path, text.count("\n") + 1,
+                                    f"no color for vertex {v}: the file gives {len(colors)}")
+        return colors[v]
+
+    return color
 
 
 def _cmd_extract(args, out: _Out) -> int:
@@ -381,7 +398,7 @@ def _cmd_construct(args, out: _Out) -> int:
         out.line(_dump({"flags": res.flags, "bits_used": res.bits_used}))
         return 0
     order = mirror_double(chain_order(args.n))  # mirror
-    ordered = sorted(range(order.horizon), key=order_key(order.less))
+    ordered = sorted(range(order.horizon), key=order.keys.__getitem__)
     out.line("order " + ",".join(str(x) for x in ordered))
     return 0
 
@@ -509,7 +526,7 @@ def _bit_string(text: str) -> str:
 def _build_parser() -> _Parser:
     p = _Parser(prog="rpl", description="pattern-avoidance laboratory")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizon", type=int, default=200)
+    p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--budget", type=int, default=10**6)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -596,7 +613,9 @@ def run_command(argv) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
-    args.horizon_set = any(a == "--horizon" or a.startswith("--horizon=") for a in argv)
+    args.horizon_set = args.horizon is not None
+    if not args.horizon_set:
+        args.horizon = 200
     out = _Out(args.out)
     try:
         code = _DISPATCH[args.verb](args, out)

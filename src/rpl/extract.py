@@ -35,7 +35,7 @@ from .errors import (
     RangeError,
     ResourceLimit,
 )
-from .fractals import fractal_pattern, navigate, occurrence_blocks
+from .fractals import fractal_pattern, level_color, navigate, occurrence_blocks
 from .patterns import (
     BACKTRACK,
     StableColoring,
@@ -455,11 +455,6 @@ class RandomizedOutcome:
     transcript: list
 
 
-def extraction_color(block_dim: int) -> int:
-    """Stem color for extraction over blocks of the given dimension."""
-    return 1 if block_dim % 2 == 0 else 0
-
-
 def randomized_extract(
     f: StableColoring, k: int, n: int, cfg: ExtractionConfig
 ) -> RandomizedOutcome:
@@ -478,7 +473,7 @@ def randomized_extract(
     if k < 1:
         raise ContractViolation("fractal arity k must be >= 1")
     d = n - 1
-    color = extraction_color(d)
+    color = level_color(d)
     rng = random.Random(cfg.seed)
     horizon = min(cfg.horizon, f.horizon)
     cond = StemCondition(color, [], range(horizon))
@@ -582,7 +577,7 @@ def oracle_extract(
     if steps < 1:
         raise ContractViolation(f"steps={steps} must be >= 1")
     d = n - 1
-    color = extraction_color(d)
+    color = level_color(d)
     horizon = min(horizon, f.horizon)
     cond = StemCondition(color, [], range(horizon))
     transcript: list[dict] = []

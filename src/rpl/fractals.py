@@ -12,16 +12,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import ContractViolation, InternalInvariant, RangeError, ResourceLimit
-from .patterns import Pattern, VertexSet, iter_pairs, realizes
-from .perms import (
-    Permutation,
-    SeparatingTree,
-    direct_sum,
-    perm_coloring,
-    perm_to_pattern,
-    separating_tree,
-    skew_sum,
-)
+from .patterns import Pattern, VertexSet, iter_pairs
+from .perms import Permutation, SeparatingTree, direct_sum, perm_to_pattern, separating_tree, skew_sum
 
 SIZE_CAP = 1 << 15
 
@@ -57,16 +49,14 @@ def level_color(n: int) -> int:
 
 def fractal_pair_color(k: int, n: int, x: int, y: int) -> int:
     """Color of the position pair (x, y) inside the k-ary dimension-n
-    fractal, computed from the first base-k digit where x and y differ."""
+    fractal, computed from the first base-k digit where x and y differ:
+    the level above which their digits agree."""
     if not 0 <= x < y < k**n:
         raise ContractViolation("need 0 <= x < y < k**n")
-    for depth in range(n):
-        width = k ** (n - depth - 1)
-        if x // width != y // width:
-            return level_color(n - depth)
-        x %= width
-        y %= width
-    raise InternalInvariant("distinct positions share all digits")
+    level = 0
+    while x != y:
+        x, y, level = x // k, y // k, level + 1
+    return level_color(level)
 
 
 def navigate(k: int, n: int, path) -> tuple[int, int]:
@@ -107,8 +97,9 @@ def embed_separable(perm: Permutation, k: int) -> tuple[int, VertexSet]:
     dimension 0; an operator node lands at the smallest dimension of the
     right parity strictly above all its children, each child placed in its
     own block (wide nodes are folded into nested same-operator groups).
-    The returned positions are re-verified to realize the permutation
-    inside the fractal before returning.
+    The returned positions are re-verified, pair by pair from their
+    base-k digits, to induce the permutation's pattern in the fractal;
+    no fractal is built, so the dimension has no size cap.
     """
     if k < 2:
         raise ContractViolation("embedding needs arity >= 2")
@@ -140,8 +131,7 @@ def embed_separable(perm: Permutation, k: int) -> tuple[int, VertexSet]:
 
     dim, positions = place(tree)
     out = VertexSet(positions)
-    host = perm_coloring(fractal_perm(k, dim))
-    if not realizes(host, out, perm_to_pattern(perm)):
+    if not _induces(out, k, dim, perm_to_pattern(perm)):
         raise InternalInvariant(
             f"embedding of {perm.to_text()} into arity-{k} dimension-{dim} "
             "fractal failed re-verification"
@@ -197,9 +187,14 @@ def partition_extract(a: int, b: int, n: int, vertex_colors) -> tuple[int, Verte
 def is_subfractal(positions, ambient_k: int, ambient_n: int, arity: int) -> bool:
     """Positions inside the ambient fractal induce the arity-ary fractal
     pattern of the same dimension."""
+    return _induces(positions, ambient_k, ambient_n, fractal_pattern(arity, ambient_n))
+
+
+def _induces(positions, k: int, n: int, want: Pattern) -> bool:
+    """The ascending positions, one per position of want, lie inside the
+    k-ary dimension-n fractal and carry want's colors by fractal_pair_color."""
     pos = list(positions)
-    want = fractal_pattern(arity, ambient_n)
-    for (i, j) in iter_pairs(len(pos)):
-        if fractal_pair_color(ambient_k, ambient_n, pos[i], pos[j]) != want.color(i, j):
-            return False
-    return True
+    if len(pos) != want.size or pos[-1] >= k**n:
+        return False
+    return all(fractal_pair_color(k, n, pos[i], pos[j]) == want.color(i, j)
+               for i, j in iter_pairs(len(pos)))

@@ -93,6 +93,8 @@ def grouped_unbalanced(n: int, k: int, seed: int) -> FiniteColoring:
 def repaired_random_unbalanced(n: int, k: int, seed: int) -> FiniteColoring:
     """Random sparse-0 coloring (each pair 0 with chance 0.06) with every
     0-homogeneous k-set destroyed by flipping one of its pairs to 1."""
+    if k < 2:
+        raise ContractViolation("need k >= 2")
     rng = random.Random(seed)
     bits = {}
     for x in range(n):

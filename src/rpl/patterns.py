@@ -144,10 +144,8 @@ class Pattern:
             raise ContractViolation("positions must be strictly increasing")
         if pos and not (0 <= pos[0] and pos[-1] < self.size):
             raise RangeError(f"positions {pos} out of range for size {self.size}")
-        m = len(pos)
-        return Pattern(
-            m, tuple(self.color(pos[i], pos[j]) for i, j in iter_pairs(m))
-        )
+        return Pattern._from_rows(len(pos), [sum((self.rows[x] >> y & 1) << j for j, y in enumerate(pos))
+                                             for x in pos])
 
     def __eq__(self, other):
         return (
@@ -278,9 +276,9 @@ class StableColoring:
             raise ContractViolation(f"settle({x})={self.settle[x]} must exceed {x}")
         ov = {}
         for x, y, c in overrides:
-            if not x < y < self.settle[x]:
+            if not (0 <= x < horizon and x < y < self.settle[x]):
                 raise ContractViolation(
-                    f"override ({x},{y}) must satisfy x < y < settle(x)={self.settle[x]}"
+                    f"override ({x},{y}) must satisfy 0 <= x < y < settle(x), x below {horizon}"
                 )
             c = int(c)
             if c not in (0, 1):
@@ -349,14 +347,17 @@ class StableColoring:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "StableColoring":
+        """Read a to_json_dict record.  The horizon and every entry of
+        limits, settle and overrides must be a JSON integer: a bool, float
+        or string is not read as one."""
         if d.get("type") != "stable":
             raise ContractViolation("not a stable-coloring record")
-        return cls(
-            d["horizon"],
-            d["limits"],
-            d["settle"],
-            [tuple(t) for t in d.get("overrides", [])],
-        )
+        overrides = [tuple(t) for t in d.get("overrides", [])]
+        fields = [d["horizon"], *d["limits"], *d["settle"], *(v for t in overrides for v in t)]
+        bad = [v for v in fields if type(v) is not int]
+        if bad:
+            raise ContractViolation(f"{bad[0]!r} is not an integer")
+        return cls(d["horizon"], d["limits"], d["settle"], overrides)
 
 
 def realizes(f, vertices, p: Pattern) -> bool:

@@ -8,15 +8,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ContractViolation, InternalInvariant
-from .patterns import (
-    FiniteColoring,
-    LinearOrderView,
-    Pattern,
-    VertexSet,
-    is_transitive,
-    iter_pairs,
-    order_key,
-)
+from .patterns import FiniteColoring, Pattern, VertexSet, is_transitive
 
 
 class Permutation:
@@ -83,24 +75,25 @@ def parse_naturals(tokens) -> list:
 
 def perm_to_pattern(perm: Permutation) -> Pattern:
     """Code the order induced by the permutation: the upward pair (x, y)
-    gets color 0 exactly when the value at x is below the value at y."""
-    v = perm.values
-    return Pattern(
-        perm.size,
-        tuple(0 if v[i] < v[j] else 1 for i, j in iter_pairs(perm.size)),
-    )
+    gets color 0 exactly when the value at x is below the value at y.
+    Row x is the mask of the positions valued below v[x], built as a
+    prefix OR in value order, with its bits below x flipped."""
+    rows = [0] * perm.size
+    below = 0
+    for x in sorted(range(perm.size), key=perm.values.__getitem__):
+        rows[x] = below ^ (1 << x) - 1
+        below |= 1 << x
+    return Pattern._from_rows(perm.size, rows)
 
 
 def pattern_to_perm(p: Pattern) -> Permutation | None:
     """Recover the permutation whose coding is p, or None if p is not
-    transitive."""
+    transitive.  The value at x counts the later positions of color 1
+    and the earlier ones of color 0 in row x."""
     if not is_transitive(p):
         return None
-    ranks = [0] * p.size
-    less = LinearOrderView(p).less
-    for r, x in enumerate(sorted(range(p.size), key=order_key(less))):
-        ranks[x] = r
-    return Permutation(ranks)
+    return Permutation([(r >> x + 1).bit_count() + x - (r & (1 << x) - 1).bit_count()
+                        for x, r in enumerate(p.rows)])
 
 
 def perm_coloring(perm: Permutation) -> FiniteColoring:
@@ -119,31 +112,26 @@ def skew_sum(a: Permutation, b: Permutation) -> Permutation:
 
 
 def join(p: Pattern, q: Pattern) -> Pattern:
-    """Glue q onto p at p's last position; size |p|+|q|-1.
+    """Glue q onto p at p's last position g; size |p|+|q|-1.
 
     Pairs inside the p-part keep p's colors, pairs inside the q-part keep
     q's colors, and pairs straddling the glue point copy the p-color
-    toward the shared position.
+    toward the shared position: a row x < g is extended across the q-part
+    by its own bit g.
     """
-    lp = p.size
-    size = lp + q.size - 1
-
-    def col(x: int, y: int) -> int:
-        if y < lp:
-            return p.color(x, y)
-        if x >= lp - 1:
-            return q.color(x - lp + 1, y - lp + 1)
-        return p.color(x, lp - 1)
-
-    return Pattern(size, tuple(col(x, y) for x, y in iter_pairs(size)))
+    g = p.size - 1
+    ext = (1 << g + q.size) - (1 << p.size)  # the positions past the glue
+    rows = [r | ext if r >> g & 1 else r for r in p.rows[:g]]
+    rows += [r << g | p.rows[g] for r in q.rows]
+    return Pattern._from_rows(g + q.size, rows)
 
 
 def converge(p: Pattern, c: int) -> Pattern:
     """Append one position colored c against every earlier position."""
     if c not in (0, 1):
         raise ContractViolation("color must be 0 or 1")
-    size = p.size + 1
-    return Pattern(size, tuple(p.color(x, y) if y < p.size else c for x, y in iter_pairs(size)))
+    n = p.size
+    return Pattern._from_rows(n + 1, [r | c << n for r in p.rows] + [c * ((1 << n) - 1)])
 
 
 def is_convergent(p: Pattern) -> int | None:
@@ -156,10 +144,11 @@ def is_convergent(p: Pattern) -> int | None:
 
 def split_reducible(p: Pattern) -> tuple[Pattern, Pattern] | None:
     """A witness (p0, p1) with join(p0, p1) = p and both parts of size >= 2,
-    minimizing |p0|; None when p is irreducible."""
+    minimizing |p0|; None when p is irreducible.  Glue position m works
+    iff every row x < m is constant from bit m on."""
     n = p.size
     for m in range(1, n - 1):  # glue position; |p0| = m+1, |p1| = n-m
-        if all(p.color(x, y) == p.color(x, m) for x in range(m) for y in range(m + 1, n)):
+        if all(r >> m in (0, (1 << n - m) - 1) for r in p.rows[:m]):
             return p.restrict(range(m + 1)), p.restrict(range(m, n))
     return None
 
@@ -285,27 +274,6 @@ def separating_tree(perm: Permutation) -> SeparatingTree | None:
     return _node(op, kids)
 
 
-def _least_bcd(v, a: int) -> tuple | None:
-    """Least (a, b, c, d) with a < b < c < d and v[c] < v[a] < v[d] < v[b]
-    for this a, in O(n).  For b above v[a], the next position below v[a]
-    is the least c and leaves d the most room, so (a, b) extends iff a
-    value between v[a] and v[b] follows it; suffix tables answer both."""
-    n = len(v)
-    va = v[a]
-    below = [n] * (n + 1)  # next position at or after j valued below va
-    above = [n] * (n + 1)  # least value above va at or after j; n: none
-    for j in range(n - 1, a, -1):
-        below[j] = j if v[j] < va else below[j + 1]
-        above[j] = above[j + 1] if v[j] < va else min(v[j], above[j + 1])
-    for b in range(a + 1, n - 2):
-        c = below[b + 1]
-        if c >= n - 1:  # no c with a d after it, for this b or any later one
-            break
-        if v[b] > va and above[c + 1] < v[b]:
-            return a, b, c, next(d for d in range(c + 1, n) if va < v[d] < v[b])
-    return None
-
-
 def _least_1302(v) -> tuple | None:
     """Least position tuple a < b < c < d with v[c] < v[a] < v[d] < v[b].
 
@@ -317,7 +285,9 @@ def _least_1302(v) -> tuple | None:
     least c in (r, nge[r]) valued below v[a] is followed by a value in
     (v[a], v[r]).  Both questions are bit operations on below[t], the mask
     of the positions valued below t, built up to the largest t asked so
-    far.  The first a that hits gets the O(n) pass of _least_bcd.
+    far.  The first a that hits takes the least b above v[a] with the
+    least c after it valued below v[a] and then a d after c valued in
+    (v[a], v[b]); the least c leaves d the most room.
     """
     n = len(v)
     pos = [0] * n
@@ -347,10 +317,15 @@ def _least_1302(v) -> tuple | None:
             c = r + (after & -after).bit_length()
             nxt = nge[r]
             if c < nxt and (mask(v[r]) ^ mask(va + 1)) >> c + 1:
-                hit = _least_bcd(v, a)
-                if hit is None:
-                    raise InternalInvariant(f"1302 test hit at {a} but no occurrence starts there")
-                return hit
+                for b in range(a + 1, n - 2):
+                    after = low >> b + 1
+                    if not after:  # no c after b, nor after any later b
+                        break
+                    c = b + (after & -after).bit_length()
+                    mid = (mask(v[b]) ^ mask(va + 1)) >> c + 1 if v[b] > va else 0
+                    if mid:
+                        return a, b, c, c + (mid & -mid).bit_length()
+                raise InternalInvariant(f"1302 test hit at {a} but no occurrence starts there")
             r = nxt
     return None
 

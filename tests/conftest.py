@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from rpl.build import chain_order, mirror_double
+from rpl.instances import order_from_ranks
 from rpl.patterns import Pattern
 from rpl.perms import Permutation, perm_coloring, perm_to_pattern
 
@@ -12,6 +14,12 @@ def perm(text: str) -> Permutation:
 
 def pat(text: str) -> Pattern:
     return perm_to_pattern(Permutation.from_text(text))
+
+
+def mirror_chain_coloring(n: int):
+    """The mirror-doubled chain of n elements read as a coloring."""
+    m = mirror_double(chain_order(n))
+    return order_from_ranks([m.keys[x][0] for x in range(m.horizon)])
 
 
 def all_perms(size: int):

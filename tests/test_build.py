@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import order_type, pat, perm
+from conftest import mirror_chain_coloring, order_type, pat, perm
 from test_acceptance import priority_scenarios
 from rpl import build
 from rpl.build import (
@@ -773,8 +774,27 @@ def test_mirror_three_cases():
                 assert m.less(a, b) != m.less(b, a)
 
 
+def parity_less(source, a: int, b: int) -> bool:
+    """The mirror order by the parity rule: evens follow the source,
+    every even lies below every odd, and odds follow the reversed source."""
+    if a % 2 != b % 2:
+        return a % 2 == 0
+    x, y = (a // 2, b // 2) if a % 2 == 0 else (b // 2, a // 2)
+    return source.less(x, y)
+
+
+@pytest.mark.parametrize("source", [chain_order(10), SimpleOrder(12, {x: ((x * 7) % 12, -x) for x in range(12)})],
+                         ids=["chain", "keyed"])
+def test_mirror_double_matches_parity_rule(source):
+    m = mirror_double(source)
+    assert m.horizon == 2 * source.horizon
+    assert sorted(m.keys.values()) == [(r,) for r in range(m.horizon)]
+    for a, b in itertools.product(range(m.horizon), repeat=2):
+        assert m.less(a, b) == parity_less(source, a, b)
+
+
 def test_mirror_to_stable_is_transitive_split():
-    st = mirror_double(chain_order(40)).to_stable()
+    st = mirror_chain_coloring(40)
     assert is_transitive(st)
     assert st.limits[:6] == (0, 1, 0, 1, 0, 1)
     assert avoids(st, range(60), pat("1302"))

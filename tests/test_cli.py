@@ -1,8 +1,11 @@
 import hashlib
 import json
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import zigzag
 from rpl import patterns, perms
@@ -121,6 +124,21 @@ def test_fractal_partition(capsys, tmp_path):
     code, out, _ = run(capsys, ["fractal", "partition", "2", "2", "2", str(f)])
     assert code == 0
     assert out.startswith("color 1 ")
+    # whitespace anywhere is skipped; the colors are read in order
+    f.write_text(" 011\n\t10 1\r\n011\n")
+    assert run(capsys, ["fractal", "partition", "2", "2", "2", str(f)]) == (0, "color 1 1,2,3,5\n", "")
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("0101\n", 2, "no color for vertex 4: the file gives 4"),
+    ("010\n01x1\n", 2, "'x' is not a color 0 or 1"),
+    ("0,1,0\n", 1, "',' is not a color 0 or 1"),
+])
+def test_fractal_partition_bad_color_file(capsys, tmp_path, text, line, message):
+    f = tmp_path / "vc.txt"
+    f.write_text(text)
+    code, out, err = run(capsys, ["fractal", "partition", "2", "2", "2", str(f)])
+    assert (code, out, err) == (1, "", f"error: {f}:{line}: {message}\n")
 
 
 def test_unknown_verb_usage_error(capsys):
@@ -328,6 +346,12 @@ def test_bad_scenario_names_its_file(capsys, tmp_path, text):
     assert err.count("\n") == 1
 
 
+# stable records whose fields are JSON numbers but not integers
+UNTYPED_RECORDS = {
+    "untyped-limits.json": '{"type": "stable", "horizon": 3, "limits": [0.7, "1", true], "settle": [1, 2, 3]}',
+    "untyped-settle.json": '{"type": "stable", "horizon": 3, "limits": [0, 1, 0], "settle": [1, 2, 1e400]}',
+}
+
 MALFORMED = [
     # (argv with {dir} standing for the test's temporary directory, files, exit code)
     (["construct", "delta", "--bits", "2"], {}, 2),
@@ -387,6 +411,15 @@ MALFORMED = [
     (["experiment", "random-extract", "--steps", "0"], {}, 1),
     (["extract", "oracle", "{dir}/s.json", "--steps", "0"], {"s.json": STABLE_4}, 1),
     (["extract", "oracle", "{dir}/s.json", "--steps", "-2"], {"s.json": STABLE_4}, 1),
+    (["fractal", "partition", "2", "2", "2", "{dir}/short.txt"], {"short.txt": "0101"}, 1),
+    (["fractal", "partition", "2", "2", "1", "{dir}/x.txt"], {"x.txt": "01x"}, 1),
+    (["gen", "unbalanced", "--mode", "repaired", "--k", "1", "--n", "4"], {}, 1),
+    *[(argv + ["{dir}/" + name] + tail, {name: UNTYPED_RECORDS[name]}, 1)
+      for argv, tail in ((["pattern", "avoids"], ["01"]), (["pattern", "realizes"], ["01", "--set", "0,1"]),
+                         (["extract", "random"], []), (["extract", "oracle"], []),
+                         (["extract", "unbalanced"], []), (["large", "group"], []))
+      # the limits record reaches the extractors only to fail on its size
+      for name in list(UNTYPED_RECORDS)[argv[0] == "extract":]],
 ]
 
 
@@ -541,6 +574,68 @@ def test_load_coloring_errors(tmp_path):
     bad.write_text("{\"type\": \"stable\"}")
     with pytest.raises(InstanceLoadError):
         load_coloring(str(bad))
+    # each record is valid but for one bool or float standing for an integer
+    one_off = ['{"type": "stable", "horizon": true, "limits": [0], "settle": [2]}',
+               '{"type": "stable", "horizon": 1, "limits": [false], "settle": [2]}',
+               '{"type": "stable", "horizon": 1, "limits": [0], "settle": [2.0]}',
+               '{"type": "stable", "horizon": 2, "limits": [0, 0], "settle": [2, 3], "overrides": [[0, 1, true]]}']
+    for name, text in [*UNTYPED_RECORDS.items(), *(("one-off.json", t) for t in one_off)]:
+        (tmp_path / name).write_text(text)
+        with pytest.raises(InstanceLoadError, match=f"^{tmp_path / name}:1: bad stable record: "):
+            load_coloring(str(tmp_path / name))
+
+
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+                        st.lists(st.integers(-2, 5), max_size=4))
+
+
+@st.composite
+def mixed_records(draw):
+    """A valid stable record with up to three fields or entries replaced
+    by arbitrary JSON values."""
+    h = draw(st.integers(0, 4))
+    settle = [x + draw(st.integers(1, 3)) for x in range(h)]
+    record = {"type": "stable", "horizon": h, "limits": [draw(st.integers(0, 1)) for _ in range(h)],
+              "settle": settle,
+              "overrides": [[x, y, draw(st.integers(0, 1))] for x in range(h) for y in range(x + 1, settle[x])]}
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(sorted(record)))
+        value = record[key]
+        if isinstance(value, list) and value and draw(st.booleans()):
+            i = draw(st.integers(0, len(value) - 1))
+            if isinstance(value[i], list) and value[i] and draw(st.booleans()):
+                value[i][draw(st.integers(0, len(value[i]) - 1))] = draw(JSON_VALUES)
+            else:
+                value[i] = draw(JSON_VALUES)
+        elif draw(st.booleans()):
+            del record[key]
+        else:
+            record[key] = draw(JSON_VALUES)
+    return record
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_records())
+def test_load_coloring_fuzz_mixed_json_types(record):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.json")
+        with open(path, "w") as fh:
+            json.dump(record, fh)
+        try:
+            f = load_coloring(path)
+        except InstanceLoadError as exc:
+            assert str(exc).startswith(f"{path}:1: bad stable record: ")
+            return
+    assert isinstance(f, StableColoring)
+    numbers = [record["horizon"], *record["limits"], *record["settle"], *sum(record.get("overrides", []), [])]
+    assert all(type(v) is int for v in numbers)
+    assert [f.horizon, list(f.limits), list(f.settle)] == [record["horizon"], record["limits"], record["settle"]]
+
+
+@pytest.mark.parametrize("flag", [["--ho", "40"], ["--horizon", "40"], ["--horizon=40"], ["--hori=40"]])
+def test_horizon_flag_abbreviations(capsys, flag):
+    code, out, _ = run(capsys, [*flag, "experiment", "random-extract", "--trials", "1", "--instances", "1"])
+    assert code == 0 and json.loads(out)["parameters"]["horizon"] == 40
 
 
 def test_generate_instance_function():

@@ -23,7 +23,6 @@ from rpl.extract import (
     _extractor_block,
     brute_force_max_homogeneous,
     default_config,
-    extraction_color,
     find_homogeneous_block,
     oracle_extract,
     randomized_extract,
@@ -31,7 +30,7 @@ from rpl.extract import (
     unbalanced_extract,
     verify_homogeneous,
 )
-from rpl.fractals import fractal_pattern, occurrence_blocks
+from rpl.fractals import fractal_pattern, level_color, occurrence_blocks
 from rpl.instances import (
     alternating_stable,
     blocked_split_order,
@@ -504,8 +503,14 @@ def test_step_count_must_be_positive(steps):
 
 
 def test_extraction_color_parity():
-    assert extraction_color(1) == 0
-    assert extraction_color(2) == 1
+    # the stem color is the color between level-1 blocks of a block of
+    # dimension n - 1: 0 for n = 2, 1 for n = 3
+    assert (level_color(1), level_color(2)) == (0, 1)
+    for n, f in ((2, split_order_coloring(400, top=set())),
+                 (3, StableColoring.from_function(400, fractal_pattern(20, 2).color))):
+        cfg = default_config(1, horizon=400, steps=1)
+        assert randomized_extract(f, 2, n, cfg).color == level_color(n - 1)
+        assert oracle_extract(f, 2, n, ReferenceEscapingOracle(), 400, steps=1).color == level_color(n - 1)
 
 
 def test_randomized_all_limits_zero_never_fails():

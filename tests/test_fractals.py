@@ -4,8 +4,10 @@ import random
 import pytest
 
 from conftest import all_perms, perm
-from rpl.errors import ContractViolation, RangeError, ResourceLimit
+from rpl import fractals
+from rpl.errors import ContractViolation, InternalInvariant, RangeError, ResourceLimit
 from rpl.fractals import (
+    SIZE_CAP,
     embed_separable,
     fractal_pair_color,
     fractal_perm,
@@ -109,6 +111,65 @@ def test_embed_all_separable_up_to_5_verified():
             assert realizes(host, positions, perm_to_pattern(pm))
             count += 1
     assert count == 1 + 2 + 6 + 22 + 90
+
+
+ZIGZAG_16 = "0,15,1,14,2,13,3,12,4,11,5,10,6,9,7,8"
+ZIGZAG_17 = "0,16,1,15,2,14,3,13,4,12,5,11,6,10,7,9,8"
+
+
+def refuse_fractal(k, n):
+    raise AssertionError(f"embed_separable built the arity-{k} dimension-{n} fractal")
+
+
+def test_embed_builds_no_fractal(monkeypatch):
+    monkeypatch.setattr(fractals, "fractal_perm", refuse_fractal)
+    dim, pos = embed_separable(perm(ZIGZAG_16), 2)
+    assert dim == 15 and len(pos) == 16
+    assert pos[:3] == (0, 16384, 24576) and pos[-3:] == (32764, 32766, 32767)
+    # beyond the fractal size cap: the embedding still answers
+    dim, pos = embed_separable(perm(ZIGZAG_17), 2)
+    assert dim == 17 and 2**dim > SIZE_CAP and pos[-1] == 2**17 - 2
+
+
+def shift_embedding(monkeypatch, i: int, step: int):
+    """Mutate embed_separable's placement: its position i moves by step."""
+    def moved(positions):
+        pos = list(positions)
+        pos[i] += step
+        return VertexSet(pos)
+
+    monkeypatch.setattr(fractals, "VertexSet", moved)
+
+
+def test_embed_check_catches_a_shifted_position(monkeypatch):
+    # 32766 -> 32765 pairs with 32764 at level 1, color 0, not 1
+    monkeypatch.setattr(fractals, "fractal_perm", refuse_fractal)
+    shift_embedding(monkeypatch, 14, -1)
+    with pytest.raises(InternalInvariant):
+        embed_separable(perm(ZIGZAG_16), 2)
+    # every one-step move on small inputs: the digit check raises exactly
+    # when the moved positions stop realizing the pattern in the fractal
+    verdicts = set()
+    for size in range(2, 5):
+        for pm in filter(is_separable, all_perms(size)):
+            monkeypatch.undo()
+            dim, pos = embed_separable(pm, 2)
+            host = perm_coloring(fractal_perm(2, dim))
+            for i, step in itertools.product(range(size), (-1, 1)):
+                moved = list(pos)
+                moved[i] += step
+                if len(set(moved)) < size or not 0 <= moved[i] < 2**dim:
+                    continue
+                shift_embedding(monkeypatch, i, step)
+                fits = realizes(host, moved, perm_to_pattern(pm))
+                verdicts.add(fits)
+                if fits:
+                    assert embed_separable(pm, 2) == (dim, VertexSet(moved))
+                else:
+                    with pytest.raises(InternalInvariant):
+                        embed_separable(pm, 2)
+                monkeypatch.undo()
+    assert verdicts == {True, False}
 
 
 def test_partition_base_and_pigeonhole():

@@ -4,9 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import pat
+from conftest import mirror_chain_coloring, pat
 from rpl import largeness
-from rpl.build import chain_order, mirror_double
 from rpl.errors import ContractViolation, DegenerateInstance
 from rpl.instances import (
     constant_coloring,
@@ -391,7 +390,7 @@ def test_em_grouping_constant_redirects_to_minima():
 
 
 def test_em_grouping_mirror_double_redirects():
-    st = mirror_double(chain_order(250)).to_stable()
+    st = mirror_chain_coloring(250)
     out = em_grouping_extract(st, 1, 500, count=4)
     assert out.kind == "homogeneous-minima"
     assert len(out.vertices) >= 4
@@ -412,7 +411,7 @@ def test_find_grouping_mirror_double_partial_is_honest():
     # every prefix block of the doubled chain straddles both limit
     # classes, so majority thinning eventually empties the reservoir;
     # the partial grouping still verifies and the report names the cause
-    st = mirror_double(chain_order(250)).to_stable()
+    st = mirror_chain_coloring(250)
     g = find_grouping(st, omega_largeness(1), 4, 500)
     assert not g.complete
     assert g.check()

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import all_perms, oracle_separable, pat, perm, zigzag
 from rpl.errors import ContractViolation
 from rpl.fractals import fractal_perm
-from rpl.patterns import Pattern, find_realization, is_transitive
+from rpl.patterns import LinearOrderView, Pattern, find_realization, is_transitive, iter_pairs, order_key
 from rpl.perms import (
     FORBIDDEN,
     LEAF,
@@ -369,3 +369,115 @@ def test_trichotomy():
 def test_pattern_to_perm_requires_transitive():
     assert pattern_to_perm(Pattern(3, (1, 0, 1))) is None
     assert is_transitive(pat("31420")) is True
+
+
+# ---------------------------------------------------------------------------
+# The pair-by-pair pattern operations, kept as references for the row masks
+
+
+def reference_perm_to_pattern(pm: Permutation) -> Pattern:
+    v = pm.values
+    return Pattern(pm.size, [0 if v[i] < v[j] else 1 for i, j in iter_pairs(pm.size)])
+
+
+def reference_pattern_to_perm(p: Pattern):
+    if not is_transitive(p):
+        return None
+    ranks = [0] * p.size
+    for r, x in enumerate(sorted(range(p.size), key=order_key(LinearOrderView(p).less))):
+        ranks[x] = r
+    return Permutation(ranks)
+
+
+def reference_restrict(p: Pattern, positions) -> Pattern:
+    pos = list(positions)
+    return Pattern(len(pos), [p.color(pos[i], pos[j]) for i, j in iter_pairs(len(pos))])
+
+
+def reference_join(p: Pattern, q: Pattern) -> Pattern:
+    lp = p.size
+    size = lp + q.size - 1
+
+    def col(x: int, y: int) -> int:
+        if y < lp:
+            return p.color(x, y)
+        if x >= lp - 1:
+            return q.color(x - lp + 1, y - lp + 1)
+        return p.color(x, lp - 1)
+
+    return Pattern(size, [col(x, y) for x, y in iter_pairs(size)])
+
+
+def reference_converge(p: Pattern, c: int) -> Pattern:
+    size = p.size + 1
+    return Pattern(size, [p.color(x, y) if y < p.size else c for x, y in iter_pairs(size)])
+
+
+def reference_split_reducible(p: Pattern):
+    n = p.size
+    for m in range(1, n - 1):
+        if all(p.color(x, y) == p.color(x, m) for x in range(m) for y in range(m + 1, n)):
+            return reference_restrict(p, range(m + 1)), reference_restrict(p, range(m, n))
+    return None
+
+
+def all_patterns(size: int):
+    for bits in itertools.product((0, 1), repeat=size * (size - 1) // 2):
+        yield Pattern(size, bits)
+
+
+def assert_pattern_ops_match_references(p: Pattern):
+    assert pattern_to_perm(p) == reference_pattern_to_perm(p)
+    assert split_reducible(p) == reference_split_reducible(p)
+    for c in (0, 1):
+        assert converge(p, c) == reference_converge(p, c)
+
+
+def test_pattern_ops_match_references_up_to_7():
+    small = [p for size in range(1, 5) for p in all_patterns(size)]
+    for p, q in itertools.product(small, repeat=2):  # joins up to size 7
+        assert join(p, q) == reference_join(p, q)
+    for size in range(1, 7):  # converged patterns up to size 7
+        for p in all_patterns(size):
+            assert_pattern_ops_match_references(p)
+    for size in range(1, 6):
+        for p in all_patterns(size):
+            for keep in itertools.product((0, 1), repeat=size):
+                pos = list(itertools.compress(range(size), keep))
+                if pos:
+                    assert p.restrict(pos) == reference_restrict(p, pos)
+    for size in range(1, 9):
+        for pm in all_perms(size):
+            p = perm_to_pattern(pm)
+            assert p == reference_perm_to_pattern(pm)
+            if size <= 7:
+                assert pattern_to_perm(p) == pm
+                assert split_reducible(p) == reference_split_reducible(p)
+
+
+@st.composite
+def patterns(draw, lo: int, hi: int):
+    """A pattern with uniform bits, or the coding of a permutation, so
+    both transitive and non-transitive patterns come up."""
+    if draw(st.booleans()):
+        return perm_to_pattern(draw(perms(lo, hi)))
+    size = draw(st.integers(lo, hi))
+    pairs = size * (size - 1) // 2
+    return Pattern(size, draw(st.lists(st.integers(0, 1), min_size=pairs, max_size=pairs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(patterns(1, 12), patterns(1, 12), st.data())
+def test_pattern_ops_match_references_random(p, q, data):
+    assert_pattern_ops_match_references(p)
+    assert join(p, q) == reference_join(p, q)
+    pos = sorted(data.draw(st.sets(st.integers(0, p.size - 1), min_size=1)))
+    assert p.restrict(pos) == reference_restrict(p, pos)
+
+
+@settings(max_examples=100, deadline=None)
+@given(perms(1, 300))
+def test_perm_coding_and_1302_scan_match_references_random(pm):
+    assert perm_to_pattern(pm) == reference_perm_to_pattern(pm)
+    for seq in (pm.values, [pm.size - 1 - x for x in pm.values]):
+        assert _least_1302(seq) == reference_least_1302(seq)
