@@ -6,9 +6,9 @@ Every family is deterministic in its parameters and seed.
 from __future__ import annotations
 
 import random
-from itertools import combinations
 
 from .errors import ContractViolation
+from .extract import find_homogeneous_block
 from .patterns import FiniteColoring, StableColoring
 
 
@@ -92,26 +92,19 @@ def grouped_unbalanced(n: int, k: int, seed: int) -> FiniteColoring:
 
 def repaired_random_unbalanced(n: int, k: int, seed: int) -> FiniteColoring:
     """Random sparse-0 coloring (each pair 0 with chance 0.06) with every
-    0-homogeneous k-set destroyed by flipping one of its pairs to 1."""
+    0-homogeneous k-set destroyed by flipping one of its pairs to 1: the
+    least such set loses its first pair until none is left."""
     if k < 2:
         raise ContractViolation("need k >= 2")
     rng = random.Random(seed)
-    bits = {}
-    for x in range(n):
-        for y in range(x + 1, n):
-            bits[(x, y)] = 0 if rng.random() < 0.06 else 1
-
-    def col(x, y):
-        return bits[(x, y)] if x < y else bits[(y, x)]
-
-    changed = True
-    while changed:
-        changed = False
-        for clique in combinations(range(n), k):
-            if all(col(a, b) == 0 for a, b in combinations(clique, 2)):
-                bits[(clique[0], clique[1])] = 1
-                changed = True
-    return FiniteColoring.from_function(n, col)
+    f = FiniteColoring.from_function(n, lambda x, y: 0 if rng.random() < 0.06 else 1)
+    rows = list(f.rows)
+    while (clique := find_homogeneous_block(f, range(n), k, 0)) is not None:
+        a, b = clique[:2]
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+        f = FiniteColoring._from_rows(n, rows)
+    return f
 
 
 def single_zero_edge(n: int) -> FiniteColoring:

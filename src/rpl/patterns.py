@@ -27,11 +27,13 @@ crosses the budget raises the BudgetExhausted the unit steps would have.
 A run may be empty, ((), nodes): no candidate left at the depth fits, so
 the kernel charges the nodes of the unit pass-overs and backtracks.
 
-On a FiniteColoring the realization search takes one step call per
+On every coloring the realization search takes one step call per
 admission.  A vertex's row mask holds its color-1 partners and the
 complement its color-0 ones, and each depth keeps the candidate mask of
 every later pattern position; admitting v at depth d intersects the mask
-of each q > d with v's partners of color p(d, q).
+of each q > d with v's partners of color p(d, q).  Masks are read only
+above the last admission, so a stable coloring hands over upper rows,
+which hold only the partners above the vertex.
 A step takes the least candidate at or above pool[i] as a one-element
 run charging the pass-overs before it, or an empty run when none fits.
 With two positions left, one step settles both: it walks the depth's
@@ -186,14 +188,7 @@ TRIVIAL_PATTERN = Pattern(1, ())
 def is_transitive(p) -> bool:
     """True iff no 3 positions induce a non-transitivity configuration;
     p is a Pattern or any coloring."""
-    n = p.horizon
-    for i in range(n - 2):
-        for j in range(i + 1, n - 1):
-            for k in range(j + 1, n):
-                sub = (p.color(i, j), p.color(i, k), p.color(j, k))
-                if sub == (0, 1, 0) or sub == (1, 0, 1):
-                    return False
-    return True
+    return all(avoids(p, range(p.horizon), q) for q in NON_TRANSITIVE)
 
 
 class FiniteColoring(Pattern):
@@ -259,7 +254,7 @@ class StableColoring:
     the limit unless an override names the pair.
     """
 
-    __slots__ = ("horizon", "limits", "settle", "overrides", "_index")
+    __slots__ = ("horizon", "limits", "settle", "overrides", "_index", "_flips")
 
     def __init__(self, horizon: int, limits, settle, overrides=()):
         if isinstance(limits, (str, bytes)) or isinstance(settle, (str, bytes)):
@@ -283,9 +278,11 @@ class StableColoring:
             c = int(c)
             if c not in (0, 1):
                 raise ContractViolation(f"override ({x},{y}) has color {c}, not 0 or 1")
+            if (x, y) in ov:
+                raise ContractViolation(f"override ({x},{y}) is listed twice")
             ov[(x, y)] = c
         self.overrides = ov
-        self._index = None
+        self._index = self._flips = None
 
     def limit_index(self) -> tuple:
         """(vertices of limit 0, vertices of limit 1, whether every
@@ -297,6 +294,20 @@ class StableColoring:
                            array("i", compress(range(h), limits)),
                            all(map(eq, self.settle, range(1, h + 1))))
         return self._index
+
+    def upper_row(self, x: int) -> int:
+        """Bitmask of the y > x below the horizon with color(x, y) = 1:
+        x's limit ones XOR the overrides that differ from the limit, the
+        latter indexed per vertex on first use and cached."""
+        if self._flips is None:
+            flips, h, limits = [0] * self.horizon, self.horizon, self.limits
+            for (u, y), c in self.overrides.items():
+                if c != limits[u] and y < h:
+                    flips[u] |= 1 << y
+            self._flips = flips
+        return ((1 << self.horizon) - (2 << x) if self.limits[x] else 0) ^ self._flips[x]
+
+    __getitem__ = upper_row  # f[x], as the mask search reads a pattern's rows[x]
 
     @classmethod
     def from_function(cls, horizon: int, fn) -> "StableColoring":
@@ -438,32 +449,20 @@ def find_realization(f, reservoir, p: Pattern, budget: int | None = 10**6):
 
 
 def _realization_search(f, pool: list, columns: list, budget):
-    """find_realization over a strictly ascending pool inside the horizon,
-    for the pattern whose column t lists its colors p(i, t), i < t.  A
-    FiniteColoring is searched by row masks, one step call per admission
-    (module docstring); any other coloring reads one pair per check."""
-    m = len(columns)
-    if not isinstance(f, FiniteColoring):
-        color = f.color
-
-        def unit_step(chosen, i, need):
-            v = pool[i]
-            for u, c in zip(chosen, columns[m - need]):
-                if color(u, v) != c:
-                    return None
-            return need - 1
-
-        return _ascending_search(pool, unit_step, m, budget)
-
-    n = len(pool)
-    rows = f.rows
+    """find_realization over a strictly ascending pool inside the horizon, by
+    row masks, for the pattern whose column t lists p(i, t), i < t."""
+    m, n = len(columns), len(pool)
+    rows = f.rows if isinstance(f, Pattern) else f  # a stable coloring's f[x] is its upper row
     at = dict(zip(pool, range(n)))  # pool index of each vertex
-    full = sum(1 << v for v in pool)
+    marks = bytearray(b"0") * (pool[-1] + 1 if pool else 1)
+    for v in pool:
+        marks[v] = 49  # "1"
+    full = int(marks[::-1], 2)
     # cands[d][q], q >= d: the pool vertices that fit position q next to
     # the vertices chosen at depths below d
     cands = [[full] * m for _ in range(m + 1)]
-    # a row mask XOR flip, flip = c - 1, holds the partners of color c (and
-    # the vertex itself for c = 0); masks are read only above the last admission
+    # a row mask XOR flip, flip = c - 1, holds the partners of color c above
+    # the vertex; masks are read only above the last admission
     later = [[(q, columns[q][d] - 1) for q in range(d + 1, m)] for d in range(m)]
 
     def step(chosen, i, need):

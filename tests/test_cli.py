@@ -10,12 +10,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import zigzag
 from rpl import patterns, perms
 from rpl.cli import (
-    ExperimentReport,
     _build_parser,
     generate_instance,
     load_coloring,
     run_command,
-    validate_report,
 )
 from rpl.errors import DegenerateInstance, InstanceLoadError
 from rpl.fractals import fractal_perm
@@ -276,6 +274,20 @@ def test_byte_identical_reruns(capsys, tmp_path):
     assert out1 == out2
 
 
+def check_report(payload):
+    """The experiment report's keys and field types, and its aggregates
+    recomputed from its records."""
+    assert set(payload) == {"experiment", "parameters", "records", "aggregates"}
+    assert isinstance(payload["experiment"], str) and isinstance(payload["parameters"], dict)
+    for r in payload["records"]:
+        assert set(r) == {"trial", "seed", "outcome", "size", "failure_step"}
+        assert [type(r[k]) for k in ("trial", "seed", "outcome", "size")] == [int, int, str, int]
+        assert r["failure_step"] is None or type(r["failure_step"]) is int
+    succ = sum(r["outcome"] == "success" for r in payload["records"])
+    agg = payload["aggregates"]
+    assert (agg["trials"], agg["successes"]) == (len(payload["records"]), succ)
+
+
 def test_experiment_report_schema_and_csv(capsys):
     code, out, _ = run(capsys, ["--seed", "3", "--format", "csv", "experiment",
                                 "delta-mc", "--trials", "25", "--n", "300"])
@@ -286,11 +298,7 @@ def test_experiment_report_schema_and_csv(capsys):
 
     code, out, _ = run(capsys, ["--seed", "3", "experiment", "delta-mc",
                                 "--trials", "25", "--n", "300"])
-    payload = json.loads(out)
-    assert validate_report(payload)
-    # aggregates recomputable from records
-    succ = sum(1 for r in payload["records"] if r["outcome"] == "success")
-    assert payload["aggregates"]["successes"] == succ
+    check_report(json.loads(out))
 
 
 def test_experiment_random_extract_rate(capsys):
@@ -298,7 +306,7 @@ def test_experiment_random_extract_rate(capsys):
                                 "--trials", "60", "--instances", "6"])
     assert code == 0
     payload = json.loads(out)
-    assert validate_report(payload)
+    check_report(payload)
     assert payload["parameters"]["horizon"] == 10000
     assert payload["aggregates"]["success_rate"] >= 0.875
     for r in payload["records"]:
@@ -312,7 +320,7 @@ def test_experiment_random_extract_records_degenerate_trial(capsys):
                                   "--trials", "38", "--instances", "50"])
     assert code == 0 and err == ""
     payload = json.loads(out)
-    assert validate_report(payload)
+    check_report(payload)
     last = payload["records"][-1]
     assert last == {"trial": 37, "seed": 15362440 * 1_000_003 + 37,
                     "outcome": "degenerate", "size": 0, "failure_step": 28}
@@ -414,6 +422,14 @@ MALFORMED = [
     (["fractal", "partition", "2", "2", "2", "{dir}/short.txt"], {"short.txt": "0101"}, 1),
     (["fractal", "partition", "2", "2", "1", "{dir}/x.txt"], {"x.txt": "01x"}, 1),
     (["gen", "unbalanced", "--mode", "repaired", "--k", "1", "--n", "4"], {}, 1),
+    (["pattern", "realizes", "{dir}/dup.json", "01", "--set", "0,1"],
+     {"dup.json": '{"type": "stable", "horizon": 3, "limits": [0, 0, 0], "settle": [3, 3, 3],'
+                  ' "overrides": [[0, 1, 1], [0, 1, 0]]}'}, 1),
+    # a file that is not UTF-8, for every verb that reads one
+    *[(argv, {"ff.txt": b"\xff01\n"}, 1)
+      for argv in (["pattern", "avoids", "{dir}/ff.txt", "01"], ["extract", "random", "{dir}/ff.txt"],
+                   ["construct", "priority", "{dir}/ff.txt"], ["construct", "gamma", "{dir}/ff.txt"],
+                   ["fractal", "partition", "2", "2", "2", "{dir}/ff.txt"], ["large", "group", "{dir}/ff.txt"])],
     *[(argv + ["{dir}/" + name] + tail, {name: UNTYPED_RECORDS[name]}, 1)
       for argv, tail in ((["pattern", "avoids"], ["01"]), (["pattern", "realizes"], ["01", "--set", "0,1"]),
                          (["extract", "random"], []), (["extract", "oracle"], []),
@@ -427,7 +443,10 @@ MALFORMED = [
                          ids=[" ".join(m[0]).replace("{dir}/", "") for m in MALFORMED])
 def test_malformed_input_exits_with_one_line(capsys, tmp_path, argv, files, code):
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        if isinstance(text, bytes):
+            (tmp_path / name).write_bytes(text)
+        else:
+            (tmp_path / name).write_text(text)
     argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
     got, out, err = run(capsys, argv)
     assert got == code
@@ -561,12 +580,19 @@ def test_readme_examples_stdout_pinned(capsys, tmp_path, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_report_validation_rejects_drift():
-    rep = ExperimentReport("x", {})
-    rep.add(0, 1, "success", 5)
-    d = rep.to_dict()
-    d["aggregates"]["successes"] = 7
-    assert not validate_report(d)
+def test_repaired_generator_stdout_pinned(capsys):
+    # captured from the generator that rescanned every k-set until no change
+    code, out, err = run(capsys, ["gen", "unbalanced", "--mode", "repaired", "--k", "6", "--n", "60"])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "b275450449bc376e5061fd7e1968451bc04f504cefe966ff846fcb8658485e38"
+
+
+def test_non_utf8_file_names_the_line_of_the_byte(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"3\n01\n\xfe\n")
+    code, out, err = run(capsys, ["pattern", "avoids", str(path), "01"])
+    assert (code, out, err) == (1, "", f"error: {path}:3: byte 0xfe is not UTF-8\n")
 
 
 def test_load_coloring_errors(tmp_path):

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import all_perms, exhaustive_find, pat, perm
+from test_extract import unit_block_search
 from rpl.errors import BudgetExhausted, ContractViolation, RangeError
 from rpl.patterns import (
     FiniteColoring,
@@ -22,7 +24,7 @@ from rpl.patterns import (
 )
 from rpl.extract import find_homogeneous_block
 from rpl.fractals import fractal_perm
-from rpl.perms import pattern_to_perm, perm_coloring, perm_to_pattern
+from rpl.perms import Permutation, pattern_to_perm, perm_coloring, perm_to_pattern
 from rpl import patterns
 from rpl.instances import (
     alternating_stable,
@@ -231,8 +233,22 @@ def finite_coloring(draw, most=16):
     return FiniteColoring(n, draw(st.lists(st.integers(0, 1), min_size=pairs, max_size=pairs)))
 
 
-def assert_search_matches_unit_steps(search, f, pool, p):
-    hit, nodes = unit_realization_search(f, pool, p)
+@st.composite
+def stable_coloring(draw, most=16):
+    """A StableColoring with windows 1..7, which may reach past the
+    horizon, and random overrides: some equal to their limit, some on a
+    pair past the horizon.  Vertex 0's window is at least 2, so block
+    search never takes the window-1 closed form, which expands no nodes."""
+    h = draw(st.integers(1, most))
+    limits = draw(st.lists(st.integers(0, 1), min_size=h, max_size=h))
+    settle = [x + draw(st.integers(2 if x == 0 else 1, 7)) for x in range(h)]
+    overrides = [(x, y, draw(st.integers(0, 1)))
+                 for x in range(h) for y in range(x + 1, settle[x]) if draw(st.booleans())]
+    return StableColoring(h, limits, settle, overrides)
+
+
+def assert_search_matches_unit_steps(search, f, pool, p, reference=unit_realization_search):
+    hit, nodes = reference(f, pool, p)
     if nodes > 1:
         with pytest.raises(BudgetExhausted) as exc:
             search(nodes - 1)
@@ -241,22 +257,35 @@ def assert_search_matches_unit_steps(search, f, pool, p):
     assert (None if got is None else tuple(got)) == hit
 
 
-@settings(max_examples=400, deadline=None)
-@given(f=finite_coloring(), data=st.data())
+@settings(max_examples=600, deadline=None)
+@given(f=st.one_of(finite_coloring(), stable_coloring()), data=st.data())
 def test_mask_search_matches_unit_steps(f, data):
     """Same hit as the unit-step reference, and the node count: budget
     N - 1 raises at node N, budget N returns the hit.  Pools are random
-    subsets of the horizon, empty ones included, handed over shuffled."""
+    subsets of the horizon, empty ones included, handed over shuffled.
+    Block search on a stable coloring is the lazy scan, whose reference
+    adds its settling-time cut and suffix bound."""
     pool = sorted(data.draw(st.sets(st.integers(0, f.horizon - 1)), label="pool"))
     shuffled = data.draw(st.permutations(pool), label="order")
     p = data.draw(small_pattern(5), label="pattern")
     assert_search_matches_unit_steps(
         lambda budget: find_realization(f, shuffled, p, budget), f, pool, p)
     size = data.draw(st.integers(1, 5), label="size")
+    stable = isinstance(f, StableColoring)
     for c in (0, 1):
         assert_search_matches_unit_steps(
             lambda budget: find_homogeneous_block(f, shuffled, size, c, budget),
-            f, pool, Pattern.constant(size, c))
+            f, pool, Pattern.constant(size, c),
+            (lambda f, pool, q: unit_block_search(f, pool, q.size, c)) if stable
+            else unit_realization_search)
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=stable_coloring())
+def test_upper_rows_agree_with_color(f):
+    h = f.horizon
+    for x in range(h):
+        assert f.upper_row(x) == sum(f.color(x, y) << y for y in range(x + 1, h))
 
 
 @settings(max_examples=200, deadline=None)
@@ -382,6 +411,9 @@ def test_stable_coloring_contract():
     assert st.limit(3) == 1
     with pytest.raises(ContractViolation):
         StableColoring(4, [0, 0, 0, 0], [1, 2, 3, 4], [(0, 3, 1)])  # y >= settle(x)
+    for colors in ((1, 0), (1, 1)):  # one pair listed twice, with any colors
+        with pytest.raises(ContractViolation, match=r"override \(0,1\) is listed twice"):
+            StableColoring(3, [0, 0, 0], [3, 3, 3], [(0, 1, c) for c in colors])
 
 
 @pytest.mark.parametrize("limits, settle", [
@@ -489,12 +521,68 @@ def small_pattern(draw, most=9):
     return Pattern(size, draw(st.lists(st.integers(0, 1), min_size=pairs, max_size=pairs)))
 
 
+def triple_loop_transitive(p) -> bool:
+    """The triple loop is_transitive ran before it became a search: no
+    i < j < k whose pairs (i, j), (i, k), (j, k) read 010 or 101."""
+    n = p.horizon
+    for i in range(n - 2):
+        for j in range(i + 1, n - 1):
+            for k in range(j + 1, n):
+                sub = (p.color(i, j), p.color(i, k), p.color(j, k))
+                if sub == (0, 1, 0) or sub == (1, 0, 1):
+                    return False
+    return True
+
+
+@st.composite
+def near_perm_pattern(draw, most=12):
+    """A permutation's pattern, which is transitive, with up to two pairs
+    flipped, which may break that."""
+    p = perm_to_pattern(Permutation(draw(st.permutations(range(draw(st.integers(1, most)))))))
+    bits = list(p.bits)
+    for _ in range(draw(st.integers(0, 2)) if bits else 0):
+        i = draw(st.integers(0, len(bits) - 1))
+        bits[i] ^= 1
+    return Pattern(p.size, bits)
+
+
 @settings(max_examples=400, deadline=None)
-@given(g=st.one_of(small_pattern(), small_coloring()))
+@given(g=st.one_of(small_pattern(12), near_perm_pattern(), small_coloring(), stable_coloring(12)))
 def test_is_transitive_matches_triple_scan(g):
     # random bits and overrides give both verdicts; sizes 1 and 2 are
     # always transitive
-    assert is_transitive(g) == triple_scan_transitive(g)
+    assert is_transitive(g) == triple_scan_transitive(g) == triple_loop_transitive(g)
+
+
+def test_is_transitive_matches_triple_loop_on_every_small_pattern():
+    for size in range(1, 7):
+        pairs = size * (size - 1) // 2
+        for code in range(1 << pairs):
+            p = Pattern(size, [code >> b & 1 for b in range(pairs)])
+            assert is_transitive(p) == triple_loop_transitive(p)
+
+
+def combinations_repair(n, k, seed):
+    """The repaired generator before it used block search: rescan every
+    k-set in lexicographic order, flipping the first pair of each 0-clique,
+    until a pass changes nothing."""
+    rng = random.Random(seed)
+    bits = {(x, y): 0 if rng.random() < 0.06 else 1 for x, y in iter_pairs(n)}
+    changed = True
+    while changed:
+        changed = False
+        for clique in itertools.combinations(range(n), k):
+            if all(bits[a, b] == 0 for a, b in itertools.combinations(clique, 2)):
+                bits[clique[0], clique[1]] = 1
+                changed = True
+    return FiniteColoring(n, [bits[pair] for pair in iter_pairs(n)])
+
+
+def test_repaired_generator_matches_combinations_repair():
+    for seed in range(4):
+        for k in range(2, 6):
+            for n in range(1, 26):
+                assert repaired_random_unbalanced(n, k, seed) == combinations_repair(n, k, seed)
 
 
 def test_perm_coloring_reads_perm_pattern_both_ways():

@@ -18,8 +18,8 @@ SRC = ROOT / "src" / "rpl"
 ALLOWED = {
     "brute_force_max_homogeneous": "exhaustive optimum, the extractors' test oracle",
     "single_zero_edge": "fixture of the unbalanced extractor's tests",
-    "ads_extract": "monotone extraction of the main theorem; awaits a verb (ROADMAP item 5)",
-    "escaping_select": "escaping selection race; awaits a verb (ROADMAP item 5)",
+    "ads_extract": "monotone extraction of the main theorem; awaits a verb (ROADMAP item 6)",
+    "escaping_select": "escaping selection race; awaits a verb (ROADMAP item 6)",
 }
 
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
