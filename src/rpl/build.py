@@ -266,14 +266,7 @@ def priority_build(requirements, horizon: int) -> PriorityResult:
         if limits[x]:  # a run of 1s still open at the horizon
             rows[x] |= (1 << horizon) - (2 << last_change[x])
     table = FiniteColoring._from_rows(horizon, rows)
-    settle = [max(x + 1, last_change[x] + 1) for x in range(horizon)]
-    overrides = []
-    for x, row in enumerate(rows):
-        for y in range(x + 1, min(settle[x], horizon)):
-            v = row >> y & 1
-            if v != limits[x]:
-                overrides.append((x, y, v))
-    coloring = StableColoring(horizon, limits, settle, overrides)
+    coloring = StableColoring.from_rows(horizon, rows, limits)
 
     verdicts = []
     final_stage = horizon - 1
@@ -441,6 +434,8 @@ class SimpleOrder:
 
 
 def chain_order(n: int) -> SimpleOrder:
+    if n < 0:
+        raise ContractViolation(f"chain size {n} must be >= 0")
     return SimpleOrder(n, {x: (x,) for x in range(n)})
 
 
@@ -469,8 +464,8 @@ def gamma_build(direction: str, e: int, n: int, scripts=None) -> BuiltOrder:
     """
     if direction not in ("inc", "dec"):
         raise ContractViolation("direction must be inc or dec")
-    if e < 0:
-        raise ContractViolation("e must be >= 0")
+    if e < 0 or n < 0:
+        raise ContractViolation(f"e = {e} and n = {n} must be >= 0")
     scripts = scripts or {}
     root = GammaNode(e, direction == "dec", (), range(n))
     members: list = []

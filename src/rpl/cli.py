@@ -422,6 +422,8 @@ def _witness_dict(w) -> dict:
 
 
 def _cmd_experiment(args, out: _Out) -> int:
+    if args.trials < 0:
+        raise ContractViolation(f"--trials {args.trials} must be >= 0")
     if args.kind == "random-extract":
         if args.instances < 1:
             raise ContractViolation(f"--instances {args.instances} must be >= 1")
@@ -588,10 +590,11 @@ def run_command(argv) -> int:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     args.horizon_set = args.horizon is not None
-    if not args.horizon_set:
-        args.horizon = 200
+    args.horizon = args.horizon if args.horizon_set else 200
     out = _Out(args.out)
     try:
+        if args.horizon < 1:
+            raise ContractViolation(f"--horizon {args.horizon} must be >= 1")
         code = _DISPATCH[args.verb](args, out)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

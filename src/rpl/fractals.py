@@ -10,9 +10,10 @@ level-1 sub-intervals are its blocks, each a fractal one dimension lower.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import ge
 
 from .errors import ContractViolation, InternalInvariant, RangeError, ResourceLimit
-from .patterns import Pattern, VertexSet, iter_pairs
+from .patterns import Pattern, VertexSet
 from .perms import Permutation, SeparatingTree, direct_sum, perm_to_pattern, separating_tree, skew_sum
 
 SIZE_CAP = 1 << 15
@@ -45,18 +46,6 @@ def level_color(n: int) -> int:
     if n < 1:
         raise ContractViolation("blocks only exist from dimension 1 on")
     return 0 if (n - 1) % 2 == 0 else 1
-
-
-def fractal_pair_color(k: int, n: int, x: int, y: int) -> int:
-    """Color of the position pair (x, y) inside the k-ary dimension-n
-    fractal, computed from the first base-k digit where x and y differ:
-    the level above which their digits agree."""
-    if not 0 <= x < y < k**n:
-        raise ContractViolation("need 0 <= x < y < k**n")
-    level = 0
-    while x != y:
-        x, y, level = x // k, y // k, level + 1
-    return level_color(level)
 
 
 def navigate(k: int, n: int, path) -> tuple[int, int]:
@@ -97,9 +86,11 @@ def embed_separable(perm: Permutation, k: int) -> tuple[int, VertexSet]:
     dimension 0; an operator node lands at the smallest dimension of the
     right parity strictly above all its children, each child placed in its
     own block (wide nodes are folded into nested same-operator groups).
-    The returned positions are re-verified, pair by pair from their
-    base-k digits, to induce the permutation's pattern in the fractal;
-    no fractal is built, so the dimension has no size cap.
+    The tree is walked with an explicit stack, so its depth is not
+    bounded by Python's recursion limit.  The returned positions are
+    re-verified, from their base-k digits, to carry the permutation's
+    order type in the fractal; no fractal is built, so the dimension has
+    no size cap.
     """
     if k < 2:
         raise ContractViolation("embedding needs arity >= 2")
@@ -107,31 +98,29 @@ def embed_separable(perm: Permutation, k: int) -> tuple[int, VertexSet]:
     if tree is None:
         raise ContractViolation(f"{perm.to_text()} is not separable")
 
-    def place(node: SeparatingTree) -> tuple[int, list[int]]:
-        if node.is_leaf:
-            return 0, [0]
-        children = list(node.children)
-        while len(children) > k:
-            children = children[: k - 1] + [
-                SeparatingTree(node.op, tuple(children[k - 1 :]))
-            ]
-        placed = [place(c) for c in children]
-        top = max(d for d, _ in placed)
-        want_odd = node.op == "+"  # direct-sum levels have odd dimension
-        n = top + 1
-        while (n % 2 == 1) != want_odd or n < 1:
-            n += 1
-        width = k ** (n - 1)
-        positions: list[int] = []
-        for block, (_, sub) in enumerate(placed):
+    placed = []  # (dimension, positions) of the placed subtrees, left to right
+    todo = [tree]  # subtrees to place, and (op, child count) once their children are placed
+    while todo:
+        node = todo.pop()
+        if isinstance(node, tuple):
+            op, count = node
+            kids, placed[-count:] = placed[-count:], []
+            n = max(d for d, _ in kids) + 1
+            n += (n % 2 == 1) != (op == "+")  # direct-sum levels have odd dimension
+            width = k ** (n - 1)
             # a lower-dimensional embedding stays valid at the front of a
             # taller fractal, so block-local positions carry over directly
-            positions.extend(block * width + q for q in sub)
-        return n, positions
-
-    dim, positions = place(tree)
+            placed.append((n, [block * width + q for block, (_, sub) in enumerate(kids) for q in sub]))
+        elif node.is_leaf:
+            placed.append((0, [0]))
+        else:
+            kids = node.children
+            if len(kids) > k:  # fold the rest into a nested same-operator node
+                kids = (*kids[: k - 1], SeparatingTree(node.op, kids[k - 1 :]))
+            todo += [(node.op, len(kids)), *reversed(kids)]
+    [(dim, positions)] = placed
     out = VertexSet(positions)
-    if not _induces(out, k, dim, perm_to_pattern(perm)):
+    if not _induces(out, k, dim, perm):
         raise InternalInvariant(
             f"embedding of {perm.to_text()} into arity-{k} dimension-{dim} "
             "fractal failed re-verification"
@@ -187,14 +176,26 @@ def partition_extract(a: int, b: int, n: int, vertex_colors) -> tuple[int, Verte
 def is_subfractal(positions, ambient_k: int, ambient_n: int, arity: int) -> bool:
     """Positions inside the ambient fractal induce the arity-ary fractal
     pattern of the same dimension."""
-    return _induces(positions, ambient_k, ambient_n, fractal_pattern(arity, ambient_n))
+    return _induces(positions, ambient_k, ambient_n, fractal_perm(arity, ambient_n))
 
 
-def _induces(positions, k: int, n: int, want: Pattern) -> bool:
-    """The ascending positions, one per position of want, lie inside the
-    k-ary dimension-n fractal and carry want's colors by fractal_pair_color."""
+def _induces(positions, k: int, n: int, perm: Permutation) -> bool:
+    """The ascending positions, one per point of perm, lie inside the k-ary
+    dimension-n fractal and carry perm's order type there.  A position's
+    fractal value is read off its base-k digits: the digit d at level L
+    counts d * k**(L - 1), or (k - 1 - d) * k**(L - 1) under a skew level."""
     pos = list(positions)
-    if len(pos) != want.size or pos[-1] >= k**n:
+    if len(pos) != perm.size or pos[-1] >= k**n:
         return False
-    return all(fractal_pair_color(k, n, pos[i], pos[j]) == want.color(i, j)
-               for i, j in iter_pairs(len(pos)))
+    if pos[0] < 0 or any(map(ge, pos, pos[1:])):
+        raise ContractViolation(f"positions {pos} are not ascending naturals")
+    skews = [level_color(level) for level in range(1, n + 1)]
+    values = []
+    for x in pos:
+        v, weight = 0, 1
+        for skew in skews:
+            x, d = divmod(x, k)
+            v += (k - 1 - d if skew else d) * weight
+            weight *= k
+        values.append(v)
+    return [v for _, v in sorted(zip(perm.values, values))] == sorted(values)  # same order type

@@ -10,6 +10,7 @@ import random
 from .errors import ContractViolation
 from .extract import find_homogeneous_block
 from .patterns import FiniteColoring, StableColoring
+from .perms import Permutation, perm_to_pattern
 
 
 def constant_coloring(n: int, color: int) -> FiniteColoring:
@@ -26,8 +27,7 @@ def split_order_coloring(n: int, top: set) -> StableColoring:
     1302 among them) is avoided outright.
     """
     limits = [1 if x in top else 0 for x in range(n)]
-    settle = [x + 1 for x in range(n)]
-    return StableColoring(n, limits, settle, ())
+    return StableColoring(n, limits, range(1, n + 1))
 
 
 def interleaved_split_order(n: int, seed: int, top_fraction: float = 0.34) -> StableColoring:
@@ -69,13 +69,10 @@ def alternating_stable(n: int) -> StableColoring:
     """Alternating limits with settle times 2x + 2 (capped at n); before
     the settling time every pair reads the opposite of the limit."""
     limits = [x % 2 for x in range(n)]
-    settle = [min(n, 2 * x + 2) for x in range(n)]
-    overrides = []
-    for x in range(n):
-        for y in range(x + 1, settle[x]):
-            if y < n:
-                overrides.append((x, y, 1 - limits[x]))
-    return StableColoring(n, limits, settle, overrides)
+    # the pairs (x, x + 1 .. 2x + 1) read the opposite of x's limit
+    windows = [(1 << x + 1) - 1 << x + 1 for x in range(n)]
+    rows = [(1 << n) - 1 ^ w if lim else w for w, lim in zip(windows, limits)]
+    return StableColoring.from_rows(n, rows, limits)
 
 
 def grouped_unbalanced(n: int, k: int, seed: int) -> FiniteColoring:
@@ -116,12 +113,9 @@ def single_zero_edge(n: int) -> FiniteColoring:
 
 def order_from_ranks(ranks: list) -> StableColoring:
     """Read a rank permutation as a coloring: the upward pair (x, y) gets
-    color 0 exactly when x ranks below y.  Limits and settling times are
-    recovered by scanning each row from the right."""
-    n = len(ranks)
-    if sorted(ranks) != list(range(n)):
-        raise ContractViolation("ranks must be a permutation of 0..n-1")
-    return StableColoring.from_function(n, lambda x, y: 0 if ranks[x] < ranks[y] else 1)
+    color 0 exactly when x ranks below y.  Each row's limit is its last
+    color and its settling time the least one (StableColoring.from_rows)."""
+    return StableColoring.from_rows(len(ranks), perm_to_pattern(Permutation(ranks)).rows if ranks else [])
 
 
 def dipped_split_order(n: int) -> StableColoring:
@@ -134,6 +128,8 @@ def dipped_split_order(n: int) -> StableColoring:
     zones; the tests check exhaustively that the order avoids the two
     forbidden size-4 permutations.
     """
+    if n < 0:
+        raise ContractViolation(f"size {n} must be >= 0")
     dips = [q for q in (12, 36, 108, 324) if q < n]
     top_positions = set()
     for q in dips:

@@ -214,6 +214,8 @@ def find_grouping(f, notion: LargenessPredicate, count: int, horizon: int) -> Gr
     reservoir with no large subset at all ends the search with an
     obstruction report instead of a loop.
     """
+    if count < 0:
+        raise ContractViolation(f"block count {count} must be >= 0")
     reservoir = list(range(min(horizon, f.horizon)))
     blocks: list = []
     dropped = 0

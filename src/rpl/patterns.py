@@ -182,8 +182,6 @@ def _symmetric_rows(upper) -> tuple:
 # forms a 3-cycle.  They are dual to each other.
 NON_TRANSITIVE = (Pattern(3, (0, 1, 0)), Pattern(3, (1, 0, 1)))
 
-TRIVIAL_PATTERN = Pattern(1, ())
-
 
 def is_transitive(p) -> bool:
     """True iff no 3 positions induce a non-transitivity configuration;
@@ -250,13 +248,16 @@ class StableColoring:
     where settle(x) > x.
 
     Limits and settling times are explicit data, so limit queries are
-    decidable at finite scale.  Values before the settling time default to
-    the limit unless an override names the pair.
+    decidable at finite scale.  Bit i of flips[x] is set when the pair
+    (x, x + 1 + i) lies below the horizon and reads the opposite of x's
+    limit; a vertex with no such pair has no entry.
     """
 
-    __slots__ = ("horizon", "limits", "settle", "overrides", "_index", "_flips")
+    __slots__ = ("horizon", "limits", "settle", "flips", "_index")
 
     def __init__(self, horizon: int, limits, settle, overrides=()):
+        """Overrides are (x, y, color) triples with x < y < settle(x); one
+        equal to its limit, or past the horizon, is checked but not kept."""
         if isinstance(limits, (str, bytes)) or isinstance(settle, (str, bytes)):
             raise ContractViolation("limits and settle must be integer sequences, not text")
         self.horizon = horizon
@@ -269,7 +270,7 @@ class StableColoring:
         if not all(map(gt, self.settle, range(horizon))):
             x = next(x for x, s in enumerate(self.settle) if s <= x)
             raise ContractViolation(f"settle({x})={self.settle[x]} must exceed {x}")
-        ov = {}
+        given: dict = {}  # x -> {y: color}
         for x, y, c in overrides:
             if not (0 <= x < horizon and x < y < self.settle[x]):
                 raise ContractViolation(
@@ -278,11 +279,30 @@ class StableColoring:
             c = int(c)
             if c not in (0, 1):
                 raise ContractViolation(f"override ({x},{y}) has color {c}, not 0 or 1")
-            if (x, y) in ov:
+            if y in given.setdefault(x, {}):
                 raise ContractViolation(f"override ({x},{y}) is listed twice")
-            ov[(x, y)] = c
-        self.overrides = ov
-        self._index = self._flips = None
+            given[x][y] = c
+        self.flips = {x: m for x, row in given.items() if (m := _mask(
+            [y - x - 1 for y, c in row.items() if y < horizon and c != self.limits[x]]))}
+        self._index = None
+
+    @classmethod
+    def from_rows(cls, horizon: int, rows, limits=None) -> "StableColoring":
+        """The stable coloring whose pair (x, y), x < y, reads bit y of
+        rows[x].  A row's limit defaults to its last color (0 for the last
+        row, which has none); it settles just past its last disagreement
+        with its limit, the least settling time possible."""
+        if limits is None:
+            limits = [r >> horizon - 1 & 1 for r in rows[:-1]] + [0] if horizon else []
+        flips, settle = {}, []
+        for x, (r, lim) in enumerate(zip(rows, limits)):
+            diff = (r >> x + 1 ^ -lim) & (1 << horizon - 1 - x) - 1  # the pairs (x, y), y > x
+            settle.append(x + 1 + diff.bit_length())
+            if diff:
+                flips[x] = diff
+        f = cls(horizon, limits, settle)  # checks that rows and limits cover the horizon
+        f.flips = flips
+        return f
 
     def limit_index(self) -> tuple:
         """(vertices of limit 0, vertices of limit 1, whether every
@@ -297,34 +317,10 @@ class StableColoring:
 
     def upper_row(self, x: int) -> int:
         """Bitmask of the y > x below the horizon with color(x, y) = 1:
-        x's limit ones XOR the overrides that differ from the limit, the
-        latter indexed per vertex on first use and cached."""
-        if self._flips is None:
-            flips, h, limits = [0] * self.horizon, self.horizon, self.limits
-            for (u, y), c in self.overrides.items():
-                if c != limits[u] and y < h:
-                    flips[u] |= 1 << y
-            self._flips = flips
-        return ((1 << self.horizon) - (2 << x) if self.limits[x] else 0) ^ self._flips[x]
+        x's limit ones XOR its flip mask."""
+        return ((1 << self.horizon) - (2 << x) if self.limits[x] else 0) ^ self.flips.get(x, 0) << x + 1
 
     __getitem__ = upper_row  # f[x], as the mask search reads a pattern's rows[x]
-
-    @classmethod
-    def from_function(cls, horizon: int, fn) -> "StableColoring":
-        """The stable coloring agreeing with fn(x, y), x < y, below the
-        horizon.  Each row is scanned from the right: its limit is its last
-        color (0 for the last row, which has none) and it settles just past
-        its last disagreement with that limit, so every settling time is
-        the least possible."""
-        limits, settle, overrides = [], [], []
-        for x in range(horizon):
-            row = [fn(x, y) for y in range(x + 1, horizon)]
-            lim = row[-1] if row else 0
-            s = x + 1 + max((i + 1 for i, c in enumerate(row) if c != lim), default=0)
-            limits.append(lim)
-            settle.append(s)
-            overrides.extend((x, y, c) for y, c in zip(range(x + 1, s), row) if c != lim)
-        return cls(horizon, limits, settle, overrides)
 
     def color(self, x: int, y: int) -> int:
         if x == y:
@@ -335,7 +331,7 @@ class StableColoring:
             raise RangeError(f"pair ({x},{y}) beyond horizon {self.horizon}")
         if y >= self.settle[x]:
             return self.limits[x]
-        return self.overrides.get((x, y), self.limits[x])
+        return self.limits[x] ^ self.flips.get(x, 0) >> y - x - 1 & 1
 
     def limit(self, x: int) -> int:
         if not 0 <= x < self.horizon:
@@ -353,7 +349,8 @@ class StableColoring:
             "horizon": self.horizon,
             "limits": list(self.limits),
             "settle": list(self.settle),
-            "overrides": sorted([x, y, c] for (x, y), c in self.overrides.items()),
+            "overrides": [[x, y, 1 - self.limits[x]] for x in sorted(self.flips)
+                          for y, b in enumerate(format(self.flips[x], "b")[::-1], x + 1) if b == "1"],
         }
 
     @classmethod
@@ -369,6 +366,14 @@ class StableColoring:
         if bad:
             raise ContractViolation(f"{bad[0]!r} is not an integer")
         return cls(d["horizon"], d["limits"], d["settle"], overrides)
+
+
+def _mask(positions) -> int:
+    """The integer whose set bits are the given naturals."""
+    marks = bytearray(b"0") * (max(positions) + 1 if positions else 1)
+    for v in positions:
+        marks[v] = 49  # "1"
+    return int(marks[::-1], 2)
 
 
 def realizes(f, vertices, p: Pattern) -> bool:
@@ -454,10 +459,7 @@ def _realization_search(f, pool: list, columns: list, budget):
     m, n = len(columns), len(pool)
     rows = f.rows if isinstance(f, Pattern) else f  # a stable coloring's f[x] is its upper row
     at = dict(zip(pool, range(n)))  # pool index of each vertex
-    marks = bytearray(b"0") * (pool[-1] + 1 if pool else 1)
-    for v in pool:
-        marks[v] = 49  # "1"
-    full = int(marks[::-1], 2)
+    full = _mask(pool)
     # cands[d][q], q >= d: the pool vertices that fit position q next to
     # the vertices chosen at depths below d
     cands = [[full] * m for _ in range(m + 1)]

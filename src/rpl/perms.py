@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ContractViolation, InternalInvariant
-from .patterns import FiniteColoring, Pattern, VertexSet, is_transitive
+from .patterns import FiniteColoring, Pattern, VertexSet
 
 
 class Permutation:
@@ -87,13 +87,15 @@ def perm_to_pattern(perm: Permutation) -> Pattern:
 
 
 def pattern_to_perm(p: Pattern) -> Permutation | None:
-    """Recover the permutation whose coding is p, or None if p is not
-    transitive.  The value at x counts the later positions of color 1
-    and the earlier ones of color 0 in row x."""
-    if not is_transitive(p):
+    """The permutation whose coding is p, else None (p is not transitive):
+    the value at x counts the later positions of color 1 and the earlier
+    ones of color 0 in row x, and the values must code back to p."""
+    values = [(r >> x + 1).bit_count() + x - (r & (1 << x) - 1).bit_count()
+              for x, r in enumerate(p.rows)]
+    if sorted(values) != list(range(p.size)):
         return None
-    return Permutation([(r >> x + 1).bit_count() + x - (r & (1 << x) - 1).bit_count()
-                        for x, r in enumerate(p.rows)])
+    perm = Permutation(values)
+    return perm if perm_to_pattern(perm).rows == p.rows else None
 
 
 def perm_coloring(perm: Permutation) -> FiniteColoring:
@@ -375,11 +377,7 @@ def classify_trichotomy(p: Pattern) -> Trichotomy:
     """Every pattern is a separable permutation, contains a
     non-transitivity configuration, or is a permutation containing
     1302/2031."""
-    if not is_transitive(p):
-        return Trichotomy.EM_SIDE
     perm = pattern_to_perm(p)
-    if perm is None:  # unreachable: transitive patterns code permutations
-        raise InternalInvariant("transitive pattern failed to decode")
-    if is_separable(perm):
-        return Trichotomy.ADS_SIDE
-    return Trichotomy.SIDE_1302
+    if perm is None:
+        return Trichotomy.EM_SIDE
+    return Trichotomy.ADS_SIDE if is_separable(perm) else Trichotomy.SIDE_1302

@@ -425,6 +425,14 @@ MALFORMED = [
     (["pattern", "realizes", "{dir}/dup.json", "01", "--set", "0,1"],
      {"dup.json": '{"type": "stable", "horizon": 3, "limits": [0, 0, 0], "settle": [3, 3, 3],'
                   ' "overrides": [[0, 1, 1], [0, 1, 0]]}'}, 1),
+    # negative sizes, each refused where it is used
+    (["--horizon", "-5", "pattern", "avoids", "{dir}/one.txt", "0"], {"one.txt": "1\n"}, 1),
+    (["construct", "gamma", "--n", "-1"], {}, 1),
+    (["construct", "mirror", "--n", "-3"], {}, 1),
+    (["experiment", "delta-mc", "--n", "-5"], {}, 1),
+    (["experiment", "random-extract", "--trials", "-1", "--instances", "1"], {}, 1),
+    (["large", "group", "{dir}/g.txt", "--count", "-1"], {"g.txt": "2\n0\n"}, 1),
+    (["gen", "dipped", "--n", "-4"], {}, 1),
     # a file that is not UTF-8, for every verb that reads one
     *[(argv, {"ff.txt": b"\xff01\n"}, 1)
       for argv in (["pattern", "avoids", "{dir}/ff.txt", "01"], ["extract", "random", "{dir}/ff.txt"],
@@ -586,6 +594,17 @@ def test_repaired_generator_stdout_pinned(capsys):
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "b275450449bc376e5061fd7e1968451bc04f504cefe966ff846fcb8658485e38"
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["gen", "stable", "--n", "300"], "494f086b3311"),
+    (["gen", "dipped", "--n", "400"], "946b5486a9c7"),
+])
+def test_stable_generators_stdout_pinned(capsys, argv, prefix):
+    # captured before every dense source went through StableColoring.from_rows
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest().startswith(prefix)
 
 
 def test_non_utf8_file_names_the_line_of_the_byte(capsys, tmp_path):

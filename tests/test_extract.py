@@ -507,7 +507,7 @@ def test_extraction_color_parity():
     # dimension n - 1: 0 for n = 2, 1 for n = 3
     assert (level_color(1), level_color(2)) == (0, 1)
     for n, f in ((2, split_order_coloring(400, top=set())),
-                 (3, StableColoring.from_function(400, fractal_pattern(20, 2).color))):
+                 (3, StableColoring.from_rows(400, fractal_pattern(20, 2).rows))):
         cfg = default_config(1, horizon=400, steps=1)
         assert randomized_extract(f, 2, n, cfg).color == level_color(n - 1)
         assert oracle_extract(f, 2, n, ReferenceEscapingOracle(), 400, steps=1).color == level_color(n - 1)

@@ -3,13 +3,12 @@ import random
 
 import pytest
 
-from conftest import all_perms, perm
+from conftest import all_perms, perm, zigzag
 from rpl import fractals
 from rpl.errors import ContractViolation, InternalInvariant, RangeError, ResourceLimit
 from rpl.fractals import (
     SIZE_CAP,
     embed_separable,
-    fractal_pair_color,
     fractal_perm,
     is_subfractal,
     level_color,
@@ -17,8 +16,8 @@ from rpl.fractals import (
     occurrence_blocks,
     partition_extract,
 )
-from rpl.patterns import VertexSet, realizes
-from rpl.perms import is_separable, perm_coloring, perm_to_pattern, separating_tree
+from rpl.patterns import VertexSet, iter_pairs, realizes
+from rpl.perms import Permutation, is_separable, perm_coloring, perm_to_pattern, separating_tree
 
 
 def test_fractal_perm_examples():
@@ -67,6 +66,56 @@ def test_navigate_children_partition_parent():
                     o, l = navigate(k, n, path + (w,))
                     child_cells.extend(range(o, o + l))
                 assert child_cells == list(range(off, off + length))
+
+
+def fractal_pair_color(k: int, n: int, x: int, y: int) -> int:
+    """Color of the position pair (x, y), x < y, inside the k-ary
+    dimension-n fractal, from the first base-k digit where x and y differ:
+    the level above which their digits agree."""
+    assert 0 <= x < y < k**n
+    level = 0
+    while x != y:
+        x, y, level = x // k, y // k, level + 1
+    return level_color(level)
+
+
+def induces_pairwise(positions, k: int, n: int, perm: Permutation) -> bool:
+    """The embedding check, pair by pair: the ascending positions lie in
+    the fractal and carry perm's pattern by fractal_pair_color."""
+    pos, want = list(positions), perm_to_pattern(perm)
+    if len(pos) != want.size or pos[-1] >= k**n:
+        return False
+    return all(fractal_pair_color(k, n, pos[i], pos[j]) == want.color(i, j)
+               for i, j in iter_pairs(len(pos)))
+
+
+def test_digit_check_matches_pairwise_check():
+    """On random position sets, the digit check agrees with the pair-by-pair
+    one, for the order type they carry and for a random permutation."""
+    rng = random.Random(23)
+    verdicts = set()
+    for k, n in [(2, 1), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2), (5, 1)]:
+        for _ in range(80):
+            m = rng.randint(1, min(k**n, 7))
+            pos = sorted(rng.sample(range(k**n), m))
+            host = fractal_perm(k, n).values
+            values = [host[x] for x in pos]
+            carried = Permutation(sorted(range(m), key=sorted(range(m), key=values.__getitem__).__getitem__))
+            shuffled = list(range(m))
+            rng.shuffle(shuffled)
+            for pm in (carried, Permutation(shuffled)):
+                got = fractals._induces(pos, k, n, pm)
+                assert got == induces_pairwise(pos, k, n, pm)
+                verdicts.add(got)
+            assert fractals._induces(pos, k, n, carried)
+    assert verdicts == {True, False}
+
+
+def test_embed_answers_on_a_deep_tree():
+    # the separating tree of zigzag(1500) is a path of depth 1499
+    pm = Permutation(zigzag(1500))
+    dim, pos = embed_separable(pm, 2)
+    assert len(pos) == 1500 and pos[-1] < 2**dim
 
 
 def test_pair_color_formula_matches_permutation():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,6 @@ from rpl.patterns import (
     NON_TRANSITIVE,
     Pattern,
     StableColoring,
-    TRIVIAL_PATTERN,
     VertexSet,
     avoids,
     find_realization,
@@ -31,6 +31,7 @@ from rpl.instances import (
     avoiding_family,
     grouped_unbalanced,
     interleaved_split_order,
+    order_from_ranks,
     repaired_random_unbalanced,
 )
 
@@ -81,7 +82,7 @@ def test_dual_is_involution_and_examples():
 def test_realizes_constant_and_trivial():
     f = FiniteColoring.constant(10, 0)
     assert realizes(f, [3, 7, 9], pat("012"))
-    assert realizes(f, [5], TRIVIAL_PATTERN)
+    assert realizes(f, [5], Pattern(1, ()))
     with pytest.raises(ContractViolation):
         realizes(f, [1, 2], pat("012"))
     with pytest.raises(RangeError):
@@ -483,11 +484,50 @@ def small_coloring(draw):
     return StableColoring(h, limits, settle, overrides)
 
 
+def scan_rows(horizon: int, fn, limits=None):
+    """The row scan StableColoring.from_function ran before from_rows:
+    (limits, settle, overrides) of the stable coloring agreeing with
+    fn(x, y), x < y.  Each row is scanned from the right; its limit is the
+    given one, else its last color (0 for the last row), and it settles
+    just past its last disagreement with that limit."""
+    lims, settle, overrides = [], [], []
+    for x in range(horizon):
+        row = [fn(x, y) for y in range(x + 1, horizon)]
+        lim = limits[x] if limits is not None else row[-1] if row else 0
+        s = x + 1 + max((i + 1 for i, c in enumerate(row) if c != lim), default=0)
+        lims.append(lim)
+        settle.append(s)
+        overrides.extend([x, y, c] for y, c in zip(range(x + 1, s), row) if c != lim)
+    return lims, settle, overrides
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), h=st.integers(0, 12), given_limits=st.booleans())
+def test_from_rows_matches_row_scan(data, h, given_limits):
+    """Random row masks, with noise at and below the diagonal, read as the
+    row scan reads them: same limits, settling times and pair colors, and
+    every settling time is the least one the row allows."""
+    rows = data.draw(st.lists(st.integers(0, (1 << h + 2) - 1), min_size=h, max_size=h), label="rows")
+    limits = data.draw(st.lists(st.integers(0, 1), min_size=h, max_size=h), label="limits") \
+        if given_limits else None
+    f = StableColoring.from_rows(h, rows, limits)
+    lims, settle, overrides = scan_rows(h, lambda x, y: rows[x] >> y & 1, limits)
+    assert list(f.limits) == lims and list(f.settle) == settle
+    assert f.to_json_dict()["overrides"] == overrides
+    for x, y in iter_pairs(h):
+        assert f.color(x, y) == rows[x] >> y & 1
+    for x in range(h):
+        s = f.settle[x]
+        assert s == x + 1 or rows[x] >> s - 1 & 1 != f.limit(x)
+
+
 @settings(max_examples=300, deadline=None)
 @given(g=small_coloring())
 def test_stable_from_function_agrees_and_settles_minimally(g):
+    """from_rows, which replaced StableColoring.from_function, on the rows
+    of any small coloring: the same pair colors, each settling time least."""
     h = g.horizon
-    f = StableColoring.from_function(h, g.color)
+    f = StableColoring.from_rows(h, [sum(g.color(x, y) << y for y in range(x + 1, h)) for x in range(h)])
     assert f.horizon == h
     for x, y in iter_pairs(h):
         assert f.color(x, y) == g.color(x, y)
@@ -605,11 +645,45 @@ def test_finite_coloring_dual_stays_symmetric():
 
 
 def test_stable_from_function_last_row():
-    f = StableColoring.from_function(3, lambda x, y: 1)
-    assert f.limits == (1, 1, 0) and f.settle == (1, 2, 3) and f.overrides == {}
-    f = StableColoring.from_function(4, lambda x, y: int(y == 2))
+    """from_rows takes the last row's limit to be 0, and each other row's
+    limit to be its last color."""
+    f = StableColoring.from_rows(3, [0b110, 0b100, 0])
+    assert f.limits == (1, 1, 0) and f.settle == (1, 2, 3) and f.to_json_dict()["overrides"] == []
+    f = StableColoring.from_rows(4, [0b100, 0b100, 0, 0])
     assert f.limits == (0, 0, 0, 0) and f.settle == (3, 3, 3, 4)
-    assert f.overrides == {(0, 2): 1, (1, 2): 1}
+    assert f.to_json_dict()["overrides"] == [[0, 2, 1], [1, 2, 1]]
+
+
+def test_overrides_equal_to_limit_or_past_horizon_are_not_kept():
+    """Such overrides are checked and read as before, but only the flips
+    are stored and listed."""
+    limits, settle = [0, 1, 0, 1], [4, 5, 6, 6]
+    overrides = [(0, 1, 0), (0, 2, 1), (1, 2, 1), (1, 3, 0), (1, 4, 0), (2, 3, 1), (2, 5, 1), (3, 4, 0)]
+    f = StableColoring(4, limits, settle, overrides)
+    given = {(x, y): c for x, y, c in overrides}
+    for x, y in iter_pairs(4):
+        assert f.color(x, y) == given.get((x, y), limits[x])
+    assert f.to_json_dict()["overrides"] == [[0, 2, 1], [1, 3, 0], [2, 3, 1]]
+    assert f.flips == {0: 0b10, 1: 0b10, 2: 0b1}
+    g = StableColoring.from_json_dict(f.to_json_dict())
+    assert g.flips == f.flips and g.to_json_dict() == f.to_json_dict()
+    with pytest.raises(ContractViolation, match="listed twice"):
+        StableColoring(4, limits, settle, overrides + [(1, 4, 1)])  # past the horizon, still checked
+
+
+def test_large_stable_colorings_stay_small():
+    """The flip masks are the only pair storage: a 3,000-vertex coloring
+    with windows up to the horizon retains a few megabytes at most."""
+    ranks = list(range(3000))
+    random.Random(17).shuffle(ranks)
+    for build in (lambda: alternating_stable(3000), lambda: order_from_ranks(ranks)):
+        tracemalloc.start()
+        try:
+            f = build()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert f.horizon == 3000 and retained < 8 << 20
 
 
 def test_stable_restriction_matches():
