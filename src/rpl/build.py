@@ -551,10 +551,14 @@ class DeltaResult:
     bits_used: int
 
 
+_BITS = frozenset((0, 1))
+
+
 def delta_extract(direction: str, e: int, bits, built: BuiltOrder) -> DeltaResult:
     """Descend the built order choosing one block per level from the bit
-    stream; the chosen head opens the sequence and the recursion continues
-    inside the chosen block, filtered to members.
+    stream, whose entries must be the integers 0 and 1; the chosen head
+    opens the sequence and the recursion continues inside the chosen
+    block, filtered to members.
 
     Picking the block that ended up disabled at any level is the failure
     mode.  A sequence that comes back is verified increasing both for the
@@ -563,6 +567,8 @@ def delta_extract(direction: str, e: int, bits, built: BuiltOrder) -> DeltaResul
     if direction != built.direction or e != built.e0:
         raise ContractViolation("direction/index must match the built order")
     stream = list(bits)
+    if not _BITS.issuperset(stream):
+        raise ContractViolation("bit stream entries must be 0 or 1")
     pos = 0
     flags: list = []
     seq: list = []
@@ -575,7 +581,7 @@ def delta_extract(direction: str, e: int, bits, built: BuiltOrder) -> DeltaResul
             break
         j = 0
         for b in stream[pos : pos + width]:
-            j = (j << 1) | int(b)
+            j = (j << 1) | b
         pos += width
         if node.is_leaf:
             # finite ground ran out: close the sequence with the remaining

@@ -1,9 +1,9 @@
 """Homogeneous-set extraction from stable and finite colorings.
 
-Four extraction routes share this module: an exhaustive optimum finder
-used as a test oracle, the unbalanced tree extractor for colorings with
-no small clique of one color, a seeded randomized extractor driven by a
-thinning sequence, and an extractor answering to an escaping oracle.
+Three extraction routes share this module: the unbalanced tree
+extractor for colorings with no small clique of one color, a seeded
+randomized extractor driven by a thinning sequence, and an extractor
+answering to an escaping oracle.
 The oracle extractor classifies blocks as good or bad with one search,
 _bad_witness; under a good parent at most k - 1 blocks are bad.
 
@@ -18,7 +18,7 @@ these procedures consume.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -33,7 +33,6 @@ from .errors import (
     InternalInvariant,
     PreconditionWitness,
     RangeError,
-    ResourceLimit,
 )
 from .fractals import fractal_pattern, level_color, navigate, occurrence_blocks
 from .patterns import (
@@ -45,7 +44,6 @@ from .patterns import (
     find_realization,
 )
 
-BRUTE_FORCE_CAP = 24
 FAILURE_EXPONENT = 3  # a thinning sequence's reciprocals sum below 2**-FAILURE_EXPONENT
 
 
@@ -70,30 +68,39 @@ class StemCondition:
     reservoir: list | range = field(default_factory=list)
 
     def extend(self, f, x: int) -> None:
-        idx = bisect_left(self.reservoir, x)
+        idx = _rank(self.reservoir, x)
         if idx >= len(self.reservoir) or self.reservoir[idx] != x:
             raise ContractViolation(f"{x} is not in the reservoir")
         self.stem.append(x)
         self.reservoir = thin_reservoir(f, self.reservoir, x, self.color)
 
 
+def _rank(pool, x: int) -> int:
+    """bisect_left(pool, x) on an ascending pool: by arithmetic on a
+    step-1 range, which allocates no int per probe."""
+    if pool.__class__ is range and pool.step == 1:
+        return min(max(x - pool.start, 0), len(pool))
+    return bisect_left(pool, x)
+
+
 def thin_reservoir(f, reservoir, x: int, color: int):
     """Keep reservoir elements above x whose pair with x has the color.
 
-    The reservoir ascends, a list or a range.  Fast path for stable
-    colorings: beyond x's settling time the pair color equals x's limit,
-    so only the window below settle(x) needs explicit checks.  When x
-    keeps its limit and no element lies in that window, the result is the
-    slice past x, so a range stays a range; otherwise it is a new list.
+    The reservoir ascends, a list or a range; both are located in by
+    _rank.  Fast path for stable colorings: beyond x's settling time the
+    pair color equals x's limit, so only the window below settle(x) needs
+    explicit checks.  When x keeps its limit and no element lies in that
+    window, the result is the slice past x, so a range stays a range;
+    otherwise it is a new list.
     """
     if color not in (0, 1):
         raise ContractViolation(f"color {color!r} is not 0 or 1")
-    idx = bisect_right(reservoir, x)
+    idx = _rank(reservoir, x + 1)
     if isinstance(f, StableColoring):
         keep = f.limit(x) == color
         if reservoir and reservoir[-1] >= f.horizon:
             raise RangeError(f"vertex {reservoir[-1]} beyond horizon {f.horizon}")
-        j = bisect_left(reservoir, f.settle[x], idx)
+        j = _rank(reservoir, f.settle[x])  # settle(x) > x, so j >= idx
         if keep and j == idx:
             return reservoir[j:]
         out = [y for y in reservoir[idx:j] if f.color(x, y) == color]
@@ -101,45 +108,6 @@ def thin_reservoir(f, reservoir, x: int, color: int):
             out += reservoir[j:]
         return out
     return [y for y in reservoir[idx:] if f.color(x, y) == color]
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive optimum (test oracle)
-
-
-def brute_force_max_homogeneous(f):
-    """Maximum-cardinality homogeneous set over both colors of a
-    FiniteColoring, exhaustively.
-
-    Branch-and-bound over its row masks; ties prefer color 0.
-    """
-    n = f.horizon
-    if n > BRUTE_FORCE_CAP:
-        raise ResourceLimit(f"horizon {n} exceeds brute-force cap {BRUTE_FORCE_CAP}")
-    full = (1 << n) - 1
-    results = {}
-    for color in (0, 1):
-        adj = [f.row(x, color) for x in range(n)]
-        best = 0  # bitmask of best clique
-
-        def expand(cur: int, cand: int):
-            nonlocal best
-            if cur.bit_count() + cand.bit_count() <= best.bit_count():
-                return
-            if cand == 0:
-                if cur.bit_count() > best.bit_count():
-                    best = cur
-                return
-            v = (cand & -cand).bit_length() - 1
-            expand(cur | (1 << v), cand & adj[v])
-            expand(cur, cand & ~(1 << v))
-
-        expand(0, full)
-        results[color] = best
-    c0, c1 = results[0].bit_count(), results[1].bit_count()
-    color = 0 if c0 >= c1 else 1
-    mask = results[color]
-    return color, VertexSet(v for v in range(n) if mask >> v & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +198,8 @@ SCAN_CHUNK = 64  # least number of pool elements one bound-scan step reads
 
 def find_homogeneous_block(f, reservoir, size: int, color: int, budget=None):
     """Lexicographically least size-`size` subset of the reservoir whose
-    pairs all have the color, or None.  The reservoir, in any order, must
+    pairs all have the color, as a VertexSet, or None; the one block
+    search entry that boxes its answer.  The reservoir, in any order, must
     hold distinct vertices: a repeated one is read as a pair on the
     diagonal, which raises ContractViolation.  The budget, positive or
     None, caps the nodes of the ascending depth-first search.
@@ -257,9 +226,9 @@ def find_homogeneous_block(f, reservoir, size: int, color: int, budget=None):
     those of the full bounds, while a block near the front of a long
     reservoir never pays for the rest of it.
 
-    The extractors skip the sort: their reservoir ascends, and the stable
-    search checks that a list pool does, so a repeated or out-of-order
-    vertex there still raises ContractViolation.
+    The extractors skip the sort and the box: their reservoir ascends,
+    and the stable search checks that a list pool does, so a repeated or
+    out-of-order vertex there still raises ContractViolation.
     """
     if color not in (0, 1):
         raise ContractViolation(f"color {color!r} is not 0 or 1")
@@ -271,7 +240,8 @@ def find_homogeneous_block(f, reservoir, size: int, color: int, budget=None):
     if pool and not 0 <= pool[0] <= pool[-1] < f.horizon:
         raise RangeError(f"vertices {pool[0]}..{pool[-1]} outside horizon {f.horizon}")
     if isinstance(f, StableColoring):
-        return _stable_block_search(f, pool, size, color, budget)
+        block = _stable_block_search(f, pool, size, color, budget)
+        return None if block is None else tuple.__new__(VertexSet, block)
     if not all(map(lt, pool, pool[1:])):
         raise ContractViolation("block search reservoir repeats a vertex, "
                                 "which is a pair on the diagonal")
@@ -281,7 +251,8 @@ def find_homogeneous_block(f, reservoir, size: int, color: int, budget=None):
 def _stable_block_search(f: StableColoring, pool, size: int, color: int, budget):
     """find_homogeneous_block on a stable coloring, over a pool of vertices
     below the horizon, used as given: a step-1 range, or a list, which is
-    checked to ascend strictly.  Window-1 colorings take the closed form."""
+    checked to ascend strictly.  Window-1 colorings take the closed form,
+    whose block is an ascending sequence not boxed into a VertexSet."""
     if pool.__class__ is not range and not all(map(lt, pool, pool[1:])):
         raise ContractViolation("block search pool does not ascend strictly; "
                                 "a repeated vertex is a pair on the diagonal")
@@ -343,11 +314,13 @@ def _window_one_block(f: StableColoring, pool, size: int, color: int):
     vertices of limit `color` and any vertex above them, and the least
     one is the first size - 1 of those in the pool plus the pool vertex
     right after the last; None when the pool holds fewer or nothing
-    follows.  A step-1 range reads them off the coloring's limit index,
-    a list filters its limits.  No search runs: no node is expanded, so
+    follows.  A step-1 range copies them as a machine-int slice of the
+    coloring's limit index, a list filters its limits; the block is that
+    sequence with the next vertex appended, so a step boxes only the
+    vertices its caller reads.  No search runs: no node is expanded, so
     no budget can run out."""
     if size < 2:
-        return tuple.__new__(VertexSet, pool[:size]) if len(pool) >= size else None
+        return pool[:size] if len(pool) >= size else None
     if pool.__class__ is range and pool.step == 1:
         pos = f.limit_index()[color]
         lo = bisect_left(pos, pool.start)
@@ -357,8 +330,11 @@ def _window_one_block(f: StableColoring, pool, size: int, color: int):
                         size - 1)]
     if len(head) < size - 1:
         return None
-    j = bisect_right(pool, head[-1])
-    return tuple.__new__(VertexSet, [*head, pool[j]]) if j < len(pool) else None
+    j = _rank(pool, head[-1] + 1)
+    if j == len(pool):
+        return None
+    head.append(pool[j])
+    return head
 
 
 EXTRACTOR_SEARCH_BUDGET = 2_000_000
@@ -366,11 +342,12 @@ EXTRACTOR_SEARCH_BUDGET = 2_000_000
 
 def _extractor_block(f, reservoir, arity: int, dim: int, step: int):
     """Least occurrence of the arity-ary dimension-dim fractal in the
-    reservoir, inside an extractor loop.  Dimension 1 takes the stable
-    homogeneous-block search, which answers a window-1 coloring without
-    search; every search runs under a node budget.  Exhaustion, like
-    proven absence, ends the run as a degenerate instance (the unbalanced
-    route applies); the cause and the step are named."""
+    reservoir, as an ascending sequence, inside an extractor loop.
+    Dimension 1 takes the stable homogeneous-block search, which answers a
+    window-1 coloring without search or boxing; every search runs under a
+    node budget.  Exhaustion, like proven absence, ends the run as a
+    degenerate instance (the unbalanced route applies); the cause and the
+    step are named."""
     try:
         if dim == 1:  # the reservoir ascends, as StemCondition keeps it
             block = _stable_block_search(f, reservoir, arity, 0, EXTRACTOR_SEARCH_BUDGET)

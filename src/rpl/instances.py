@@ -104,13 +104,6 @@ def repaired_random_unbalanced(n: int, k: int, seed: int) -> FiniteColoring:
     return f
 
 
-def single_zero_edge(n: int) -> FiniteColoring:
-    """All 1 except the pair (0, 1)."""
-    return FiniteColoring.from_function(
-        n, lambda x, y: 0 if (x, y) == (0, 1) else 1
-    )
-
-
 def order_from_ranks(ranks: list) -> StableColoring:
     """Read a rank permutation as a coloring: the upward pair (x, y) gets
     color 0 exactly when x ranks below y.  Each row's limit is its last

@@ -339,9 +339,13 @@ class StableColoring:
         return self.limits[x]
 
     def restrict(self, horizon: int) -> "FiniteColoring":
+        """The pairs below the horizon as a FiniteColoring, read off the
+        upper rows."""
         if horizon > self.horizon:
             raise RangeError("cannot restrict beyond the generated horizon")
-        return FiniteColoring.from_function(horizon, self.color)
+        upper = [format(self[x] >> x + 1 & (1 << w) - 1, f"0{w}b")[::-1]
+                 for x, w in zip(range(horizon - 1), range(horizon - 1, 0, -1))]
+        return FiniteColoring._from_rows(horizon, _symmetric_rows(upper))
 
     def to_json_dict(self) -> dict:
         return {

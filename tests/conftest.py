@@ -3,8 +3,9 @@ import itertools
 import pytest
 
 from rpl.build import chain_order, mirror_double
+from rpl.errors import ResourceLimit
 from rpl.instances import order_from_ranks
-from rpl.patterns import Pattern
+from rpl.patterns import FiniteColoring, Pattern, VertexSet
 from rpl.perms import Permutation, perm_coloring, perm_to_pattern
 
 
@@ -20,6 +21,51 @@ def mirror_chain_coloring(n: int):
     """The mirror-doubled chain of n elements read as a coloring."""
     m = mirror_double(chain_order(n))
     return order_from_ranks([m.keys[x][0] for x in range(m.horizon)])
+
+
+def single_zero_edge(n: int) -> FiniteColoring:
+    """All 1 except the pair (0, 1)."""
+    return FiniteColoring.from_function(
+        n, lambda x, y: 0 if (x, y) == (0, 1) else 1
+    )
+
+
+BRUTE_FORCE_CAP = 24
+
+
+def brute_force_max_homogeneous(f):
+    """Maximum-cardinality homogeneous set over both colors of a
+    FiniteColoring, exhaustively: the extractors' test oracle.
+
+    Branch-and-bound over its row masks; ties prefer color 0.
+    """
+    n = f.horizon
+    if n > BRUTE_FORCE_CAP:
+        raise ResourceLimit(f"horizon {n} exceeds brute-force cap {BRUTE_FORCE_CAP}")
+    full = (1 << n) - 1
+    results = {}
+    for color in (0, 1):
+        adj = [f.row(x, color) for x in range(n)]
+        best = 0  # bitmask of best clique
+
+        def expand(cur: int, cand: int):
+            nonlocal best
+            if cur.bit_count() + cand.bit_count() <= best.bit_count():
+                return
+            if cand == 0:
+                if cur.bit_count() > best.bit_count():
+                    best = cur
+                return
+            v = (cand & -cand).bit_length() - 1
+            expand(cur | (1 << v), cand & adj[v])
+            expand(cur, cand & ~(1 << v))
+
+        expand(0, full)
+        results[color] = best
+    c0, c1 = results[0].bit_count(), results[1].bit_count()
+    color = 0 if c0 >= c1 else 1
+    mask = results[color]
+    return color, VertexSet(v for v in range(n) if mask >> v & 1)
 
 
 def all_perms(size: int):

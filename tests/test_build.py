@@ -745,6 +745,17 @@ def test_delta_examples():
         delta_extract("dec", 0, [0], built)
 
 
+@pytest.mark.parametrize("bits", [
+    [2, 0, 1, 0, 1, 1, 0, 1, 1],
+    [1, 3, 1, 0, 1, 1, 0, 1, 1],
+    ["1", "0", "1", "0", "1", "1", "0", "1", "1"],
+], ids=["two", "three", "text"])
+def test_delta_rejects_entries_other_than_0_and_1(bits):
+    built = gamma_build("inc", 0, 200)
+    with pytest.raises(ContractViolation, match="0 or 1"):
+        delta_extract("inc", 0, bits, built)
+
+
 def test_delta_monte_carlo_quick():
     built = gamma_build("dec", 0, 800)
     rng = random.Random(3)

@@ -1,11 +1,13 @@
 import itertools
 import random
+from bisect import bisect_left
+from dataclasses import replace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import pat
+from conftest import brute_force_max_homogeneous, pat, single_zero_edge
 from rpl import extract
 from rpl.errors import (
     BudgetExhausted,
@@ -20,8 +22,9 @@ from rpl.extract import (
     AdversarialEscapingOracle,
     ExtractionConfig,
     ReferenceEscapingOracle,
+    StemCondition,
     _extractor_block,
-    brute_force_max_homogeneous,
+    _rank,
     default_config,
     find_homogeneous_block,
     oracle_extract,
@@ -30,7 +33,7 @@ from rpl.extract import (
     unbalanced_extract,
     verify_homogeneous,
 )
-from rpl.fractals import fractal_pattern, level_color, occurrence_blocks
+from rpl.fractals import fractal_pattern, level_color, navigate, occurrence_blocks
 from rpl.instances import (
     alternating_stable,
     blocked_split_order,
@@ -39,7 +42,6 @@ from rpl.instances import (
     grouped_unbalanced,
     interleaved_split_order,
     repaired_random_unbalanced,
-    single_zero_edge,
     split_order_coloring,
 )
 from rpl.patterns import FiniteColoring, StableColoring, VertexSet, realizes
@@ -253,6 +255,13 @@ def window_one_stable(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(f=st.one_of(small_stable(), window_one_stable()), data=st.data())
+def test_restrict_reads_the_pairs_below_the_horizon(f, data):
+    h = data.draw(st.integers(1, f.horizon), label="horizon")
+    assert f.restrict(h) == FiniteColoring.from_function(h, f.color)
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=st.one_of(small_stable(), window_one_stable()), data=st.data())
 def test_stable_block_search_matches_generic(f, data):
     h = f.horizon
     reservoir = data.draw(st.lists(st.integers(0, h - 1), unique=True), label="reservoir")
@@ -424,6 +433,88 @@ def test_window_one_extraction_never_searches(monkeypatch):
     dried = split_order_coloring(300, top=set(range(50, 300)))
     with pytest.raises(DegenerateInstance, match="no .*-ary dimension-1 block"):
         randomized_extract(dried, 2, 2, default_config(seed=1, horizon=300, steps=10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.integers(-5, 30), b=st.integers(-5, 30), x=st.integers(-10, 40))
+def test_rank_locates_by_arithmetic_as_bisect_does(a, b, x):
+    # empty ranges (b <= a), starts other than 0, and x below, inside and
+    # past the range
+    pool = range(a, b)
+    assert _rank(pool, x) == bisect_left(list(pool), x)
+
+
+@pytest.mark.parametrize("reservoir, x", [
+    *((range(3, 20), x) for x in (0, 2, 20, 25)),  # below and past the range
+    *(([3, 5, 8, 13], x) for x in (0, 4, 9, 20)),  # below, between and past the list
+])
+def test_stem_extend_rejects_a_vertex_missing_from_the_reservoir(reservoir, x):
+    cond = StemCondition(0, [], reservoir)
+    with pytest.raises(ContractViolation, match="not in the reservoir"):
+        cond.extend(FIXTURE, x)
+    assert cond.stem == [] and cond.reservoir is reservoir
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=st.one_of(st.sampled_from(WINDOW_ONE), window_one_stable()), data=st.data())
+def test_extractor_block_reads_the_block_search_answer(f, data):
+    # the unboxed window-1 block holds the vertices of the boxed one
+    h = f.horizon
+    a = data.draw(st.integers(0, h), label="start")
+    b = data.draw(st.integers(a, h), label="stop")
+    listed = sorted(data.draw(st.sets(st.integers(0, h - 1), max_size=60), label="reservoir"))
+    size = data.draw(st.integers(1, 80), label="size")
+    for pool in (range(a, b), listed):
+        want = find_homogeneous_block(f, pool, size, 0)
+        if want is None:
+            with pytest.raises(DegenerateInstance):
+                _extractor_block(f, pool, size, 1, 0)
+        else:
+            assert tuple(_extractor_block(f, pool, size, 1, 0)) == tuple(want)
+
+
+def reference_randomized_transcript(f, cfg):
+    """randomized_extract(f, 2, 2, cfg) with every block taken from
+    find_homogeneous_block over a list reservoir thinned by pair reads:
+    the transcript, ending with ("degenerate", step) when a step finds no
+    block."""
+    color = level_color(1)
+    rng = random.Random(cfg.seed)
+    reservoir = list(range(min(cfg.horizon, f.horizon)))
+    transcript = []
+    for step in range(cfg.steps):
+        arity = cfg.block_size(step, 2, 1)
+        block = find_homogeneous_block(f, reservoir, arity, 0)
+        if block is None:
+            return transcript + [("degenerate", step)]
+        path = (rng.randrange(arity),)
+        x = block[navigate(arity, 1, path)[0]]
+        bad = f.limit(x) == 1 - color
+        transcript.append({"step": step, "arity": arity, "block_min": block[0],
+                           "block_max": block[-1], "path": list(path), "chosen": x,
+                           "verdict": "bad" if bad else "good"})
+        if bad:
+            break
+        reservoir = [y for y in reservoir if y > x and f.color(x, y) == color]
+    return transcript
+
+
+def test_randomized_transcripts_match_the_boxed_reference():
+    outcomes = set()
+    for seed in range(200):
+        f = WINDOW_ONE[seed % len(WINDOW_ONE)]
+        # horizons up to 3000; the short ones run out of blocks
+        cfg = default_config(seed, horizon=1000 + 500 * (seed % 5), steps=10)
+        try:
+            out = randomized_extract(f, 2, 2, cfg)
+            got = out.transcript
+            outcomes.add(out.success)
+        except DegenerateInstance as exc:
+            got = randomized_extract(f, 2, 2, replace(cfg, steps=exc.step)).transcript \
+                + [("degenerate", exc.step)]
+            outcomes.add("degenerate")
+        assert got == reference_randomized_transcript(f, cfg), seed
+    assert outcomes == {True, False, "degenerate"}
 
 
 @pytest.mark.parametrize("pool, size", [

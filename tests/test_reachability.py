@@ -16,8 +16,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "rpl"
 
 ALLOWED = {
-    "brute_force_max_homogeneous": "exhaustive optimum, the extractors' test oracle",
-    "single_zero_edge": "fixture of the unbalanced extractor's tests",
     "ads_extract": "monotone extraction of the main theorem; awaits a verb (ROADMAP item 6)",
     "escaping_select": "escaping selection race; awaits a verb (ROADMAP item 6)",
 }
