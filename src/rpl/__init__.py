@@ -9,7 +9,6 @@ factories), cli (command-line front end).
 
 from .patterns import (
     FiniteColoring,
-    LinearOrderView,
     Pattern,
     StableColoring,
     VertexSet,
@@ -36,8 +35,8 @@ from .perms import (
 from .fractals import embed_separable, fractal_perm, navigate, partition_extract
 
 __all__ = [
-    "FiniteColoring", "LinearOrderView", "Pattern", "StableColoring",
-    "VertexSet", "avoids", "find_realization", "is_transitive", "realizes",
+    "FiniteColoring", "Pattern", "StableColoring", "VertexSet", "avoids",
+    "find_realization", "is_transitive", "realizes",
     "Permutation", "SeparatingTree", "classify_trichotomy", "converge",
     "direct_sum", "is_convergent", "is_separable", "join", "pattern_to_perm",
     "perm_to_pattern", "separating_tree", "skew_sum", "split_reducible",

@@ -3,8 +3,9 @@
 Every construction here plays against adversary scripts: finite,
 explicit, prefix-monotone enumeration streams.  Quantities measured over
 oracle prefixes are exact rational sums over the finite prefix space the
-scripts declare.  The escaping selection race asks its guesses of the
-escaping oracles of `extract`, through their one `pick` protocol.
+scripts declare.  The constructions are the finite-injury priority
+build, the recursive split orders of `gamma_build` with the bit-stream
+descent `delta_extract`, and mirror doubling.
 """
 
 from __future__ import annotations
@@ -14,14 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ContractViolation, InstanceLoadError, InternalInvariant, RangeError
-from .patterns import (
-    FiniteColoring,
-    Pattern,
-    StableColoring,
-    VertexSet,
-    order_key,
-)
-from .perms import Permutation, SeparatingTree, parse_naturals, separating_tree
+from .patterns import FiniteColoring, Pattern, StableColoring
+from .perms import parse_naturals
 
 
 # ---------------------------------------------------------------------------
@@ -551,9 +546,6 @@ class DeltaResult:
     bits_used: int
 
 
-_BITS = frozenset((0, 1))
-
-
 def delta_extract(direction: str, e: int, bits, built: BuiltOrder) -> DeltaResult:
     """Descend the built order choosing one block per level from the bit
     stream, whose entries must be the integers 0 and 1; the chosen head
@@ -566,8 +558,12 @@ def delta_extract(direction: str, e: int, bits, built: BuiltOrder) -> DeltaResul
     """
     if direction != built.direction or e != built.e0:
         raise ContractViolation("direction/index must match the built order")
-    stream = list(bits)
-    if not _BITS.issuperset(stream):
+    try:
+        stream = bytes(list(bits))  # refuses floats, text and values beyond a byte
+        bad = stream.translate(None, b"\0\1")
+    except (TypeError, ValueError):
+        bad = True
+    if bad:
         raise ContractViolation("bit stream entries must be 0 or 1")
     pos = 0
     flags: list = []
@@ -617,237 +613,3 @@ def mirror_double(source: SimpleOrder) -> SimpleOrder:
     for r, x in enumerate(sorted(range(n), key=source.keys.__getitem__)):
         keys[2 * x], keys[2 * x + 1] = (r,), (2 * n - 1 - r,)
     return SimpleOrder(2 * n, keys)
-
-
-# ---------------------------------------------------------------------------
-# Monotone-sequence extraction from orders avoiding a separable permutation
-
-
-@dataclass
-class AdsOutcome:
-    status: str  # "monotone" | "realized" | "inconclusive"
-    direction: str | None
-    sequence: list
-    witness: VertexSet | None
-    frontier: dict | None
-
-
-def _binarize(tree: SeparatingTree) -> SeparatingTree:
-    if tree.is_leaf:
-        return tree
-    children = [_binarize(c) for c in tree.children]
-    node = children[-1]
-    for child in reversed(children[:-1]):
-        node = SeparatingTree(tree.op, (child, node))
-    return node
-
-
-def ads_extract(order, perm: Permutation, horizon: int, target: int = 15,
-                tail_threshold: int = 12) -> AdsOutcome:
-    """Walk the separating tree of an avoided separable permutation to
-    force a long monotone sequence out of the order.
-
-    At a direct-sum node: either the left part occurs with a large set of
-    later elements above its top, and the right part is pursued there, or
-    every left occurrence tops out, and the tops of successive occurrences
-    form a descending sequence.  Skew-sum nodes behave dually with
-    ascending bottoms.  "Large" means at least tail_threshold elements
-    inside the horizon; regions too thin to decide are reported as
-    inconclusive with the frontier.  A full realization of the permutation
-    contradicts the avoidance precondition and comes back as a certified
-    witness.
-    """
-    tree = separating_tree(perm)
-    if tree is None:
-        raise ContractViolation(f"{perm.to_text()} is not separable")
-    tree = _binarize(tree)
-    less = order.less
-
-    def realize(node: SeparatingTree, region: list):
-        if node.is_leaf:
-            if not region:
-                return ("inconclusive", {"need": 1, "region": 0})
-            return ("realized", [region[0]])
-        left, right = node.children
-        plus = node.op == "+"
-        collected: list = []
-        current = region
-        while True:
-            sub = realize(left, current)
-            if sub[0] != "realized":
-                if sub[0] == "monotone":
-                    return sub
-                if collected:
-                    # the partial run is itself monotone evidence
-                    return (
-                        "monotone-partial",
-                        ("desc" if plus else "asc", collected, sub[1]),
-                    )
-                return sub
-            front = sub[1]
-            ext = front[-1]
-            anchor = (max if plus else min)(front, key=order_key(less))
-            if plus:
-                beyond = [x for x in current if x > ext and less(anchor, x)]
-            else:
-                beyond = [x for x in current if x > ext and less(x, anchor)]
-            if len(beyond) >= tail_threshold:
-                sub2 = realize(right, beyond)
-                if sub2[0] != "realized":
-                    return sub2
-                return ("realized", front + sub2[1])
-            collected.append(anchor)
-            if len(collected) >= target:
-                return ("monotone", ("desc" if plus else "asc", collected))
-            if plus:
-                current = [x for x in current if x > ext and less(x, anchor)]
-            else:
-                current = [x for x in current if x > ext and less(anchor, x)]
-            if not current:
-                return ("inconclusive", {"need": target - len(collected),
-                                         "collected": len(collected), "region": 0})
-
-    region = list(range(min(horizon, order.horizon)))
-    out = realize(tree, region)
-    if out[0] == "realized":
-        witness = VertexSet(out[1])
-        by_order = sorted(witness, key=order_key(less))
-        if tuple(map(by_order.index, witness)) != perm.values:
-            raise InternalInvariant(f"witness {witness} does not realize {perm.to_text()}")
-        return AdsOutcome("realized", None, [], witness, None)
-    if out[0] == "monotone":
-        direction, seq = out[1]
-        _assert_monotone(less, seq, direction)
-        return AdsOutcome("monotone", direction, seq, None, None)
-    if out[0] == "monotone-partial":
-        direction, seq, frontier = out[1]
-        _assert_monotone(less, seq, direction)
-        return AdsOutcome("inconclusive", direction, seq, None,
-                          {"partial": len(seq), "inner": frontier})
-    return AdsOutcome("inconclusive", None, [], None, out[1])
-
-
-def _assert_monotone(less, seq, direction):
-    for a, b in zip(seq, seq[1:]):
-        ok = less(b, a) if direction == "desc" else less(a, b)
-        if not (a < b and ok):
-            raise InternalInvariant("collected sequence is not monotone")
-
-
-# ---------------------------------------------------------------------------
-# Escaping selection race
-
-
-@dataclass
-class ModulusApprox:
-    """Staged approximation of a settling modulus: for each query point x
-    the value jumps through at most x recorded change stages."""
-
-    change_points: dict
-
-    def __post_init__(self):
-        for x, pts in self.change_points.items():
-            pts = tuple(pts)
-            if list(pts) != sorted(set(pts)):
-                raise ContractViolation(f"change points of {x} must strictly increase")
-            if len(pts) > max(0, x):
-                raise ContractViolation(
-                    f"{len(pts)} changes at {x} exceed the allowed {max(0, x)}"
-                )
-            self.change_points[x] = pts
-
-    def points(self, x: int) -> tuple:
-        return self.change_points.get(x, ())
-
-    def value_at(self, x: int, stage: int) -> int:
-        v = 0
-        for m in self.points(x):
-            if m <= stage:
-                v = m
-            else:
-                break
-        return v
-
-    def final(self, x: int) -> int:
-        pts = self.points(x)
-        return pts[-1] if pts else 0
-
-
-@dataclass
-class SelectResult:
-    harvested: VertexSet
-    transcript: list
-    violations: list
-    skipped: list
-
-
-def escaping_select(family, bad, modulus: ModulusApprox, k: int, oracle,
-                    x_range: int, stage_horizon: int) -> SelectResult:
-    """Harvest elements outside the bad set from a family of blocks.
-
-    For each query point x, the enumerated trap set holds 0..x-1 together
-    with the positions of bad elements inside the family blocks indexed by
-    x's modulus change points; the escaping oracle is asked
-    `pick(trap, x, None)` and must name a position outside it.  Waiting
-    for the first stage whose modulus value covers the guessed position
-    then makes the harvested element provably good.
-    All outputs are re-verified against the bad set; contract breaches by
-    the oracle are returned as transcript violations.
-    """
-    family = [list(b) for b in family]
-    bad = set(bad)
-    for i, block in enumerate(family):
-        if len(set(block) & bad) > k:
-            raise ContractViolation(
-                f"block {i} meets the bad set in more than {k} elements"
-            )
-        if len(block) < i:
-            raise ContractViolation(f"block {i} smaller than its index")
-    harvested: list = []
-    transcript: list = []
-    violations: list = []
-    skipped: list = []
-
-    for x in range(1, x_range + 1):
-        trap = set(range(x))
-        for m in modulus.points(x):
-            if m < len(family):
-                for pos, el in enumerate(family[m]):
-                    if el in bad:
-                        trap.add(pos)
-        if len(trap) > x * (k + 1):
-            raise InternalInvariant("trap set exceeded its stated bound")
-        p = oracle.pick(trap, x, None)
-        entry = {"x": x, "trap_size": len(trap), "guess": p}
-        if p in trap:
-            entry["violation"] = "guess inside the enumerated set"
-            violations.append(entry)
-            transcript.append(entry)
-            continue
-        stage = None
-        for s in range(stage_horizon + 1):
-            if modulus.value_at(x, s) >= p + 1:
-                stage = s
-                break
-        if stage is None:
-            entry["skipped"] = "modulus never covered the guess"
-            skipped.append(x)
-            transcript.append(entry)
-            continue
-        idx = modulus.value_at(x, stage)
-        if idx >= len(family) or p >= len(family[idx]):
-            entry["skipped"] = "family exhausted"
-            skipped.append(x)
-            transcript.append(entry)
-            continue
-        el = family[idx][p]
-        entry["block"] = idx
-        entry["element"] = el
-        if el in bad:
-            entry["violation"] = "harvested a bad element"
-            violations.append(entry)
-        else:
-            harvested.append(el)
-        transcript.append(entry)
-
-    return SelectResult(VertexSet(set(harvested)), transcript, violations, skipped)

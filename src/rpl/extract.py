@@ -7,9 +7,9 @@ answering to an escaping oracle.
 The oracle extractor classifies blocks as good or bad with one search,
 _bad_witness; under a good parent at most k - 1 blocks are bad.
 
-An escaping oracle names a value outside a set enumerated against it,
-`pick(enumerated, lo, hi)`; the oracle extractor and the escaping
-selection race in `build` ask the same two oracles defined here.
+An escaping oracle names a value below a bound outside a set enumerated
+against it, `pick(enumerated, hi)`; the oracle extractor asks it for a
+block index outside the bad blocks.
 
 Limit facts ("x settles to color c") are answered from StableColoring's
 declared data; that is the finite-scale stand-in for the limit oracle all
@@ -491,24 +491,24 @@ def randomized_extract(
 
 class ReferenceEscapingOracle:
     """Escapes honestly: the least natural outside the enumerated set,
-    which must lie below hi (hi None: no upper bound)."""
+    which must lie below hi."""
 
-    def pick(self, enumerated, lo: int, hi: int | None) -> int:
+    def pick(self, enumerated, hi: int) -> int:
         v = 0
         while v in enumerated:
             v += 1
-        if hi is not None and v >= hi:
+        if v >= hi:
             raise ContractViolation(f"enumerated set covers [0, {hi})")
         return v
 
 
 class AdversarialEscapingOracle(ReferenceEscapingOracle):
     """Stress oracle: breaks the escape contract with the least enumerated
-    value in [lo, hi) whenever one exists, else answers honestly."""
+    value below hi whenever one exists, else answers honestly."""
 
-    def pick(self, enumerated, lo: int, hi: int | None) -> int:
-        inside = [v for v in enumerated if lo <= v and (hi is None or v < hi)]
-        return min(inside) if inside else super().pick(enumerated, lo, hi)
+    def pick(self, enumerated, hi: int) -> int:
+        inside = [v for v in enumerated if v < hi]
+        return min(inside) if inside else super().pick(enumerated, hi)
 
 
 @dataclass
@@ -571,7 +571,7 @@ def oracle_extract(
                 for i, blk in enumerate(blocks)
                 if _bad_witness(f, blk, k, d - level - 1, color) is not None
             ]
-            answer = oracle.pick(set(bad), 0, arity)
+            answer = oracle.pick(set(bad), arity)
             queries.append(
                 {"level": level, "arity": arity, "bad": bad, "answer": answer}
             )

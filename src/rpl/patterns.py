@@ -44,8 +44,6 @@ and the last level's pass-overs, and returns the first pair that fits.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from functools import cmp_to_key
 from itertools import compress
 from operator import eq, gt, not_
 import sys
@@ -506,33 +504,6 @@ def _realization_search(f, pool: list, columns: list, budget):
     return _ascending_search(pool, step, m, budget)
 
 
-def order_key(less):
-    """Sort key for the strict order `less`, for sorted, min and max."""
-    return cmp_to_key(lambda a, b: -1 if less(a, b) else (1 if less(b, a) else 0))
-
-
 def avoids(f, reservoir, p: Pattern, budget: int | None = None) -> bool:
     """True iff no subset of the reservoir realizes p (complete search)."""
     return find_realization(f, reservoir, p, budget) is None
-
-
-@dataclass(frozen=True)
-class LinearOrderView:
-    """A transitive coloring read as a strict total order.
-
-    x precedes y in the order exactly when the upward pair (x, y) has
-    color 0 (equivalently the downward pair has color 1).
-    """
-
-    coloring: object
-
-    @property
-    def horizon(self) -> int:
-        return self.coloring.horizon
-
-    def less(self, x: int, y: int) -> bool:
-        if x == y:
-            return False
-        if x < y:
-            return self.coloring.color(x, y) == 0
-        return self.coloring.color(y, x) == 1

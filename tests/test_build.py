@@ -6,30 +6,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import mirror_chain_coloring, order_type, pat, perm
+from conftest import mirror_chain_coloring, pat
 from test_acceptance import priority_scenarios
-from rpl import build
 from rpl.build import (
     AdversaryScript,
     GammaNode,
-    ModulusApprox,
     SimpleOrder,
-    ads_extract,
     chain_order,
     check_state_properties,
     check_transversal_realization,
     delta_extract,
-    escaping_select,
     gamma_build,
     mirror_double,
     parse_script_file,
     priority_build,
 )
-from rpl.errors import ContractViolation, InstanceLoadError, InternalInvariant, RangeError
-from rpl.extract import AdversarialEscapingOracle, ReferenceEscapingOracle
-from rpl.instances import dipped_split_order
-from rpl.patterns import (FiniteColoring, LinearOrderView, StableColoring, VertexSet, avoids,
-                          is_transitive)
+from rpl.errors import ContractViolation, InstanceLoadError, RangeError
+from rpl.patterns import FiniteColoring, StableColoring, avoids, is_transitive
 from rpl.perms import Permutation, perm_to_pattern
 
 
@@ -749,7 +742,9 @@ def test_delta_examples():
     [2, 0, 1, 0, 1, 1, 0, 1, 1],
     [1, 3, 1, 0, 1, 1, 0, 1, 1],
     ["1", "0", "1", "0", "1", "1", "0", "1", "1"],
-], ids=["two", "three", "text"])
+    [1.0, 0, 1, 0, 1, 1, 0, 1, 1],
+    [1, 0.0, 1, 0, 1, 1, 0, 1, 1],
+], ids=["two", "three", "text", "one_float", "zero_float"])
 def test_delta_rejects_entries_other_than_0_and_1(bits):
     built = gamma_build("inc", 0, 200)
     with pytest.raises(ContractViolation, match="0 or 1"):
@@ -831,114 +826,3 @@ def test_mirror_monotone_runs_bounded():
     src_dec = longest_increasing(SimpleOrder(12, {x: tuple(-v for v in src.keys[x]) for x in range(12)}), list(range(12)))
     mirror_inc = longest_increasing(m, list(range(24)))
     assert mirror_inc <= src_inc + src_dec
-
-
-# ---------------------------------------------------------------------------
-# Monotone-sequence extraction
-
-
-def test_ads_identity_and_reversed():
-    out = ads_extract(chain_order(60), perm("10"), 60, target=20)
-    assert out.status == "monotone" and out.direction == "asc"
-    assert out.sequence == list(range(20))
-    rev = SimpleOrder(60, {x: (-x,) for x in range(60)})
-    out2 = ads_extract(rev, perm("01"), 60, target=20)
-    assert out2.status == "monotone" and out2.direction == "desc"
-    assert len(out2.sequence) == 20
-
-
-def test_ads_on_2301_avoiding_fixture():
-    st = dipped_split_order(220)
-    order = LinearOrderView(st)
-    assert avoids(st, range(200), pat("2301"))
-    out = ads_extract(order, perm("2301"), 200, target=15)
-    assert out.status == "monotone"
-    assert len(out.sequence) >= 15
-
-
-def test_ads_realization_certificate():
-    # an order containing the pattern: the walk surfaces a verified witness
-    src = SimpleOrder(30, {x: ((x * 11) % 30,) for x in range(30)})
-    out = ads_extract(src, perm("2301"), 30, target=25, tail_threshold=3)
-    assert out.status == "realized"
-    assert out.witness == VertexSet([2, 5, 6, 7])
-    assert order_type([(x * 11) % 30 for x in out.witness]) == (2, 3, 0, 1)
-
-
-def test_ads_rejects_a_wrong_witness(monkeypatch):
-    # a walk that returns a non-realization is caught before it is reported
-    monkeypatch.setattr(build, "VertexSet", lambda xs: VertexSet([0, 1, 2, 3]))
-    src = SimpleOrder(30, {x: ((x * 11) % 30,) for x in range(30)})
-    with pytest.raises(InternalInvariant, match="does not realize 2301"):
-        ads_extract(src, perm("2301"), 30, target=25, tail_threshold=3)
-
-
-def test_ads_inconclusive_on_tiny_region():
-    out = ads_extract(chain_order(5), perm("10"), 5, target=20)
-    assert out.status == "inconclusive"
-
-
-def test_ads_rejects_non_separable():
-    with pytest.raises(ContractViolation):
-        ads_extract(chain_order(10), perm("2031"), 10)
-
-
-# ---------------------------------------------------------------------------
-# Escaping selection
-
-
-def make_escape_fixture():
-    family = [[20 * i + j for j in range(i + 2)] for i in range(20)]
-    points = {}
-    for x in range(1, 26):
-        cand = [m for m in (x + 2, x + 4) if m <= 19]
-        points[x] = tuple(cand[: max(0, x)])
-    return family, ModulusApprox(points)
-
-
-def test_modulus_validation():
-    with pytest.raises(ContractViolation):
-        ModulusApprox({3: (5, 5)})
-    with pytest.raises(ContractViolation):
-        ModulusApprox({1: (2, 3)})  # more changes than allowed
-    mod = ModulusApprox({3: (4, 7)})
-    assert mod.value_at(3, 2) == 0
-    assert mod.value_at(3, 5) == 4
-    assert mod.value_at(3, 9) == 7
-    assert mod.final(3) == 7
-
-
-def test_escaping_reference_harvest():
-    family, mod = make_escape_fixture()
-    bad = {blk[0] for blk in family}
-    res = escaping_select(family, bad, mod, 1, ReferenceEscapingOracle(),
-                          x_range=25, stage_horizon=40)
-    assert len(res.harvested) >= 10
-    assert not (set(res.harvested) & bad)
-    assert res.violations == []
-    assert sorted(res.harvested)[:3] == [61, 82, 103]
-
-
-def test_escaping_empty_bad_set():
-    family, mod = make_escape_fixture()
-    res = escaping_select(family, set(), mod, 0, ReferenceEscapingOracle(),
-                          x_range=25, stage_horizon=40)
-    assert len(res.harvested) >= 10 and res.violations == []
-
-
-def test_escaping_adversarial_violations():
-    family, mod = make_escape_fixture()
-    bad = {blk[-1] for blk in family}  # high positions give the adversary room
-    res = escaping_select(family, bad, mod, 1, AdversarialEscapingOracle(),
-                          x_range=25, stage_horizon=40)
-    assert res.violations, "the adversary must breach the escape contract"
-    for v in res.violations:
-        assert "violation" in v
-    assert not (set(res.harvested) & bad)
-
-
-def test_escaping_intersection_bound_enforced():
-    family = [[0, 1, 2], [3, 4, 5]]
-    with pytest.raises(ContractViolation):
-        escaping_select(family, {0, 1}, ModulusApprox({}), 1,
-                        ReferenceEscapingOracle(), 2, 5)

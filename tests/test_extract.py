@@ -708,34 +708,27 @@ def test_oracle_reference_regression():
     assert verify_homogeneous(FIXTURE, out.vertices, 0)
 
 
-# (oracle, enumerated, lo, hi, answer); the oracle extractor asks
-# (bad, 0, arity) and the escaping selection race asks (trap, x, None)
+# (oracle, enumerated, hi, answer); the oracle extractor asks (bad, arity)
 PICKS = [
-    (ReferenceEscapingOracle, {0, 1, 3}, 0, 5, 2),
-    (ReferenceEscapingOracle, set(), 0, 3, 0),
-    (ReferenceEscapingOracle, {0, 1, 2}, 0, 3, ContractViolation),
-    (ReferenceEscapingOracle, set(), 0, 0, ContractViolation),
-    (AdversarialEscapingOracle, {1, 3}, 0, 5, 1),
-    (AdversarialEscapingOracle, {0, 1, 2}, 0, 3, 0),
-    (AdversarialEscapingOracle, {4, 6}, 0, 4, 0),  # nothing enumerated in range
-    (AdversarialEscapingOracle, {0, 1, 2}, 0, 2, 0),
-    (AdversarialEscapingOracle, set(), 0, 0, ContractViolation),
-    (ReferenceEscapingOracle, {0, 1, 2, 5}, 3, None, 3),
-    (ReferenceEscapingOracle, set(range(40)), 7, None, 40),
-    (AdversarialEscapingOracle, {0, 1, 2, 5, 9}, 3, None, 5),
-    (AdversarialEscapingOracle, {0, 1, 2, 3}, 3, None, 3),
-    (AdversarialEscapingOracle, {0, 1, 2}, 3, None, 3),  # nothing at or beyond x
-    (AdversarialEscapingOracle, {0, 2}, 3, None, 1),
+    (ReferenceEscapingOracle, {0, 1, 3}, 5, 2),
+    (ReferenceEscapingOracle, set(), 3, 0),
+    (ReferenceEscapingOracle, {0, 1, 2}, 3, ContractViolation),
+    (ReferenceEscapingOracle, set(), 0, ContractViolation),
+    (AdversarialEscapingOracle, {1, 3}, 5, 1),
+    (AdversarialEscapingOracle, {0, 1, 2}, 3, 0),
+    (AdversarialEscapingOracle, {4, 6}, 4, 0),  # nothing enumerated in range
+    (AdversarialEscapingOracle, {0, 1, 2}, 2, 0),
+    (AdversarialEscapingOracle, set(), 0, ContractViolation),
 ]
 
 
-@pytest.mark.parametrize("oracle, enumerated, lo, hi, want", PICKS)
-def test_escaping_oracle_pick(oracle, enumerated, lo, hi, want):
+@pytest.mark.parametrize("oracle, enumerated, hi, want", PICKS)
+def test_escaping_oracle_pick(oracle, enumerated, hi, want):
     if want is ContractViolation:
         with pytest.raises(ContractViolation):
-            oracle().pick(enumerated, lo, hi)
+            oracle().pick(enumerated, hi)
     else:
-        assert oracle().pick(enumerated, lo, hi) == want
+        assert oracle().pick(enumerated, hi) == want
 
 
 def test_oracle_adversarial_failure_transcript():

@@ -10,7 +10,6 @@ from test_extract import unit_block_search
 from rpl.errors import BudgetExhausted, ContractViolation, RangeError
 from rpl.patterns import (
     FiniteColoring,
-    LinearOrderView,
     NON_TRANSITIVE,
     Pattern,
     StableColoring,
@@ -19,7 +18,6 @@ from rpl.patterns import (
     find_realization,
     is_transitive,
     iter_pairs,
-    order_key,
     realizes,
 )
 from rpl.extract import find_homogeneous_block
@@ -692,13 +690,3 @@ def test_stable_restriction_matches():
     for x in range(20):
         for y in range(x + 1, 20):
             assert fin.color(x, y) == st.color(x, y)
-
-
-def test_linear_order_view():
-    st = interleaved_split_order(25, seed=4)
-    view = LinearOrderView(st)
-    assert is_transitive(st)
-    assert view.less(0, 1) != view.less(1, 0)
-    chain = sorted(range(10), key=order_key(view.less))
-    for a, b in zip(chain, chain[1:]):
-        assert view.less(a, b)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import all_perms, oracle_separable, pat, perm, zigzag
 from rpl.errors import ContractViolation
 from rpl.fractals import fractal_perm
-from rpl.patterns import LinearOrderView, Pattern, find_realization, is_transitive, iter_pairs, order_key
+from rpl.patterns import Pattern, find_realization, is_transitive, iter_pairs
 from rpl.perms import (
     FORBIDDEN,
     LEAF,
@@ -383,10 +383,11 @@ def reference_perm_to_pattern(pm: Permutation) -> Pattern:
 def reference_pattern_to_perm(p: Pattern):
     if not is_transitive(p):
         return None
-    ranks = [0] * p.size
-    for r, x in enumerate(sorted(range(p.size), key=order_key(LinearOrderView(p).less))):
-        ranks[x] = r
-    return Permutation(ranks)
+
+    def precedes(y, x):  # an upward pair of color 0, or a downward one of color 1
+        return p.color(y, x) == 0 if y < x else p.color(x, y) == 1
+
+    return Permutation([sum(precedes(y, x) for y in range(p.size) if y != x) for x in range(p.size)])
 
 
 def reference_restrict(p: Pattern, positions) -> Pattern:

@@ -6,6 +6,9 @@ harness under `perfbench/` names it (traced layers are dotted strings
 there), or when an acceptance criterion names it.  An import alone does
 not count, and neither does a definition naming itself.  The allowlist
 holds the few names kept without such a user, each with its reason.
+
+Every name a `src/rpl` module imports is read somewhere in that module:
+in code, in a string annotation, or in its `__all__`.
 """
 
 import ast
@@ -15,10 +18,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "rpl"
 
-ALLOWED = {
-    "ads_extract": "monotone extraction of the main theorem; awaits a verb (ROADMAP item 6)",
-    "escaping_select": "escaping selection race; awaits a verb (ROADMAP item 6)",
-}
+ALLOWED: dict = {}
 
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
@@ -69,3 +69,43 @@ def test_allowlist_names_defined_orphans():
     defined = {name for _, name in public_definitions()}
     assert set(ALLOWED) <= defined
     assert not set(ALLOWED) & used_names()
+
+
+def imported_names(tree) -> dict:
+    """Name -> line of each name the module binds by an import, bar
+    `__future__` features."""
+    out = {}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            for a in n.names:
+                out[a.asname or a.name.split(".")[0]] = n.lineno
+        elif isinstance(n, ast.ImportFrom) and n.module != "__future__":
+            for a in n.names:
+                out[a.asname or a.name] = n.lineno
+    return out
+
+
+def read_names(tree) -> set:
+    """Names the module reads: loaded names, the names inside string
+    annotations, and the entries of `__all__`."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            out.add(n.id)
+        for annotation in (getattr(n, "annotation", None), getattr(n, "returns", None)):
+            for c in ast.walk(annotation) if annotation is not None else ():
+                if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                    out |= read_names(ast.parse(c.value, mode="eval"))
+        if isinstance(n, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in n.targets):
+            out |= {c.value for c in ast.walk(n.value) if isinstance(c, ast.Constant)}
+    return out
+
+
+def test_every_import_is_read():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = read_names(tree)
+        unread += [f"{path.name}:{line} {name}" for name, line in imported_names(tree).items()
+                   if name not in read]
+    assert unread == [], f"imported and never read: {unread}"
