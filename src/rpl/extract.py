@@ -19,7 +19,8 @@ these procedures consume.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, compress, islice
@@ -55,24 +56,6 @@ def verify_homogeneous(f, vertices, color: int) -> bool:
             if f.color(vs[i], vs[j]) != color:
                 return False
     return True
-
-
-@dataclass
-class StemCondition:
-    """A stem of chosen vertices plus the reservoir of permitted future
-    vertices; every stem-to-reservoir pair has the target color.  The
-    reservoir ascends: a list, or a range while thin_reservoir keeps it one."""
-
-    color: int
-    stem: list = field(default_factory=list)
-    reservoir: list | range = field(default_factory=list)
-
-    def extend(self, f, x: int) -> None:
-        idx = _rank(self.reservoir, x)
-        if idx >= len(self.reservoir) or self.reservoir[idx] != x:
-            raise ContractViolation(f"{x} is not in the reservoir")
-        self.stem.append(x)
-        self.reservoir = thin_reservoir(f, self.reservoir, x, self.color)
 
 
 def _rank(pool, x: int) -> int:
@@ -122,15 +105,6 @@ class UnbalancedResult:
     lower_bound: int
 
 
-class _TreeNode:
-    __slots__ = ("element", "depth", "children")
-
-    def __init__(self, element, depth):
-        self.element = element
-        self.depth = depth
-        self.children = []
-
-
 def unbalanced_extract(f, k: int, horizon: int) -> UnbalancedResult:
     """Extract a 1-homogeneous set from a coloring with no 0-homogeneous
     set of size k.
@@ -146,41 +120,30 @@ def unbalanced_extract(f, k: int, horizon: int) -> UnbalancedResult:
         raise ContractViolation("clique size must be >= 1")
     if horizon > f.horizon or horizon < 1:
         raise ContractViolation("horizon beyond the coloring's generation bound")
-    root = _TreeNode(None, 0)
-    nodes: list[_TreeNode] = [root]
+    children: dict = {None: []}  # vertex -> its children in the tree; None is the root
+    depth: dict = {None: 0}
 
     for x in range(horizon):
-        node = root
-        stem = []
-        while True:
-            nxt = None
-            for child in node.children:
-                if f.color(child.element, x) == 0:
-                    nxt = child
-                    break
-            if nxt is None:
-                break
-            node = nxt
-            stem.append(node.element)
+        stem = []  # x's path below the root: at each node, its first child of color 0 to x
+        parent = None
+        while (child := next((c for c in children[parent] if f.color(c, x) == 0), None)) is not None:
+            stem.append(child)
+            parent = child
         if len(stem) + 1 >= k:
             raise PreconditionWitness(
                 "coloring admits a 0-homogeneous clique of the forbidden size",
                 VertexSet(stem[: k - 1] + [x]),
             )
-        leaf = _TreeNode(x, node.depth + 1)
-        node.children.append(leaf)
-        nodes.append(leaf)
+        children[parent].append(x)
+        children[x] = []
+        depth[x] = depth[parent] + 1
 
-    max_depth = max(n.depth for n in nodes)
-    populations = [
-        sum(1 for n in nodes if n.depth == lvl) for lvl in range(1, max_depth + 1)
-    ]
+    counts = Counter(depth.values())
+    populations = [counts[lvl] for lvl in range(1, max(counts) + 1)]
     top = max(populations)
     level = populations.index(top) + 1  # least level of maximal population
-    group: list = []
-    for parent in nodes:
-        if parent.depth == level - 1 and len(parent.children) > len(group):
-            group = [c.element for c in parent.children]
+    # the first largest sibling set at that level
+    group = max((kids for v, kids in children.items() if depth[v] == level - 1), key=len)
     result = VertexSet(group)
     if not verify_homogeneous(f, result, 1):
         raise InternalInvariant("sibling set failed 1-homogeneity re-verification")
@@ -349,7 +312,7 @@ def _extractor_block(f, reservoir, arity: int, dim: int, step: int):
     degenerate instance (the unbalanced route applies); the cause and the
     step are named."""
     try:
-        if dim == 1:  # the reservoir ascends, as StemCondition keeps it
+        if dim == 1:  # the reservoir ascends, as thin_reservoir keeps it
             block = _stable_block_search(f, reservoir, arity, 0, EXTRACTOR_SEARCH_BUDGET)
         else:
             block = find_realization(f, reservoir, fractal_pattern(arity, dim),
@@ -453,12 +416,13 @@ def randomized_extract(
     color = level_color(d)
     rng = random.Random(cfg.seed)
     horizon = min(cfg.horizon, f.horizon)
-    cond = StemCondition(color, [], range(horizon))
+    stem: list = []
+    reservoir = range(horizon)
     transcript: list[dict] = []
 
     for step in range(cfg.steps):
         arity = cfg.block_size(step, k, d)
-        block = _extractor_block(f, cond.reservoir, arity, d, step)
+        block = _extractor_block(f, reservoir, arity, d, step)
         path = tuple(rng.randrange(arity) for _ in range(d))
         offset, length = navigate(arity, d, path)
         assert length == 1
@@ -477,9 +441,10 @@ def randomized_extract(
             return RandomizedOutcome(False, None, color, step, transcript)
         entry["verdict"] = "good"
         transcript.append(entry)
-        cond.extend(f, x)
+        stem.append(x)
+        reservoir = thin_reservoir(f, reservoir, x, color)
 
-    result = VertexSet(cond.stem)
+    result = VertexSet(stem)
     if not verify_homogeneous(f, result, color):
         raise InternalInvariant("randomized stem failed homogeneity re-verification")
     return RandomizedOutcome(True, result, color, None, transcript)
@@ -556,12 +521,13 @@ def oracle_extract(
     d = n - 1
     color = level_color(d)
     horizon = min(horizon, f.horizon)
-    cond = StemCondition(color, [], range(horizon))
+    stem: list = []
+    reservoir = range(horizon)
     transcript: list[dict] = []
 
     for step in range(steps):
         arity = k + 1 + step
-        occ = _extractor_block(f, cond.reservoir, arity, d, step)
+        occ = _extractor_block(f, reservoir, arity, d, step)
         node = occ
         queries = []
         for level in range(d):
@@ -591,9 +557,10 @@ def oracle_extract(
                 "reason": "dead stem: chosen element settles to the wrong color",
             }
             return OracleOutcome(False, None, color, transcript, failure)
-        cond.extend(f, x)
+        stem.append(x)
+        reservoir = thin_reservoir(f, reservoir, x, color)
 
-    result = VertexSet(cond.stem)
+    result = VertexSet(stem)
     if not verify_homogeneous(f, result, color):
         raise InternalInvariant("oracle stem failed homogeneity re-verification")
     return OracleOutcome(True, result, color, transcript, None)

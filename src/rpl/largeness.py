@@ -16,7 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import BudgetExhausted, ContractViolation, DegenerateInstance, InternalInvariant
-from .extract import verify_homogeneous
+from .extract import thin_reservoir, verify_homogeneous
 from .patterns import (
     BACKTRACK,
     Pattern,
@@ -312,44 +312,38 @@ def em_grouping_extract(f: StableColoring, n: int, horizon: int,
     then thins the reservoir to the elements the minimum settles against;
     the transfer fact makes cross colors constant block to block: if
     a < b < c, color(a, b) = i and color(a, c) = color(b, c) = 1 - i, then
-    every d > c has color(a, d) = color(b, d).  When no
-    witness exists for any candidate block, the block minima themselves
-    accumulate into a homogeneous set, returned labeled as such.  Color 0
-    is tried first; color 1 when color 0 gives neither minima nor two
-    blocks.
+    every d > c has color(a, d) = color(b, d).  When the first block has
+    no witness, the loop goes on without witnesses: each block's minimum
+    thins the reservoir to its partners in the working color, so the
+    minima accumulate into a homogeneous set, returned labeled as such.
+    Every cut is thin_reservoir on the suffix past the block or past its
+    witness.  Color 0 is tried first; color 1 when color 0 gives neither
+    minima nor two blocks.
     """
     horizon = min(horizon, f.horizon)
 
     def attempt(color: int) -> EmOutcome | None:
-        reservoir = list(range(horizon))
+        reservoir = range(horizon)
         blocks: list = []
-        minima: list = []
+        minima: list = []  # once the first one is found, every block adds its minimum
         while len(blocks) < count:
             block = _homog_large_block(f, reservoir, color, n)
             if block is None:
+                if minima:
+                    return EmOutcome("homogeneous-minima", color, [], VertexSet(minima))
                 return None if not blocks else EmOutcome("grouping", color, blocks, None)
             m = block[0]
-            witness = None
-            for y in reservoir:
-                if y > block[-1] and f.color(m, y) == 1 - color:
-                    witness = y
-                    break
-            if witness is None:
-                if blocks:
-                    # later stall: the grouping gathered so far stands
-                    return EmOutcome("grouping", color, blocks, None)
-                # no opposite sighting at all: minima branch
+            suffix = reservoir[bisect_left(reservoir, block[-1] + 1):]
+            w = None if minima else next(
+                (i for i, y in enumerate(suffix) if f.color(m, y) == 1 - color), None)
+            if w is not None:
+                blocks.append(VertexSet(block))
+                reservoir = thin_reservoir(f, suffix[w + 1:], m, f.limit(m))
+            elif blocks:  # later stall: the grouping gathered so far stands
+                return EmOutcome("grouping", color, blocks, None)
+            else:  # no opposite sighting past the block: gather minima
                 minima.append(m)
-                reservoir = [y for y in reservoir if y > block[-1]
-                             and f.color(m, y) == color]
-                for blk2 in _minima_chain(f, reservoir, color, n, minima):
-                    minima.append(blk2)
-                return EmOutcome("homogeneous-minima", color, [],
-                                 VertexSet(minima))
-            blocks.append(VertexSet(block))
-            keep = f.limit(m)
-            reservoir = [y for y in reservoir if y > witness
-                         and f.color(m, y) == keep]
+                reservoir = thin_reservoir(f, suffix, m, color)
         return EmOutcome("grouping", color, blocks, None)
 
     first = attempt(0)
@@ -367,9 +361,9 @@ def em_grouping_extract(f: StableColoring, n: int, horizon: int,
 LARGE_BLOCK_SEARCH_BUDGET = 200_000
 
 
-def _homog_large_block(f, reservoir: list, color: int, n: int) -> VertexSet | None:
-    """Least level-n-large homogeneous subset of the reservoir, by
-    ascending depth-first search with backtracking.
+def _homog_large_block(f, reservoir, color: int, n: int) -> VertexSet | None:
+    """Least level-n-large homogeneous subset of the ascending reservoir,
+    a list or a range, by ascending depth-first search with backtracking.
 
     Backtracking matters: a greedy chain can pick up an element that
     pairs correctly but blocks every continuation; the search pops it and
@@ -394,20 +388,6 @@ def _homog_large_block(f, reservoir: list, color: int, n: int) -> VertexSet | No
     except BudgetExhausted as exc:
         raise DegenerateInstance(f"large block search budget exhausted at color {color}, "
                                  f"level {n}; treat as degenerate") from exc
-
-
-def _minima_chain(f, reservoir: list, color: int, n: int, minima: list):
-    out = []
-    res = reservoir
-    while True:
-        block = _homog_large_block(f, res, color, n)
-        if block is None:
-            return out
-        m = block[0]
-        if any(f.color(prev, m) != color for prev in minima + out):
-            return out
-        out.append(m)
-        res = [y for y in res if y > block[-1] and f.color(m, y) == color]
 
 
 def _verify_em(f, outcome: EmOutcome) -> None:

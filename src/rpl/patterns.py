@@ -44,7 +44,7 @@ and the last level's pass-overs, and returns the first pair that fits.
 from __future__ import annotations
 
 from array import array
-from itertools import compress
+from itertools import chain, compress
 from operator import eq, gt, not_
 import sys
 
@@ -196,15 +196,6 @@ class FiniteColoring(Pattern):
     @classmethod
     def from_function(cls, horizon: int, fn) -> "FiniteColoring":
         return cls(horizon, tuple(fn(i, j) for i, j in iter_pairs(horizon)))
-
-    def row(self, x: int, c: int) -> int:
-        """Bitmask of the y != x with color(x, y) == c."""
-        if not 0 <= x < self.size:
-            raise RangeError(f"vertex {x} beyond horizon {self.size}")
-        if c not in (0, 1):
-            raise ContractViolation(f"color {c!r} is not 0 or 1")
-        ones = self.rows[x]
-        return ones if c else ones ^ ((1 << self.size) - 1) ^ (1 << x)
 
     def color(self, x: int, y: int) -> int:
         if x == y:
@@ -362,11 +353,10 @@ class StableColoring:
         or string is not read as one."""
         if d.get("type") != "stable":
             raise ContractViolation("not a stable-coloring record")
-        overrides = [tuple(t) for t in d.get("overrides", [])]
-        fields = [d["horizon"], *d["limits"], *d["settle"], *(v for t in overrides for v in t)]
-        bad = [v for v in fields if type(v) is not int]
-        if bad:
-            raise ContractViolation(f"{bad[0]!r} is not an integer")
+        overrides = d.get("overrides", [])
+        for v in chain([d["horizon"]], d["limits"], d["settle"], chain.from_iterable(overrides)):
+            if type(v) is not int:
+                raise ContractViolation(f"{v!r} is not an integer")
         return cls(d["horizon"], d["limits"], d["settle"], overrides)
 
 

@@ -45,7 +45,7 @@ def brute_force_max_homogeneous(f):
     full = (1 << n) - 1
     results = {}
     for color in (0, 1):
-        adj = [f.row(x, color) for x in range(n)]
+        adj = [r if color else r ^ full ^ (1 << x) for x, r in enumerate(f.rows)]
         best = 0  # bitmask of best clique
 
         def expand(cur: int, cand: int):

@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_max_homogeneous, pat, single_zero_edge
+from conftest import brute_force_max_homogeneous, single_zero_edge
 from rpl import extract
 from rpl.errors import (
     BudgetExhausted,
@@ -22,7 +22,6 @@ from rpl.extract import (
     AdversarialEscapingOracle,
     ExtractionConfig,
     ReferenceEscapingOracle,
-    StemCondition,
     _extractor_block,
     _rank,
     default_config,
@@ -118,13 +117,27 @@ def test_unbalanced_examples():
     assert tuple(exc.value.witness) == (0, 1, 2)
 
 
+# (k, seed) -> (size, level, populations, lower bound) on grouped_unbalanced(60, k, seed)
+UNBALANCED_PINS = {
+    (3, 1): (32, 2, [28, 32], 1), (3, 2): (38, 2, [22, 38], 1), (3, 3): (32, 2, [28, 32], 1),
+    (4, 1): (23, 1, [23, 17, 20], 23), (4, 2): (21, 2, [18, 21, 21], 1),
+    (4, 3): (22, 2, [19, 22, 19], 1),
+}
+
+
 def test_unbalanced_on_generated_families():
-    for k in (3, 4):
-        for seed in (1, 2, 3):
-            f = grouped_unbalanced(60, k, seed)
-            res = unbalanced_extract(f, k, 60)
-            assert verify_homogeneous(f, res.vertices, 1)
-            assert len(res.vertices) >= 60 // (k * 4)
+    for (k, seed), pin in UNBALANCED_PINS.items():
+        f = grouped_unbalanced(60, k, seed)
+        res = unbalanced_extract(f, k, 60)
+        assert verify_homogeneous(f, res.vertices, 1)
+        assert len(res.vertices) >= 60 // (k * 4)
+        assert (len(res.vertices), res.level, res.populations, res.lower_bound) == pin
+
+
+def test_unbalanced_takes_the_first_largest_sibling_set():
+    # sibling sets of size 8 tie at level 2; the first one is the answer
+    res = unbalanced_extract(repaired_random_unbalanced(150, 4, 1), 4, 150)
+    assert (res.level, res.vertices) == (2, (10, 14, 20, 21, 27, 72, 92, 113))
 
 
 def test_unbalanced_floor_against_brute_force():
@@ -442,17 +455,6 @@ def test_rank_locates_by_arithmetic_as_bisect_does(a, b, x):
     # past the range
     pool = range(a, b)
     assert _rank(pool, x) == bisect_left(list(pool), x)
-
-
-@pytest.mark.parametrize("reservoir, x", [
-    *((range(3, 20), x) for x in (0, 2, 20, 25)),  # below and past the range
-    *(([3, 5, 8, 13], x) for x in (0, 4, 9, 20)),  # below, between and past the list
-])
-def test_stem_extend_rejects_a_vertex_missing_from_the_reservoir(reservoir, x):
-    cond = StemCondition(0, [], reservoir)
-    with pytest.raises(ContractViolation, match="not in the reservoir"):
-        cond.extend(FIXTURE, x)
-    assert cond.stem == [] and cond.reservoir is reservoir
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,6 +11,7 @@ from rpl.instances import (
     constant_coloring,
     dipped_split_order,
     interleaved_split_order,
+    order_from_ranks,
     split_order_coloring,
 )
 from rpl.largeness import (
@@ -29,7 +30,7 @@ from rpl.largeness import (
     omega_n_decompose,
     pattern_largeness,
 )
-from rpl.patterns import FiniteColoring, Pattern, VertexSet, avoids
+from rpl.patterns import FiniteColoring, Pattern, StableColoring, VertexSet, avoids
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +384,7 @@ def test_em_grouping_constant_redirects_to_minima():
     st = split_order_coloring(60, set())
     out = em_grouping_extract(st, 1, 60, count=3)
     assert out.kind == "homogeneous-minima"
-    assert len(out.vertices) >= 3
+    assert out.vertices == (0, 1, 3, 7, 15)
     for i, x in enumerate(out.vertices):
         for y in list(out.vertices)[i + 1 :]:
             assert st.color(x, y) == out.color
@@ -393,7 +394,26 @@ def test_em_grouping_mirror_double_redirects():
     st = mirror_chain_coloring(250)
     out = em_grouping_extract(st, 1, 500, count=4)
     assert out.kind == "homogeneous-minima"
-    assert len(out.vertices) >= 4
+    assert (out.color, out.vertices) == (0, (0, 2, 6, 18, 54, 162))
+
+
+def test_em_grouping_cuts_past_the_witness():
+    # block {0} of color 1 has the witness 1, color(0, 1) = 0; the next
+    # block starts past it
+    st = order_from_ranks([1, 9, 8, 5, 10, 2, 3, 7, 4, 0, 11, 6])
+    out = em_grouping_extract(st, 1, 12, count=4)
+    assert (out.kind, out.color, out.blocks) == ("grouping", 1, [(0,), (2, 3, 5)])
+
+
+def test_em_minima_thin_by_every_minimum():
+    # nothing sees 0 in color 1, so minima gather from block {0} on; the
+    # next minimum, 1, sees 3 in color 1, so 3 must leave the reservoir
+    h = 60
+    settle = [x + 1 for x in range(h)]
+    settle[1] = 4
+    st = StableColoring(h, [0] * h, settle, [(1, 3, 1)])
+    out = em_grouping_extract(st, 1, h, count=3)
+    assert (out.kind, out.color, out.vertices) == ("homogeneous-minima", 0, (0, 1, 4, 9, 19))
 
 
 def test_find_grouping_on_run_structured_fixture():

@@ -293,23 +293,13 @@ def test_row_masks_agree_with_color(f):
     n = f.horizon
     copy = FiniteColoring(n, f.bits)
     for x in range(n):
-        for c in (0, 1):
-            assert f.row(x, c) == sum(1 << y for y in range(n) if y != x and f.color(x, y) == c)
-    # the cached rows are invisible to equality, hashing and the file form
+        assert f.rows[x] == sum(1 << y for y in range(n) if y != x and f.color(x, y) == 1)
+    # a copy built from the bits has the same rows, hash and file form
     assert f == copy and hash(f) == hash(copy) and f.to_text() == copy.to_text()
     fd = f.dual()  # a new coloring with rows of its own
+    full = (1 << n) - 1
     for x in range(n):
-        assert (fd.row(x, 0), fd.row(x, 1)) == (f.row(x, 1), f.row(x, 0))
-
-
-def test_row_mask_arguments():
-    f = FiniteColoring.constant(4, 1)
-    assert f.row(2, 1) == 0b1011 and f.row(2, 0) == 0
-    for x in (-1, 4):
-        with pytest.raises(RangeError):
-            f.row(x, 0)
-    with pytest.raises(ContractViolation):
-        f.row(0, 2)
+        assert fd.rows[x] == f.rows[x] ^ full ^ (1 << x)
 
 
 def pairwise_rows(n, color):

@@ -7,8 +7,8 @@ there), or when an acceptance criterion names it.  An import alone does
 not count, and neither does a definition naming itself.  The allowlist
 holds the few names kept without such a user, each with its reason.
 
-Every name a `src/rpl` module imports is read somewhere in that module:
-in code, in a string annotation, or in its `__all__`.
+Every name a `src/rpl` module or a test file imports is read somewhere
+in that file: in code, in a string annotation, or in its `__all__`.
 """
 
 import ast
@@ -103,9 +103,9 @@ def read_names(tree) -> set:
 
 def test_every_import_is_read():
     unread = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in [*sorted(SRC.glob("*.py")), *sorted((ROOT / "tests").glob("*.py"))]:
         tree = ast.parse(path.read_text())
         read = read_names(tree)
-        unread += [f"{path.name}:{line} {name}" for name, line in imported_names(tree).items()
-                   if name not in read]
+        unread += [f"{path.relative_to(ROOT)}:{line} {name}"
+                   for name, line in imported_names(tree).items() if name not in read]
     assert unread == [], f"imported and never read: {unread}"
