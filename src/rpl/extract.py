@@ -38,6 +38,7 @@ from .errors import (
 from .fractals import fractal_pattern, level_color, navigate, occurrence_blocks
 from .patterns import (
     BACKTRACK,
+    Pattern,
     StableColoring,
     VertexSet,
     _ascending_search,
@@ -168,8 +169,8 @@ def find_homogeneous_block(f, reservoir, size: int, color: int, budget=None):
     None, caps the nodes of the ascending depth-first search.
 
     On any coloring but a stable one this is the realization search of
-    the constant pattern of the size and color, so a FiniteColoring is
-    searched by row masks (see the patterns module).
+    the constant pattern of the size and color (see the patterns module);
+    a size beyond the pool is None before the pattern is built.
 
     A stable coloring whose every settle(x) is x + 1 is answered without
     search (see _window_one_block): no node is expanded, so the budget
@@ -208,7 +209,9 @@ def find_homogeneous_block(f, reservoir, size: int, color: int, budget=None):
     if not all(map(lt, pool, pool[1:])):
         raise ContractViolation("block search reservoir repeats a vertex, "
                                 "which is a pair on the diagonal")
-    return _realization_search(f, pool, [(color,) * t for t in range(size)], budget)
+    if size > len(pool):  # no block fits, answered before the pattern is built
+        return None
+    return _realization_search(f, pool, Pattern.constant(size, color), budget) if size else VertexSet(())
 
 
 def _stable_block_search(f: StableColoring, pool, size: int, color: int, budget):
@@ -489,8 +492,6 @@ def _bad_witness(f: StableColoring, vertices, k: int, dim: int, color: int):
     """A k-ary dimension-dim sub-occurrence among the elements settling to
     the wrong color, or None: a block holding one is bad for the color."""
     pool = [x for x in vertices if f.limit(x) == 1 - color]
-    if len(pool) < k**dim:
-        return None
     return find_realization(f, pool, fractal_pattern(k, dim), budget=None)
 
 

@@ -143,8 +143,6 @@ class LargenessPredicate:
         if self.kind == "omega":
             return is_omega_n_large(xs, self.level)
         if self.kind == "pattern":
-            if len(xs) < self.pattern.size:
-                return False
             return find_realization(self.coloring, xs, self.pattern, budget=None) is not None
         raise ContractViolation(f"unknown largeness kind {self.kind}")
 

@@ -28,12 +28,15 @@ A run may be empty, ((), nodes): no candidate left at the depth fits, so
 the kernel charges the nodes of the unit pass-overs and backtracks.
 
 On every coloring the realization search takes one step call per
-admission.  A vertex's row mask holds its color-1 partners and the
-complement its color-0 ones, and each depth keeps the candidate mask of
-every later pattern position; admitting v at depth d intersects the mask
-of each q > d with v's partners of color p(d, q).  Masks are read only
-above the last admission, so a stable coloring hands over upper rows,
-which hold only the partners above the vertex.
+admission, and a pattern longer than the pool is None before any table.
+A vertex's row mask holds its color-1 partners, its complement the
+color-0 ones.  The positions q >= d with equal colors toward 0..d-1 form
+a class at depth d, sharing one candidate mask; refined once per search,
+one AND with row d of p per class, the classes are ordered by least
+position, so d lies in class 0.  Admitting v at depth d cuts each child
+class's mask from its parent's to v's partners of its color toward d.
+Masks are read only above the last admission, so a stable coloring
+hands over upper rows, which hold only the partners above the vertex.
 A step takes the least candidate at or above pool[i] as a one-element
 run charging the pass-overs before it, or an empty run when none fits.
 With two positions left, one step settles both: it walks the depth's
@@ -438,33 +441,37 @@ def find_realization(f, reservoir, p: Pattern, budget: int | None = 10**6):
     """The least subset of the reservoir realizing p, or None; a candidate
     is admitted when its pairs with the chosen vertices carry p's colors.
     The budget counts search nodes, as in _ascending_search."""
+    if budget is not None and budget <= 0:  # an oversized p never reaches the kernel's check
+        raise ContractViolation("budget must be positive")
     pool = sorted(set(reservoir))
     if pool and not 0 <= pool[0] <= pool[-1] < f.horizon:
         raise RangeError(f"vertices {pool[0]}..{pool[-1]} outside horizon {f.horizon}")
-    columns = [tuple(p.color(i, t) for i in range(t)) for t in range(p.size)]
-    return _realization_search(f, pool, columns, budget)
+    return _realization_search(f, pool, p, budget)
 
 
-def _realization_search(f, pool: list, columns: list, budget):
-    """find_realization over a strictly ascending pool inside the horizon, by
-    row masks, for the pattern whose column t lists p(i, t), i < t."""
-    m, n = len(columns), len(pool)
+def _realization_search(f, pool: list, p: Pattern, budget):
+    """find_realization on a strictly ascending pool inside the horizon."""
+    m, n = p.size, len(pool)
+    if m > n:  # answered before any table is built
+        return None
     rows = f.rows if isinstance(f, Pattern) else f  # a stable coloring's f[x] is its upper row
     at = dict(zip(pool, range(n)))  # pool index of each vertex
-    full = _mask(pool)
-    # cands[d][q], q >= d: the pool vertices that fit position q next to
-    # the vertices chosen at depths below d
-    cands = [[full] * m for _ in range(m + 1)]
-    # a row mask XOR flip, flip = c - 1, holds the partners of color c above
-    # the vertex; masks are read only above the last admission
-    later = [[(q, columns[q][d] - 1) for q in range(d + 1, m)] for d in range(m)]
+    # split[d]: (c, parent, flip) per class c at depth d + 1: its class at
+    # depth d, and its color b toward d less 1, so rows[v] ^ flip has color b
+    split, parts = [], [(1, (1 << m) - 1, 0, 0)]  # (least bit, positions, parent, flip)
+    for d, r in enumerate(p.rows):
+        zeros = ~(r | 1 << d)  # the positions of color 0 toward d, d itself left out
+        parts = sorted((part & -part, part, c, flip) for c, (_, cls, _, _) in enumerate(parts)
+                       for part, flip in ((cls & r, 0), (cls & zeros, -1)) if part)
+        split.append([(c, parent, flip) for c, (_, _, parent, flip) in enumerate(parts)])
+    cands = [[_mask(pool)]] + [[0] * len(s) for s in split]  # [d][c]: the candidates of class c
 
     def step(chosen, i, need):
         d = m - need
         lo = pool[i]
-        cand = cands[d][d] >> lo
+        cand = cands[d][0] >> lo  # position d lies in class 0
         if need == 2:  # settle both last levels
-            last, flip = cands[d][d + 1], columns[d + 1][d] - 1
+            last, flip = cands[d][-1], split[d][0][2]  # position d + 1 lies in the last class
             cost = 0
             while cand:
                 low = cand & -cand
@@ -486,8 +493,8 @@ def _realization_search(f, pool: list, columns: list, budget):
             if j <= n - need:
                 here, below = cands[d], cands[d + 1]
                 ones = rows[v]
-                for q, flip in later[d]:
-                    below[q] = here[q] & (ones ^ flip)
+                for c, parent, flip in split[d]:
+                    below[c] = here[parent] & (ones ^ flip)
                 return (j,), j - i + 1
         return (), n - need - i + 1
 

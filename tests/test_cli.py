@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import zigzag
-from rpl import patterns, perms
+from rpl import extract, patterns, perms
 from rpl.cli import (
     _build_parser,
     generate_instance,
@@ -215,6 +215,29 @@ def test_extract_precondition_exit_code(capsys, tmp_path):
     run_command(["--out", str(inst), "gen", "constant", "--color", "0", "--n", "10"])
     code = run_command(["--horizon", "10", "extract", "unbalanced", str(inst), "--k", "3"])
     assert code == 1
+
+
+def test_oversized_searches_never_reach_the_kernel(capsys, tmp_path, monkeypatch):
+    """Step 0 on a 400-vertex dipped record asks for the 146-ary
+    dimension-2 fractal, 21,316 positions, in a 150-vertex reservoir; a
+    repaired coloring of 30 vertices has no k-set to break for k > 30.
+    Both are answered before any search table is built."""
+    inst = tmp_path / "dipped.json"
+    assert run_command(["--out", str(inst), "gen", "dipped", "--n", "400"]) == 0
+    repaired = ["gen", "unbalanced", "--mode", "repaired", "--n", "30", "--k"]
+    code, want, _ = run(capsys, repaired + ["31"])
+    assert code == 0
+
+    def refuse(*args):
+        raise AssertionError("an oversized search reached the kernel")
+
+    monkeypatch.setattr(patterns, "_ascending_search", refuse)
+    monkeypatch.setattr(extract, "_ascending_search", refuse)
+    code, out, err = run(capsys, ["--horizon", "150", "extract", "random", str(inst),
+                                  "--n", "3", "--steps", "8"])
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert "no 146-ary dimension-2 block" in err and "at step 0" in err
+    assert run(capsys, repaired + ["100000"]) == (0, want, "")
 
 
 def test_construct_gamma_and_delta(capsys, tmp_path):

@@ -21,12 +21,13 @@ from rpl.patterns import (
     realizes,
 )
 from rpl.extract import find_homogeneous_block
-from rpl.fractals import fractal_perm
+from rpl.fractals import fractal_pattern, fractal_perm
 from rpl.perms import Permutation, pattern_to_perm, perm_coloring, perm_to_pattern
 from rpl import patterns
 from rpl.instances import (
     alternating_stable,
     avoiding_family,
+    dipped_split_order,
     grouped_unbalanced,
     interleaved_split_order,
     order_from_ranks,
@@ -107,8 +108,9 @@ def test_find_realization_budget_distinct_from_absence():
     f = FiniteColoring.constant(12, 0)
     with pytest.raises(BudgetExhausted):
         find_realization(f, range(12), pat("10"), budget=3)
-    with pytest.raises(ContractViolation):
-        find_realization(f, range(12), pat("10"), budget=0)
+    for reservoir in (range(12), [5]):  # [5] is shorter than the pattern: no search runs
+        with pytest.raises(ContractViolation):
+            find_realization(f, reservoir, pat("10"), budget=0)
 
 
 def test_avoids_examples():
@@ -179,14 +181,19 @@ def test_engine_agrees_with_independent_enumerator():
                 assert (None if blk is None else tuple(blk)) == ref
 
 
-# Exact node counts of realization search, with its answer, measured on the
-# search before it moved onto the shared ascending kernel.
+# Exact node counts of realization search, with its answer as (size,
+# first, last, sum) or None.  The first two were measured on the search
+# before it moved onto the shared ascending kernel, the third on the search
+# that kept one candidate mask per pattern position.
 REALIZATION_PINS = [
     ("fractal-32-1302", lambda: (perm_coloring(fractal_perm(2, 5)), range(32), pat("1302")),
      7085, None),
     ("unbalanced-30-constant-4",
      lambda: (repaired_random_unbalanced(30, 4, 1), range(30), Pattern.constant(4, 0)),
      641, None),
+    ("fractal-1600-30ary",
+     lambda: (perm_coloring(fractal_perm(40, 2)), range(1600), fractal_pattern(30, 2)),
+     1190, (900, 0, 1189, 535050)),
 ]
 
 
@@ -197,7 +204,17 @@ def test_find_realization_node_count_pinned(name, make, nodes, hit):
     with pytest.raises(BudgetExhausted) as exc:
         find_realization(f, reservoir, p, budget=nodes - 1)
     assert exc.value.nodes == nodes
-    assert find_realization(f, reservoir, p, budget=nodes) == hit
+    got = find_realization(f, reservoir, p, budget=nodes)
+    assert (None if got is None else (len(got), got[0], got[-1], sum(got))) == hit
+
+
+def test_oversized_pattern_is_answered_before_search(monkeypatch):
+    # 3,600 positions in a 150-vertex pool: None without a table or a node
+    def refuse(*args):
+        raise AssertionError("an oversized pattern reached the search kernel")
+
+    monkeypatch.setattr(patterns, "_ascending_search", refuse)
+    assert find_realization(dipped_split_order(400), range(150), fractal_pattern(60, 2)) is None
 
 
 def unit_realization_search(f, pool, p):
@@ -263,10 +280,15 @@ def test_mask_search_matches_unit_steps(f, data):
     N - 1 raises at node N, budget N returns the hit.  Pools are random
     subsets of the horizon, empty ones included, handed over shuffled.
     Block search on a stable coloring is the lazy scan, whose reference
-    adds its settling-time cut and suffix bound."""
+    adds its settling-time cut and suffix bound.  Patterns range from one
+    position class (constant) over few (fractals) to many (random)."""
     pool = sorted(data.draw(st.sets(st.integers(0, f.horizon - 1)), label="pool"))
     shuffled = data.draw(st.permutations(pool), label="order")
-    p = data.draw(small_pattern(5), label="pattern")
+    p = data.draw(st.one_of(
+        st.builds(Pattern.constant, st.integers(1, 7), st.integers(0, 1)),
+        st.sampled_from([fractal_pattern(k, d) for k in range(1, 10) for d in range(4)
+                         if k**d <= 9]),
+        small_pattern(7)), label="pattern")
     assert_search_matches_unit_steps(
         lambda budget: find_realization(f, shuffled, p, budget), f, pool, p)
     size = data.draw(st.integers(1, 5), label="size")
