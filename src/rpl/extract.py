@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, compress, islice
+from itertools import compress, islice
 from operator import lt
 import random
 
@@ -37,11 +37,10 @@ from .errors import (
 )
 from .fractals import fractal_pattern, level_color, navigate, occurrence_blocks
 from .patterns import (
-    BACKTRACK,
     Pattern,
     StableColoring,
     VertexSet,
-    _ascending_search,
+    _mask,
     _realization_search,
     find_realization,
 )
@@ -50,12 +49,24 @@ FAILURE_EXPONENT = 3  # a thinning sequence's reciprocals sum below 2**-FAILURE_
 
 
 def verify_homogeneous(f, vertices, color: int) -> bool:
-    """Independent pairwise scan; every extractor re-checks through this."""
+    """True iff every pair of the vertices has the color, 0 or 1; every
+    extractor re-checks through this.  Each vertex's row (f.rows[x], or a
+    stable coloring's upper row f[x]) must hold the later vertices as
+    partners of the color.  As in a pairwise scan of the sorted vertices,
+    a repeated or out-of-horizon vertex raises what f.color raises on its
+    first pair, unless a pair before that one differs in color."""
     vs = sorted(vertices)
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            if f.color(vs[i], vs[j]) != color:
-                return False
+    rows = f.rows if isinstance(f, Pattern) else f
+    end = bisect_left(vs, f.horizon)  # vs[end:] lie past the horizon
+    later = _mask(vs[1:end]) if vs and vs[0] >= 0 else 0  # vs[i + 1:end] at step i
+    for i, x in enumerate(vs[:-1]):
+        if x < 0 or vs[i + 1] == x or i + 1 >= end:  # its first pair is invalid
+            f.color(x, vs[i + 1])  # raises
+        if rows[x] & later != (later if color else 0):
+            return False
+        if end < len(vs):
+            f.color(x, vs[end])  # raises
+        later ^= 1 << vs[i + 1]
     return True
 
 
@@ -157,9 +168,6 @@ def unbalanced_extract(f, k: int, horizon: int) -> UnbalancedResult:
 # Block search inside a reservoir
 
 
-SCAN_CHUNK = 64  # least number of pool elements one bound-scan step reads
-
-
 def find_homogeneous_block(f, reservoir, size: int, color: int, budget=None):
     """Lexicographically least size-`size` subset of the reservoir whose
     pairs all have the color, as a VertexSet, or None; the one block
@@ -168,30 +176,17 @@ def find_homogeneous_block(f, reservoir, size: int, color: int, budget=None):
     diagonal, which raises ContractViolation.  The budget, positive or
     None, caps the nodes of the ascending depth-first search.
 
-    On any coloring but a stable one this is the realization search of
-    the constant pattern of the size and color (see the patterns module);
-    a size beyond the pool is None before the pattern is built.
-
     A stable coloring whose every settle(x) is x + 1 is answered without
     search (see _window_one_block): no node is expanded, so the budget
-    cannot run out.
-
-    On other stable colorings the pair checks collapse: an element whose
-    limit disagrees with the color caps every later candidate at its
-    settling time, and only candidates inside a settling window need
-    explicit pair reads.  A suffix holding g elements with the matching
-    limit adds at most g + 1 + window vertices (window: the largest
-    settle(x) - x in the pool), which cuts hopeless branches.
-
-    Both bounds come from a lazily scanned prefix of the pool, where they
-    are lower bounds of the true ones: a branch is kept as soon as they
-    suffice, and the scan advances only when they fall short.  At the end
-    of the pool they are exact, so cuts, search order and node count are
-    those of the full bounds, while a block near the front of a long
-    reservoir never pays for the rest of it.
+    cannot run out.  Every other coloring takes the realization search of
+    the constant pattern of the size and color (see the patterns module);
+    for a size of 3 or more, its greedy-coloring cut at depth 0 rules
+    out, in one node, a pool (or a pool suffix) that splits into fewer
+    sets pairwise not of the color than the size.  A size beyond the pool
+    is None before the pattern is built.
 
     The extractors skip the sort and the box: their reservoir ascends,
-    and the stable search checks that a list pool does, so a repeated or
+    and _block_search checks that a list pool does, so a repeated or
     out-of-order vertex there still raises ContractViolation.
     """
     if color not in (0, 1):
@@ -203,79 +198,27 @@ def find_homogeneous_block(f, reservoir, size: int, color: int, budget=None):
     pool = reservoir if reservoir.__class__ is range and reservoir.step == 1 else sorted(reservoir)
     if pool and not 0 <= pool[0] <= pool[-1] < f.horizon:
         raise RangeError(f"vertices {pool[0]}..{pool[-1]} outside horizon {f.horizon}")
-    if isinstance(f, StableColoring):
-        block = _stable_block_search(f, pool, size, color, budget)
-        return None if block is None else tuple.__new__(VertexSet, block)
-    if not all(map(lt, pool, pool[1:])):
-        raise ContractViolation("block search reservoir repeats a vertex, "
-                                "which is a pair on the diagonal")
-    if size > len(pool):  # no block fits, answered before the pattern is built
-        return None
-    return _realization_search(f, pool, Pattern.constant(size, color), budget) if size else VertexSet(())
+    block = _block_search(f, pool, size, color, budget)
+    return None if block is None else tuple.__new__(VertexSet, block)
 
 
-def _stable_block_search(f: StableColoring, pool, size: int, color: int, budget):
-    """find_homogeneous_block on a stable coloring, over a pool of vertices
-    below the horizon, used as given: a step-1 range, or a list, which is
-    checked to ascend strictly.  Window-1 colorings take the closed form,
-    whose block is an ascending sequence not boxed into a VertexSet."""
+def _block_search(f, pool, size: int, color: int, budget):
+    """find_homogeneous_block over a pool of vertices below the horizon,
+    used as given: a step-1 range, or a list, which is checked to ascend
+    strictly.  Window-1 colorings take the closed form, whose block is an
+    ascending sequence not boxed into a VertexSet."""
     if pool.__class__ is not range and not all(map(lt, pool, pool[1:])):
         raise ContractViolation("block search pool does not ascend strictly; "
                                 "a repeated vertex is a pair on the diagonal")
-    if f.limit_index()[2]:
+    if isinstance(f, StableColoring) and f.limit_index()[2]:
         return _window_one_block(f, pool, size, color)
-    n = len(pool)
-    limits, settle, pair_color = f.limits, f.settle, f.color
-    frontier = 0  # length of the scanned prefix of the pool
-    good = [0]  # good[i]: elements of pool[:i] with the matching limit
-    wmax = 1  # max of settle(x) - x over the scanned prefix; settle(x) > x
-    reach = 2  # good[frontier] + 1 + wmax
-
-    def suffix_short(idx: int, need: int) -> bool:
-        """True iff the suffix from pool[idx] cannot add `need` more
-        vertices; scans on only while the scanned bounds fall short."""
-        nonlocal frontier, wmax, reach
-        while True:
-            slack = reach - good[idx] - need
-            if frontier == n:
-                return slack < 0
-            if slack >= 0 and frontier > idx:
-                return False
-            end = min(n, frontier + max(-slack, SCAN_CHUNK))
-            chunk = pool[frontier:end]
-            # accumulate re-emits the popped running count first
-            good.extend(accumulate([limits[v] == color for v in chunk], initial=good.pop()))
-            wmax = max(wmax, *[settle[v] - v for v in chunk])
-            frontier = end
-            reach = good[frontier] + 1 + wmax
-
-    # cutoffs[need]: least settling time among the chosen elements whose
-    # limit is not the color, with `need` elements still to choose
-    cutoffs = [0] * size + [1 << 60]
-
-    def step(chosen, i, need):
-        v = pool[i]
-        # the pool ascends, so past either cut no later candidate fits;
-        # the inline test spares the call while the scanned bounds suffice
-        if v >= cutoffs[need] or not (i < frontier and good[i] + need <= reach) \
-                and suffix_short(i, need):
-            return BACKTRACK
-        cut = cutoffs[need]
-        lo = v - wmax  # u <= lo is scanned, so u settled before v
-        if chosen and chosen[-1] > lo:  # else no chosen u needs a pair read
-            for u in reversed(chosen):
-                if u <= lo:
-                    break
-                if settle[u] > v and pair_color(u, v) != color:
-                    return None
-        cutoffs[need - 1] = settle[v] if limits[v] != color and settle[v] < cut else cut
-        return need - 1
-
-    return _ascending_search(pool, step, size, budget)
+    if size > len(pool):  # no block fits, answered before the pattern is built
+        return None
+    return _realization_search(f, pool, Pattern.constant(size, color), budget) if size else ()
 
 
 def _window_one_block(f: StableColoring, pool, size: int, color: int):
-    """_stable_block_search in closed form when every settle(x) is x + 1.
+    """_block_search in closed form when every settle(x) is x + 1.
     Then color(x, y) = limit(x) for x < y, so a block is size - 1
     vertices of limit `color` and any vertex above them, and the least
     one is the first size - 1 of those in the pool plus the pool vertex
@@ -309,23 +252,26 @@ EXTRACTOR_SEARCH_BUDGET = 2_000_000
 def _extractor_block(f, reservoir, arity: int, dim: int, step: int):
     """Least occurrence of the arity-ary dimension-dim fractal in the
     reservoir, as an ascending sequence, inside an extractor loop.
-    Dimension 1 takes the stable homogeneous-block search, which answers a
+    Dimension 1 takes the homogeneous-block search, which answers a
     window-1 coloring without search or boxing; every search runs under a
-    node budget.  Exhaustion, like proven absence, ends the run as a
-    degenerate instance (the unbalanced route applies); the cause and the
-    step are named."""
-    try:
-        if dim == 1:  # the reservoir ascends, as thin_reservoir keeps it
-            block = _stable_block_search(f, reservoir, arity, 0, EXTRACTOR_SEARCH_BUDGET)
-        else:
-            block = find_realization(f, reservoir, fractal_pattern(arity, dim),
-                                     EXTRACTOR_SEARCH_BUDGET)
-    except BudgetExhausted as exc:
-        raise DegenerateInstance(
-            f"block search budget exhausted at step {step} "
-            f"(arity {arity}, dimension {dim}); treat as degenerate",
-            step,
-        ) from exc
+    node budget, and a fractal of more than len(reservoir) points is
+    absent before its pattern is built.  Exhaustion, like proven absence,
+    ends the run as a degenerate instance (the unbalanced route applies);
+    the cause and the step are named."""
+    block = None
+    if arity ** dim <= len(reservoir):
+        try:
+            if dim == 1:  # the reservoir ascends, as thin_reservoir keeps it
+                block = _block_search(f, reservoir, arity, 0, EXTRACTOR_SEARCH_BUDGET)
+            else:
+                block = find_realization(f, reservoir, fractal_pattern(arity, dim),
+                                         EXTRACTOR_SEARCH_BUDGET)
+        except BudgetExhausted as exc:
+            raise DegenerateInstance(
+                f"block search budget exhausted at step {step} "
+                f"(arity {arity}, dimension {dim}); treat as degenerate",
+                step,
+            ) from exc
     if block is None:
         raise DegenerateInstance(
             f"no {arity}-ary dimension-{dim} block in the reservoir at step "

@@ -42,6 +42,18 @@ run charging the pass-overs before it, or an empty run when none fits.
 With two positions left, one step settles both: it walks the depth's
 candidates, charges each whose last-position mask is empty its admission
 and the last level's pass-overs, and returns the first pair that fits.
+
+The search carries MCQ's greedy-coloring bound (Tomita & Seki; on bit
+masks as in San Segundo et al.'s BBMC).  Class 0 at depth d is fresh
+unless it is class 0 at depth d - 1 less d - 1; depth 0 always is.  When
+a fresh class 0 has 3+ positions, all pairs of one color b, each step at
+its depth peels the candidates at or above pool[i], ascending, into
+greedy sets pairwise not of color b: first those below pool[i] + 2 *
+size, then a window four times as wide while too few sets come out (a
+prefix peels into the sets of the whole, cut short).  Fewer sets than
+positions over all candidates return BACKTRACK, one node; hits stay the
+same.  Later depths of the class are not colored again: that cost more
+than it saved on hit searches.
 """
 
 from __future__ import annotations
@@ -449,6 +461,20 @@ def find_realization(f, reservoir, p: Pattern, budget: int | None = 10**6):
     return _realization_search(f, pool, p, budget)
 
 
+def _one_color(rows, head: int):
+    """b when every pair inside the positions of the mask head, two or
+    more of them, has color b in the pattern rows; else None."""
+    rest = head & head - 1  # head without its least position
+    b = rows[(head & -head).bit_length() - 1] >> (rest & -rest).bit_length() - 1 & 1
+    left = head
+    while left:
+        low = left & -left
+        if rows[low.bit_length() - 1] & head != (head ^ low if b else 0):
+            return None
+        left ^= low
+    return b
+
+
 def _realization_search(f, pool: list, p: Pattern, budget):
     """find_realization on a strictly ascending pool inside the horizon."""
     m, n = p.size, len(pool)
@@ -459,7 +485,15 @@ def _realization_search(f, pool: list, p: Pattern, budget):
     # split[d]: (c, parent, flip) per class c at depth d + 1: its class at
     # depth d, and its color b toward d less 1, so rows[v] ^ flip has color b
     split, parts = [], [(1, (1 << m) - 1, 0, 0)]  # (least bit, positions, parent, flip)
+    # cuts[d]: (size, -b) when class 0 at depth d is fresh and its 3+
+    # positions pair in color b; rows[v] ^ -b are v's partners not of color b
+    cuts, prev = [], 0
     for d, r in enumerate(p.rows):
+        head = parts[0][1]  # class 0: d and the positions sharing its candidates
+        size = head.bit_count()
+        b = _one_color(p.rows, head) if size >= 3 and head != prev & prev - 1 else None
+        cuts.append(None if b is None else (size, -b))
+        prev = head
         zeros = ~(r | 1 << d)  # the positions of color 0 toward d, d itself left out
         parts = sorted((part & -part, part, c, flip) for c, (_, cls, _, _) in enumerate(parts)
                        for part, flip in ((cls & r, 0), (cls & zeros, -1)) if part)
@@ -487,6 +521,22 @@ def _realization_search(f, pool: list, p: Pattern, budget):
                 i = j + 1
                 cand ^= low
             return (), cost + n - 1 - i
+        if cuts[d]:
+            size, flip = cuts[d]
+            width = 2 * size
+            while True:  # color the candidates below lo + width, widened fourfold
+                free = (cand & (1 << width) - 1) << lo
+                for _ in range(size - 1):  # peel off a greedy set pairwise not of class 0's color
+                    left = free
+                    while left:
+                        low = left & -left
+                        free ^= low
+                        left = (left ^ low) & (rows[low.bit_length() - 1] ^ flip)
+                if free:  # size sets or more: room for class 0
+                    break
+                if width >= cand.bit_length():  # every candidate, fewer sets than positions
+                    return BACKTRACK
+                width *= 4
         if cand:
             v = (cand & -cand).bit_length() - 1 + lo
             j = at[v]

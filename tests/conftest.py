@@ -91,6 +91,81 @@ def exhaustive_find(f, pool, p: Pattern):
     return None
 
 
+def unit_realization_search(f, pool, p: Pattern):
+    """Reference for the row-mask search: the least realization of p in
+    the ascending pool and the node count of a plain depth-first search,
+    one node per candidate visited while enough of the pool is left, one
+    pair read per check.  Returns (hit as a tuple or None, nodes).
+
+    It makes the search's greedy-coloring cut from pair reads.  The class
+    of depth d is the positions q >= d with d's colors toward 0..d-1; it
+    is fresh when it is not the class of d - 1 less d - 1.  At a depth
+    whose fresh class has 3+ positions pairing in one color b, each visit
+    first colors the candidates at or above it first-fit in ascending
+    order (a vertex joins the first set holding no b-pair with it); fewer
+    sets than positions end the depth at that visit's node."""
+    n, m = len(pool), p.size
+
+    def cls(d):
+        return [q for q in range(d, m) if all(p.color(t, q) == p.color(t, d) for t in range(d))]
+
+    cuts = []  # per depth: (class size, b) or None
+    for d in range(m):
+        here = cls(d)
+        colors = {p.color(a, b) for a, b in itertools.combinations(here, 2)}
+        fresh = d == 0 or here != [q for q in cls(d - 1) if q != d - 1]
+        cuts.append((len(here), colors.pop()) if len(here) >= 3 and fresh and len(colors) == 1
+                    else None)
+    nodes = 0
+
+    def fits(chosen, v):
+        d = len(chosen)
+        return all(f.color(u, v) == p.color(t, d) for t, u in enumerate(chosen))
+
+    def first_fit_sets(vertices, b):
+        sets = []
+        for v in vertices:
+            for s in sets:
+                if all(f.color(u, v) != b for u in s):
+                    s.append(v)
+                    break
+            else:
+                sets.append([v])
+        return len(sets)
+
+    def extend(chosen, start):
+        nonlocal nodes
+        d = len(chosen)
+        if d == m:
+            return tuple(chosen)
+        for i in range(start, n - (m - d) + 1):
+            nodes += 1
+            if cuts[d] is not None:
+                size, b = cuts[d]
+                if first_fit_sets([v for v in pool[i:] if fits(chosen, v)], b) < size:
+                    return None
+            v = pool[i]
+            if fits(chosen, v):
+                found = extend(chosen + [v], i + 1)
+                if found is not None:
+                    return found
+        return None
+
+    return extend([], 0), nodes
+
+
+def pairwise_homogeneous(f, vertices, color: int) -> bool:
+    """The pairwise homogeneity scan: every pair of the sorted vertices
+    read by f.color, the first differing pair answering False; a repeated
+    or out-of-horizon vertex raises what f.color raises on its first pair."""
+    vs = sorted(vertices)
+    for i in range(len(vs)):
+        for j in range(i + 1, len(vs)):
+            if f.color(vs[i], vs[j]) != color:
+                return False
+    return True
+
+
 def order_type(values) -> tuple:
     """Pattern of a value sequence: each value replaced by its rank."""
     ranked = sorted(range(len(values)), key=lambda i: values[i])

@@ -232,12 +232,27 @@ def test_oversized_searches_never_reach_the_kernel(capsys, tmp_path, monkeypatch
         raise AssertionError("an oversized search reached the kernel")
 
     monkeypatch.setattr(patterns, "_ascending_search", refuse)
-    monkeypatch.setattr(extract, "_ascending_search", refuse)
     code, out, err = run(capsys, ["--horizon", "150", "extract", "random", str(inst),
                                   "--n", "3", "--steps", "8"])
     assert (code, out, err.count("\n")) == (1, "", 1)
     assert "no 146-ary dimension-2 block" in err and "at step 0" in err
     assert run(capsys, repaired + ["100000"]) == (0, want, "")
+
+
+def test_oversized_extractor_block_builds_no_pattern(capsys, tmp_path, monkeypatch):
+    """The 146-ary dimension-2 fractal of step 0 has more points than the
+    150-vertex reservoir, so the extractor ends before building it."""
+    inst = tmp_path / "dipped.json"
+    assert run_command(["--out", str(inst), "gen", "dipped", "--n", "400"]) == 0
+
+    def refuse(*args):
+        raise AssertionError("an oversized fractal pattern was built")
+
+    monkeypatch.setattr(extract, "fractal_pattern", refuse)
+    code, out, err = run(capsys, ["--horizon", "150", "extract", "random", str(inst),
+                                  "--n", "3", "--steps", "8"])
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert "no 146-ary dimension-2 block" in err and "at step 0" in err
 
 
 def test_construct_gamma_and_delta(capsys, tmp_path):

@@ -7,8 +7,13 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_max_homogeneous, single_zero_edge
-from rpl import extract
+from conftest import (
+    brute_force_max_homogeneous,
+    pairwise_homogeneous,
+    single_zero_edge,
+    unit_realization_search,
+)
+from rpl import extract, patterns
 from rpl.errors import (
     BudgetExhausted,
     ContractViolation,
@@ -43,12 +48,12 @@ from rpl.instances import (
     repaired_random_unbalanced,
     split_order_coloring,
 )
-from rpl.patterns import FiniteColoring, StableColoring, VertexSet, realizes
+from rpl.patterns import FiniteColoring, Pattern, StableColoring, VertexSet, realizes
 
 
 FIXTURE = interleaved_split_order(10_000, seed=123, top_fraction=0.34)
 # FIXTURE's first 300 rows, the last one settling a step late (past the
-# horizon), so the block search scans instead of answering in closed form
+# horizon), so the block search runs instead of answering in closed form
 LATE_ROW = StableColoring(300, FIXTURE.limits[:300], [*range(1, 300), 301])
 
 
@@ -198,27 +203,27 @@ def test_find_homogeneous_block_skips_poison():
 
 # Exact node counts of the ascending search on fixtures, with the least
 # block it returns as (size, first twelve elements, last, sum), or None.
-# The stable counts were measured on the search that computed its
-# stable-window bounds over the whole reservoir, so they pin that the
-# lazily scanned bounds cut the same branches.  late-row-infeasible asks
-# for one vertex more than the largest block (193) of its pool, whose one
-# window above 1 is at the pool's last vertex, so only the cuts made once
-# the scan reaches the end of the pool keep its search from blowing up.
-# FIXTURE settles every row at once, so its two cases are answered without
-# search: 0 nodes, and the kernel is never called.
-# The two finite cases, measured on the search before it moved onto the
-# shared kernel, pin the finite path: one proven absence, one early hit.
+# Every block search but the window-1 closed form is the realization search
+# of the constant pattern, which charges a node for each candidate it
+# passes over, so a hit far into a stable pool costs many nodes; its
+# greedy-coloring cut at depth 0 rules a block out in one node when the
+# pool splits into fewer sets pairwise not of the color than the size.
+# late-row-infeasible asks for one vertex more than the largest block
+# (193) of its pool, which the greedy coloring shows at once.  FIXTURE
+# settles every row at once, so its two cases are answered without
+# search: 0 nodes, and the kernel is never called.  The two finite cases
+# pin the finite path: one proven absence, one early hit.
 NODE_PINS = [
     ("interleaved-300", lambda: (FIXTURE, range(10_000), 300, 0), 0,
      (300, (2, 4, 6, 8, 14, 16, 19, 20, 23, 25, 26, 28), 475, 70873)),
-    ("alternating-600", lambda: (alternating_stable(600), range(600), 12, 1), 858,
+    ("alternating-600", lambda: (alternating_stable(600), range(600), 12, 1), 120_750,
      (12, (1, 5, 13, 28, 30, 32, 34, 36, 38, 40, 42, 43), 43, 342)),
-    ("dipped-2000", lambda: (dipped_split_order(2000), range(2000), 10, 1), 2950,
+    ("dipped-2000", lambda: (dipped_split_order(2000), range(2000), 10, 1), 391_393,
      (10, (13, 14, 15, 37, 38, 39, 109, 110, 111, 112), 112, 598)),
     ("interleaved-infeasible", lambda: (FIXTURE, range(300), 194, 0), 0, None),
-    ("late-row-infeasible", lambda: (LATE_ROW, range(300), 194, 0), 55564, None),
+    ("late-row-infeasible", lambda: (LATE_ROW, range(300), 194, 0), 1, None),
     ("finite-absent", lambda: (repaired_random_unbalanced(60, 3, 0), range(60), 4, 0),
-     3698, None),
+     2870, None),
     ("finite-hit", lambda: (repaired_random_unbalanced(30, 3, 2), range(30), 8, 1), 12,
      (8, (0, 1, 4, 5, 6, 7, 8, 11), 11, 42)),
 ]
@@ -229,12 +234,13 @@ NODE_PINS = [
 def test_find_homogeneous_block_node_count_pinned(name, make, nodes, pinned):
     f, reservoir, size, color = make()
     if nodes:
-        with pytest.raises(BudgetExhausted) as exc:
-            find_homogeneous_block(f, reservoir, size, color, budget=nodes - 1)
-        assert exc.value.nodes == nodes
+        if nodes > 1:
+            with pytest.raises(BudgetExhausted) as exc:
+                find_homogeneous_block(f, reservoir, size, color, budget=nodes - 1)
+            assert exc.value.nodes == nodes
         blk = find_homogeneous_block(f, reservoir, size, color, budget=nodes)
     else:
-        with mock.patch.object(extract, "_ascending_search", side_effect=AssertionError):
+        with mock.patch.object(patterns, "_ascending_search", side_effect=AssertionError):
             blk = find_homogeneous_block(f, reservoir, size, color, budget=1)
     if pinned is None:
         assert blk is None
@@ -281,49 +287,23 @@ def test_stable_block_search_matches_generic(f, data):
     a = data.draw(st.integers(0, h), label="start")
     b = data.draw(st.integers(a, h), label="stop")
     size = data.draw(st.integers(0, h + 1), label="size")
-    generic = f.restrict(h)  # a FiniteColoring: plain pair reads, no cuts
+    generic = f.restrict(h)  # a FiniteColoring with the same pairs
     for pool in (reservoir, range(a, b)):
         for color in (0, 1):
             assert (find_homogeneous_block(f, pool, size, color)
                     == find_homogeneous_block(generic, pool, size, color))
-    if not f.limit_index()[2]:  # the scan makes the unit steps' nodes
+    if not f.limit_index()[2] and 1 <= size <= b - a:  # the search makes the unit steps' nodes
         for color in (0, 1):
-            block, nodes = unit_block_search(f, range(a, b), size, color)
+            block, nodes = unit_realization_search(f, range(a, b), Pattern.constant(size, color))
             got, got_nodes, _ = search_with_nodes(f, range(a, b), size, color, None)
             assert (None if got is None else tuple(got), got_nodes) == (block, nodes)
 
 
-def unit_block_search(f, pool, size, color):
-    """Reference for the stable block search: the least block and the node
-    count of a plain depth-first search over the ascending pool, one node
-    per candidate visited while enough of the pool is left, with the
-    settling-time cut and the suffix bound computed over the whole pool.
-    Returns (block as a tuple or None, nodes)."""
-    n = len(pool)
-    good = [0]
-    for v in pool:
-        good.append(good[-1] + (f.limits[v] == color))
-    reach = good[n] + 1 + max([f.settle[v] - v for v in pool], default=1)
-    nodes = 0
-
-    def extend(chosen, start, need, cut):
-        nonlocal nodes
-        if need == 0:
-            return tuple(chosen)
-        for i in range(start, n - need + 1):
-            nodes += 1
-            v = pool[i]
-            if v >= cut or good[i] + need > reach:
-                return None
-            if any(f.color(u, v) != color for u in chosen):
-                continue
-            nxt = min(cut, f.settle[v]) if f.limits[v] != color else cut
-            found = extend(chosen + [v], i + 1, need - 1, nxt)
-            if found is not None:
-                return found
+def unit_block(f, pool, size, color):
+    """The least block by the unit-step reference, as a tuple, or None."""
+    if size > len(pool):
         return None
-
-    return extend([], 0, size, 1 << 60), nodes
+    return unit_realization_search(f, pool, Pattern.constant(size, color))[0] if size else ()
 
 
 @settings(max_examples=300, deadline=None)
@@ -343,8 +323,8 @@ def test_stable_block_runs_match_unit_steps(f, data):
             # matching + 1 ends the block's matching vertices at the last
             # one in the pool, which may be the pool's last vertex
             for size in {0, 1, 2, len(pool) + 1, drawn, matching, matching + 1}:
-                block, _ = unit_block_search(f, pool, size, color)
-                with mock.patch.object(extract, "_ascending_search",
+                block = unit_block(f, pool, size, color)
+                with mock.patch.object(patterns, "_ascending_search",
                                        side_effect=AssertionError):
                     got = find_homogeneous_block(f, pool, size, color, budget=1)
                 assert (None if got is None else tuple(got)) == block
@@ -357,7 +337,7 @@ def search_with_nodes(f, pool, size, color, budget):
     whether the kernel ran."""
     nodes = 0
     searched = False
-    kernel = extract._ascending_search
+    kernel = patterns._ascending_search
 
     def counting(pool, step, need, budget):
         nonlocal searched
@@ -370,7 +350,7 @@ def search_with_nodes(f, pool, size, color, budget):
             return verdict
         return kernel(pool, counted, need, budget)
 
-    with mock.patch.object(extract, "_ascending_search", counting):
+    with mock.patch.object(patterns, "_ascending_search", counting):
         try:
             block = find_homogeneous_block(f, pool, size, color, budget)
         except BudgetExhausted:
@@ -413,10 +393,11 @@ def test_range_pools_match_list_pools_on_window_one(f, data):
                    small_stable().filter(lambda f: f.settle != tuple(range(1, f.horizon + 1)))),
        data=st.data())
 def test_range_pools_keep_the_scan_on_wide_windows(f, data):
+    # the search kernel runs unless the block is larger than the pool
     a = data.draw(st.integers(0, f.horizon), label="start")
     b = data.draw(st.integers(a, f.horizon), label="stop")
     size = data.draw(st.integers(1, min(400, b - a + 1)), label="size")
-    assert_range_pool_matches_list_pool(f, a, b, size, searched=True, budget=2_000)
+    assert_range_pool_matches_list_pool(f, a, b, size, searched=size <= b - a, budget=2_000)
 
 
 @settings(max_examples=300, deadline=None)
@@ -440,7 +421,7 @@ def test_window_one_extraction_never_searches(monkeypatch):
     # every row settles at once, so each block of a randomized extraction
     # is read off in closed form: a success, a bad pick, and a reservoir
     # that runs out of blocks, never out of budget
-    monkeypatch.setattr(extract, "_ascending_search", mock.Mock(side_effect=AssertionError))
+    monkeypatch.setattr(patterns, "_ascending_search", mock.Mock(side_effect=AssertionError))
     assert randomized_extract(FIXTURE, 2, 2, default_config(seed=42)).success
     assert randomized_extract(FIXTURE, 2, 2, default_config(seed=5)).failure_step == 2
     dried = split_order_coloring(300, top=set(range(50, 300)))
@@ -522,7 +503,7 @@ def test_randomized_transcripts_match_the_boxed_reference():
 @pytest.mark.parametrize("pool, size", [
     ([3, 1, 2, 4, 5, 6], 4),
     ([0, 1, 1, 2, 3, 4], 4),
-    (list(range(70)) + [10] + list(range(71, 200)), 80),  # read by the first scan
+    (list(range(70)) + [10] + list(range(71, 200)), 80),  # a repeat late in the pool
 ], ids=["unsorted", "repeated", "late-repeat"])
 def test_extractor_block_search_needs_ascending_pool(pool, size):
     f = StableColoring(300, [0] * 300, range(1, 301))
@@ -740,3 +721,28 @@ def test_oracle_adversarial_failure_transcript():
     q = out.failure["queries"][-1]
     assert q["answer"] in q["bad"]  # the query genuinely named a bad block
     assert FIXTURE.limit(out.failure["chosen"]) == 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(f=st.one_of(small_stable(), window_one_stable(), st.builds(
+           lambda n, bits: FiniteColoring(n, bits[:n * (n - 1) // 2]),
+           st.integers(1, 10), st.lists(st.integers(0, 1), min_size=45, max_size=45))),
+       data=st.data())
+def test_verify_homogeneous_matches_the_pairwise_scan(f, data):
+    """Same verdict, or the same exception, as the pairwise scan, on sets
+    drawn from homogeneous blocks and from anywhere, with repeated,
+    negative and out-of-horizon vertices mixed in."""
+    h = f.horizon
+    color = data.draw(st.integers(0, 1), label="color")
+    block = find_homogeneous_block(f, range(h), data.draw(st.integers(0, h), label="size"), color)
+    drawn = data.draw(st.lists(st.integers(-2, h + 2), max_size=8), label="vertices")
+    for vertices in ([] if block is None else [block, list(block) + drawn]) + [drawn]:
+        try:
+            want = pairwise_homogeneous(f, vertices, color)
+        except (ContractViolation, RangeError) as exc:
+            want = (type(exc), str(exc))
+        try:
+            got = verify_homogeneous(f, vertices, color)
+        except (ContractViolation, RangeError) as exc:
+            got = (type(exc), str(exc))
+        assert got == want

@@ -5,8 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_perms, exhaustive_find, pat, perm
-from test_extract import unit_block_search
+from conftest import all_perms, exhaustive_find, pat, perm, unit_realization_search
 from rpl.errors import BudgetExhausted, ContractViolation, RangeError
 from rpl.patterns import (
     FiniteColoring,
@@ -190,7 +189,7 @@ REALIZATION_PINS = [
      7085, None),
     ("unbalanced-30-constant-4",
      lambda: (repaired_random_unbalanced(30, 4, 1), range(30), Pattern.constant(4, 0)),
-     641, None),
+     346, None),
     ("fractal-1600-30ary",
      lambda: (perm_coloring(fractal_perm(40, 2)), range(1600), fractal_pattern(30, 2)),
      1190, (900, 0, 1189, 535050)),
@@ -217,31 +216,6 @@ def test_oversized_pattern_is_answered_before_search(monkeypatch):
     assert find_realization(dipped_split_order(400), range(150), fractal_pattern(60, 2)) is None
 
 
-def unit_realization_search(f, pool, p):
-    """Reference for the row-mask search: the least realization of p in
-    the ascending pool and the node count of a plain depth-first search,
-    one node per candidate visited while enough of the pool is left, one
-    pair read per check.  Returns (hit as a tuple or None, nodes)."""
-    n, m = len(pool), p.size
-    nodes = 0
-
-    def extend(chosen, start):
-        nonlocal nodes
-        d = len(chosen)
-        if d == m:
-            return tuple(chosen)
-        for i in range(start, n - (m - d) + 1):
-            nodes += 1
-            v = pool[i]
-            if all(f.color(u, v) == p.color(t, d) for t, u in enumerate(chosen)):
-                found = extend(chosen + [v], i + 1)
-                if found is not None:
-                    return found
-        return None
-
-    return extend([], 0), nodes
-
-
 @st.composite
 def finite_coloring(draw, most=16):
     n = draw(st.integers(1, most))
@@ -263,8 +237,8 @@ def stable_coloring(draw, most=16):
     return StableColoring(h, limits, settle, overrides)
 
 
-def assert_search_matches_unit_steps(search, f, pool, p, reference=unit_realization_search):
-    hit, nodes = reference(f, pool, p)
+def assert_search_matches_unit_steps(search, f, pool, p):
+    hit, nodes = unit_realization_search(f, pool, p)
     if nodes > 1:
         with pytest.raises(BudgetExhausted) as exc:
             search(nodes - 1)
@@ -279,9 +253,10 @@ def test_mask_search_matches_unit_steps(f, data):
     """Same hit as the unit-step reference, and the node count: budget
     N - 1 raises at node N, budget N returns the hit.  Pools are random
     subsets of the horizon, empty ones included, handed over shuffled.
-    Block search on a stable coloring is the lazy scan, whose reference
-    adds its settling-time cut and suffix bound.  Patterns range from one
-    position class (constant) over few (fractals) to many (random)."""
+    Block search is the search of the constant pattern on every coloring
+    drawn here, none of them window-1.  Patterns range from one position
+    class (constant) over few (fractals) to many (random); the reference
+    makes the greedy-coloring cut independently."""
     pool = sorted(data.draw(st.sets(st.integers(0, f.horizon - 1)), label="pool"))
     shuffled = data.draw(st.permutations(pool), label="order")
     p = data.draw(st.one_of(
@@ -292,13 +267,38 @@ def test_mask_search_matches_unit_steps(f, data):
     assert_search_matches_unit_steps(
         lambda budget: find_realization(f, shuffled, p, budget), f, pool, p)
     size = data.draw(st.integers(1, 5), label="size")
-    stable = isinstance(f, StableColoring)
     for c in (0, 1):
         assert_search_matches_unit_steps(
             lambda budget: find_homogeneous_block(f, shuffled, size, c, budget),
-            f, pool, Pattern.constant(size, c),
-            (lambda f, pool, q: unit_block_search(f, pool, q.size, c)) if stable
-            else unit_realization_search)
+            f, pool, Pattern.constant(size, c))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(f=st.one_of(finite_coloring(10), stable_coloring(10)), data=st.data())
+def test_cut_searches_match_subset_enumeration(f, data):
+    """The searches with their greedy-coloring cut against plain subset
+    enumeration (itertools.combinations): the same least hit, or None, on
+    a list pool and a range pool, for constant patterns (one class, cut
+    at depth 0 when it is too large), fractal patterns (fresh one-color
+    blocks) and random ones, and for blocks of every size up to one past
+    the pool."""
+    h = f.horizon
+    listed = sorted(data.draw(st.sets(st.integers(0, h - 1)), label="pool"))
+    a = data.draw(st.integers(0, h), label="start")
+    b = data.draw(st.integers(a, h), label="stop")
+    p = data.draw(st.one_of(
+        st.builds(Pattern.constant, st.integers(1, 6), st.integers(0, 1)),
+        st.sampled_from([fractal_pattern(k, d) for k in range(2, 10) for d in range(2, 4)
+                         if k**d <= 9]),
+        small_pattern(6)), label="pattern")
+    for pool in (listed, range(a, b)):
+        got = find_realization(f, pool, p, budget=None)
+        assert (None if got is None else tuple(got)) == exhaustive_find(f, pool, p)
+        for size in range(1, len(pool) + 2):
+            for c in (0, 1):
+                got = find_homogeneous_block(f, pool, size, c)
+                want = exhaustive_find(f, pool, Pattern.constant(size, c))
+                assert (None if got is None else tuple(got)) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -365,24 +365,31 @@ def test_coloring_text_parse_matches_per_character_parse(n, data):
 
 
 def test_mask_search_takes_one_step_per_admission(monkeypatch):
-    # the full search for 0123 on grouped_unbalanced(48, 4, 0), which
-    # avoids it by construction: pinned node count and step calls
-    f, p = grouped_unbalanced(48, 4, 0), pat("0123")
-    with pytest.raises(BudgetExhausted) as exc:
-        find_realization(f, range(48), p, budget=55_475)
-    assert exc.value.nodes == 55_476
-    calls = []
+    # full searches on grouped_unbalanced(48, 4, 0), which avoids both
+    # patterns: pinned node counts and step calls.  0123 is a clique of one
+    # color, which the greedy coloring at depth 0 rules out in one node;
+    # no class of 0231 is a clique of 3+ positions, so it has no cut
+    f = grouped_unbalanced(48, 4, 0)
+    got = []
     kernel = patterns._ascending_search
 
     def counting(pool, step, need, budget):
         def counted(*args):
-            calls.append(args)
+            got.append(args)
             return step(*args)
         return kernel(pool, counted, need, budget)
 
-    monkeypatch.setattr(patterns, "_ascending_search", counting)
-    assert find_realization(f, range(48), p, budget=55_476) is None
-    assert len(calls) == 1_442
+    for text, nodes, calls in (("0123", 1, 1), ("0231", 55_476, 1_442)):
+        p = pat(text)
+        if nodes > 1:
+            with pytest.raises(BudgetExhausted) as exc:
+                find_realization(f, range(48), p, budget=nodes - 1)
+            assert exc.value.nodes == nodes
+        got.clear()
+        with monkeypatch.context() as m:
+            m.setattr(patterns, "_ascending_search", counting)
+            assert find_realization(f, range(48), p, budget=nodes) is None
+        assert len(got) == calls
 
 
 def test_realize_dual_symmetry():
