@@ -174,16 +174,18 @@ def find_homogeneous_block(f, reservoir, size: int, color: int, budget=None):
     search entry that boxes its answer.  The reservoir, in any order, must
     hold distinct vertices: a repeated one is read as a pair on the
     diagonal, which raises ContractViolation.  The budget, positive or
-    None, caps the nodes of the ascending depth-first search.
+    None, caps the nodes of the search, one per admitted vertex.
 
     A stable coloring whose every settle(x) is x + 1 is answered without
     search (see _window_one_block): no node is expanded, so the budget
     cannot run out.  Every other coloring takes the realization search of
-    the constant pattern of the size and color (see the patterns module);
-    for a size of 3 or more, its greedy-coloring cut at depth 0 rules
-    out, in one node, a pool (or a pool suffix) that splits into fewer
-    sets pairwise not of the color than the size.  A size beyond the pool
-    is None before the pattern is built.
+    the constant pattern of the size and color (see the patterns module).
+    It admits a vertex at depth d only while size - d candidates are
+    left from it on, and for a size of 3 or more, its greedy-coloring
+    cut at depth 0 rules out, before any admission, a pool (or a pool
+    suffix) that splits into fewer sets pairwise not of the color than
+    the size.  A size beyond the pool is None before the pattern is
+    built.
 
     The extractors skip the sort and the box: their reservoir ascends,
     and _block_search checks that a list pool does, so a repeated or
@@ -254,10 +256,11 @@ def _extractor_block(f, reservoir, arity: int, dim: int, step: int):
     reservoir, as an ascending sequence, inside an extractor loop.
     Dimension 1 takes the homogeneous-block search, which answers a
     window-1 coloring without search or boxing; every search runs under a
-    node budget, and a fractal of more than len(reservoir) points is
-    absent before its pattern is built.  Exhaustion, like proven absence,
-    ends the run as a degenerate instance (the unbalanced route applies);
-    the cause and the step are named."""
+    budget of EXTRACTOR_SEARCH_BUDGET admitted vertices, and a fractal of
+    more than len(reservoir) points is absent before its pattern is
+    built.  Exhaustion, like proven absence, ends the run as a degenerate
+    instance (the unbalanced route applies); the cause and the step are
+    named."""
     block = None
     if arity ** dim <= len(reservoir):
         try:

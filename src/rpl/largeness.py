@@ -15,17 +15,9 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .errors import BudgetExhausted, ContractViolation, DegenerateInstance, InternalInvariant
+from .errors import ContractViolation, DegenerateInstance, InternalInvariant
 from .extract import thin_reservoir, verify_homogeneous
-from .patterns import (
-    BACKTRACK,
-    Pattern,
-    StableColoring,
-    VertexSet,
-    _ascending_search,
-    find_realization,
-    realizes,
-)
+from .patterns import Pattern, StableColoring, VertexSet, find_realization, realizes
 from .perms import is_convergent
 
 
@@ -366,26 +358,40 @@ def _homog_large_block(f, reservoir, color: int, n: int) -> VertexSet | None:
     Backtracking matters: a greedy chain can pick up an element that
     pairs correctly but blocks every continuation; the search pops it and
     moves on.  A chain rooted at m needs minimal_large_size(m, n)
-    elements, which bounds the room every branch asks for.
+    elements, which bounds the room every branch asks for: an element is
+    visited only while the chain's need fits in what is left, and a root
+    without room ends the search, since every later root needs more.
+    Each visit is a node; the node past LARGE_BLOCK_SEARCH_BUDGET raises
+    DegenerateInstance.
     """
-    def step(chosen, i, need):
-        y = reservoir[i]
-        room = len(reservoir) - i + len(chosen)  # the longest chain through y
-        if not chosen and minimal_large_size(y, n, room) > room:
-            # the reservoir ascends, so every later root needs more room
-            return BACKTRACK
-        if not all(f.color(x, y) == color for x in chosen):
+    size = len(reservoir)
+    chosen: list = []
+    trail: list = []  # (reservoir index, need) at each admission
+    need = 1  # the elements every completion of the chain still needs
+    nodes = i = 0
+    while need:
+        if i <= size - need:
+            nodes += 1
+            if nodes > LARGE_BLOCK_SEARCH_BUDGET:
+                raise DegenerateInstance(f"large block search budget exhausted at color {color}, "
+                                         f"level {n}; treat as degenerate")
+            y = reservoir[i]
+            room = size - i + len(chosen)  # the longest chain through y
+            if not chosen and minimal_large_size(y, n, room) > room:
+                return None
+            if all(f.color(x, y) == color for x in chosen):
+                chosen.append(y)
+                trail.append((i, need))
+                need = 0 if _carve_prefix(chosen, n) is not None else max(
+                    1, minimal_large_size(chosen[0], n, room) - len(chosen))
+            i += 1
+            continue
+        if not chosen:
             return None
-        chain = chosen + [y]
-        if _carve_prefix(chain, n) is not None:
-            return 0
-        return max(1, minimal_large_size(chain[0], n, room) - len(chain))
-
-    try:
-        return _ascending_search(reservoir, step, 1, LARGE_BLOCK_SEARCH_BUDGET)
-    except BudgetExhausted as exc:
-        raise DegenerateInstance(f"large block search budget exhausted at color {color}, "
-                                 f"level {n}; treat as degenerate") from exc
+        chosen.pop()
+        i, need = trail.pop()
+        i += 1
+    return tuple.__new__(VertexSet, chosen)  # ascending and distinct as the reservoir
 
 
 def _verify_em(f, outcome: EmOutcome) -> None:

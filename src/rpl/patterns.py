@@ -8,52 +8,34 @@ bit x of `rows[x]` is 0.  The canonical lexicographic pair order
 `to_text` and the repr produce it and `Pattern(size, bits)` reads it, so
 fixtures stay bit-exact.
 
-Every search of a reservoir (realization here, homogeneous blocks in
-`extract`, large blocks in `largeness`) runs on one ascending depth-first
-kernel, `_ascending_search(pool, step, need, budget)`, over a strictly
-ascending pool.  It owns the stack, the cut of candidates with fewer than
-`need` pool elements left, node counting, the budget (exhaustion raises
-BudgetExhausted) and the answer None for proven absence.  The hook
-`step(chosen, i, need)` judges pool[i]:
-None passes it over, BACKTRACK abandons the depth, and an int admits it as
-the number of elements every completion still needs (0 when done).
+Realization search, and block search in `extract` as the search of a
+constant pattern, is one depth-first walk over bit masks of a strictly
+ascending pool.  A vertex's row mask holds its color-1 partners, its
+complement the color-0 ones.  The positions q >= d with equal colors
+toward 0..d-1 form a class at depth d, sharing one candidate mask;
+refined once per search, one AND with row d of p per class, the classes
+are ordered by least position, so d lies in class 0.  At depth d the
+walk admits class 0's least untried candidate v, charging one node, and
+cuts each child class's mask from its parent's to v's partners of its
+color toward d; masks are read only above the last admission, so a
+stable coloring hands over upper rows, which hold only the partners
+above the vertex.  The admission at the last depth is the hit, the least
+in the lexicographic order of the pool; a depth with no candidate left
+backtracks, and backtracking past depth 0 proves absence (None).  The
+node past the budget raises BudgetExhausted.
 
-A step may also settle many candidates in one verdict, a run: the tuple
-(indices, nodes).  The ascending pool indices, the first of them at least
-i, are admitted in order, each needing one element fewer, and the search
-goes on after the last of them.  `nodes` is the count the unit steps
-would have made up to that admission, this call included; a run that
-crosses the budget raises the BudgetExhausted the unit steps would have.
-A run may be empty, ((), nodes): no candidate left at the depth fits, so
-the kernel charges the nodes of the unit pass-overs and backtracks.
-
-On every coloring the realization search takes one step call per
-admission, and a pattern longer than the pool is None before any table.
-A vertex's row mask holds its color-1 partners, its complement the
-color-0 ones.  The positions q >= d with equal colors toward 0..d-1 form
-a class at depth d, sharing one candidate mask; refined once per search,
-one AND with row d of p per class, the classes are ordered by least
-position, so d lies in class 0.  Admitting v at depth d cuts each child
-class's mask from its parent's to v's partners of its color toward d.
-Masks are read only above the last admission, so a stable coloring
-hands over upper rows, which hold only the partners above the vertex.
-A step takes the least candidate at or above pool[i] as a one-element
-run charging the pass-overs before it, or an empty run when none fits.
-With two positions left, one step settles both: it walks the depth's
-candidates, charges each whose last-position mask is empty its admission
-and the last level's pass-overs, and returns the first pair that fits.
-
-The search carries MCQ's greedy-coloring bound (Tomita & Seki; on bit
-masks as in San Segundo et al.'s BBMC).  Class 0 at depth d is fresh
-unless it is class 0 at depth d - 1 less d - 1; depth 0 always is.  When
-a fresh class 0 has 3+ positions, all pairs of one color b, each step at
-its depth peels the candidates at or above pool[i], ascending, into
-greedy sets pairwise not of color b: first those below pool[i] + 2 *
-size, then a window four times as wide while too few sets come out (a
-prefix peels into the sets of the whole, cut short).  Fewer sets than
-positions over all candidates return BACKTRACK, one node; hits stay the
-same.  Later depths of the class are not colored again: that cost more
-than it saved on hit searches.
+Three cuts end a depth at its least untried candidate v without a node.
+Room: v has fewer pool vertices above it than positions after d.  Class
+size: fewer of class 0's candidates are left from v on than the class
+has positions.  Greedy coloring, MCQ's bound (Tomita & Seki; on bit
+masks as in San Segundo et al.'s BBMC): class 0 at depth d is fresh
+unless it is class 0 at depth d - 1 less d - 1, and depth 0 always is;
+when a fresh class 0 has 3+ positions, all pairs of one color b, its
+candidates from v on are peeled, ascending, into greedy sets pairwise
+not of color b, and fewer sets than positions end the depth.  Later
+depths of the class are not colored again: that cost more than it saved
+on hit searches.  No cut removes a hit, so the hit does not depend on
+them; they only save nodes.
 """
 
 from __future__ import annotations
@@ -398,67 +380,18 @@ def realizes(f, vertices, p: Pattern) -> bool:
     return True
 
 
-BACKTRACK = object()  # step verdict: abandon the current depth
-
-
-def _ascending_search(pool, step, need: int, budget: int | None):
-    """The search kernel of the module docstring: the hit least in the
-    lexicographic order of pool indices, or None when none exists.  Each
-    step call is one node, a run as many as it names; the node past the
-    budget raises BudgetExhausted."""
-    if budget is not None and budget <= 0:
-        raise ContractViolation("budget must be positive")
-    limit = sys.maxsize if budget is None else budget
-    n = len(pool)
-    chosen: list = []
-    trail: list = []  # (pool index, need) at each admission
-    nodes = i = 0
-    while need:
-        if i <= n - need:
-            nodes += 1
-            if nodes > limit:
-                raise BudgetExhausted(nodes)
-            verdict = step(chosen, i, need)
-            if verdict is None:
-                i += 1
-                continue
-            if verdict is not BACKTRACK:
-                if verdict.__class__ is tuple:
-                    run, cost = verdict
-                    nodes += cost - 1
-                    if nodes > limit:
-                        raise BudgetExhausted(limit + 1)
-                    if not run:  # every candidate left at this depth was passed over
-                        i = n
-                        continue
-                    chosen.extend(map(pool.__getitem__, run))
-                    trail.extend(zip(run, range(need, need - len(run), -1)))
-                    need -= len(run)
-                    i = run[-1] + 1
-                    continue
-                chosen.append(pool[i])
-                trail.append((i, need))
-                need = verdict
-                i += 1
-                continue
-        if not chosen:
-            return None
-        chosen.pop()
-        i, need = trail.pop()
-        i += 1
-    return tuple.__new__(VertexSet, chosen)  # ascending and distinct as the pool
-
-
 def find_realization(f, reservoir, p: Pattern, budget: int | None = 10**6):
     """The least subset of the reservoir realizing p, or None; a candidate
     is admitted when its pairs with the chosen vertices carry p's colors.
-    The budget counts search nodes, as in _ascending_search."""
-    if budget is not None and budget <= 0:  # an oversized p never reaches the kernel's check
+    The budget counts search nodes, one per admitted vertex; the node past
+    it raises BudgetExhausted.  A pattern longer than the pool is None
+    before any search table is built."""
+    if budget is not None and budget <= 0:
         raise ContractViolation("budget must be positive")
-    pool = sorted(set(reservoir))
+    pool = reservoir if reservoir.__class__ is range and reservoir.step == 1 else sorted(set(reservoir))
     if pool and not 0 <= pool[0] <= pool[-1] < f.horizon:
         raise RangeError(f"vertices {pool[0]}..{pool[-1]} outside horizon {f.horizon}")
-    return _realization_search(f, pool, p, budget)
+    return None if p.size > len(pool) else _realization_search(f, pool, p, budget)
 
 
 def _one_color(rows, head: int):
@@ -475,80 +408,92 @@ def _one_color(rows, head: int):
     return b
 
 
-def _realization_search(f, pool: list, p: Pattern, budget):
-    """find_realization on a strictly ascending pool inside the horizon."""
+def _colorable(rows, cand: int, low: int, size: int, flip: int) -> bool:
+    """False when the candidate mask cand, least bit low, peels greedily
+    into fewer than size sets pairwise not of a color b, the coloring's
+    rows[v] ^ flip being v's partners not of color b; then no size of them
+    pair in color b.  The candidates below low << 2 * size are peeled
+    first, then a window four times as wide while too few sets come out:
+    a prefix peels into the sets of the whole, cut short."""
+    width = 2 * size
+    while True:
+        free = cand & (low << width) - 1
+        for _ in range(size - 1):  # peel off a greedy set
+            rest = free
+            while rest:
+                bit = rest & -rest
+                free ^= bit
+                rest = (rest ^ bit) & (rows[bit.bit_length() - 1] ^ flip)
+        if free or low << width > cand:  # size sets or more, or every candidate peeled
+            return free != 0
+        width *= 4
+
+
+def _realization_search(f, pool, p: Pattern, budget):
+    """find_realization on a strictly ascending pool inside the horizon, a
+    list or a step-1 range, holding at least p.size vertices."""
     m, n = p.size, len(pool)
-    if m > n:  # answered before any table is built
-        return None
     rows = f.rows if isinstance(f, Pattern) else f  # a stable coloring's f[x] is its upper row
-    at = dict(zip(pool, range(n)))  # pool index of each vertex
-    # split[d]: (c, parent, flip) per class c at depth d + 1: its class at
-    # depth d, and its color b toward d less 1, so rows[v] ^ flip has color b
-    split, parts = [], [(1, (1 << m) - 1, 0, 0)]  # (least bit, positions, parent, flip)
-    # cuts[d]: (size, -b) when class 0 at depth d is fresh and its 3+
-    # positions pair in color b; rows[v] ^ -b are v's partners not of color b
-    cuts, prev = [], 0
-    for d, r in enumerate(p.rows):
+    whole = (1 << pool.stop) - (1 << pool.start) if pool.__class__ is range else _mask(pool)
+    # levels[d]: (top, size, cut, split, here, below) at depth d.  top is
+    # the highest vertex with m - 1 - d pool vertices above it, size the
+    # positions of class 0, and cut is -b when that class is fresh and its
+    # 3+ positions pair in color b, so rows[v] ^ -b are v's partners not of
+    # color b, else None.  split lists (c, parent, flip) per class c at
+    # depth d + 1: its class at depth d, and its color b toward d less 1,
+    # so rows[v] ^ flip has color b.  here and below hold the candidates
+    # of each class at depths d and d + 1.
+    levels, parts, prev = [], [(1, (1 << m) - 1, 0, 0)], 0  # (least bit, positions, parent, flip)
+    here = [whole]
+    for d, (r, top) in enumerate(zip(p.rows, pool[n - m:])):
         head = parts[0][1]  # class 0: d and the positions sharing its candidates
         size = head.bit_count()
         b = _one_color(p.rows, head) if size >= 3 and head != prev & prev - 1 else None
-        cuts.append(None if b is None else (size, -b))
         prev = head
         zeros = ~(r | 1 << d)  # the positions of color 0 toward d, d itself left out
         parts = sorted((part & -part, part, c, flip) for c, (_, cls, _, _) in enumerate(parts)
                        for part, flip in ((cls & r, 0), (cls & zeros, -1)) if part)
-        split.append([(c, parent, flip) for c, (_, _, parent, flip) in enumerate(parts)])
-    cands = [[_mask(pool)]] + [[0] * len(s) for s in split]  # [d][c]: the candidates of class c
-
-    def step(chosen, i, need):
-        d = m - need
-        lo = pool[i]
-        cand = cands[d][0] >> lo  # position d lies in class 0
-        if need == 2:  # settle both last levels
-            last, flip = cands[d][-1], split[d][0][2]  # position d + 1 lies in the last class
-            cost = 0
-            while cand:
-                low = cand & -cand
-                v = low.bit_length() - 1 + lo
-                j = at[v]
-                if j > n - 2:
-                    break
-                tail = (last & (rows[v] ^ flip)) >> (v + 1)
-                if tail:
-                    j2 = at[(tail & -tail).bit_length() + v]
-                    return (j, j2), cost + j2 - i + 1
-                cost += n - i  # pass-overs, the admission, the last level's pass-overs
-                i = j + 1
-                cand ^= low
-            return (), cost + n - 1 - i
-        if cuts[d]:
-            size, flip = cuts[d]
-            width = 2 * size
-            while True:  # color the candidates below lo + width, widened fourfold
-                free = (cand & (1 << width) - 1) << lo
-                for _ in range(size - 1):  # peel off a greedy set pairwise not of class 0's color
-                    left = free
-                    while left:
-                        low = left & -left
-                        free ^= low
-                        left = (left ^ low) & (rows[low.bit_length() - 1] ^ flip)
-                if free:  # size sets or more: room for class 0
-                    break
-                if width >= cand.bit_length():  # every candidate, fewer sets than positions
-                    return BACKTRACK
-                width *= 4
-        if cand:
-            v = (cand & -cand).bit_length() - 1 + lo
-            j = at[v]
-            if j <= n - need:
-                here, below = cands[d], cands[d + 1]
-                ones = rows[v]
-                for c, parent, flip in split[d]:
-                    below[c] = here[parent] & (ones ^ flip)
-                return (j,), j - i + 1
-        return (), n - need - i + 1
-
-    return _ascending_search(pool, step, m, budget)
+        below = [0] * len(parts)
+        levels.append((top, size, None if b is None else -b,
+                       [(c, parent, flip) for c, (_, _, parent, flip) in enumerate(parts)],
+                       here, below))
+        here = below
+    left = [whole] * m  # [d]: class 0's untried candidates at depth d, above the admissions
+    chosen = [0] * m
+    limit = sys.maxsize if budget is None else budget
+    nodes = d = 0
+    while True:
+        top, size, cut, split, here, below = levels[d]
+        cand = left[d]
+        while True:  # admit class 0's candidates at depth d in turn
+            low = cand & -cand
+            v = low.bit_length() - 1
+            # the cuts: no candidate with room, too few for class 0, too few color sets
+            if v < 0 or v > top or size > 1 and cand.bit_count() < size or (
+                    cut is not None and not _colorable(rows, cand, low, size, cut)):
+                deeper = 0
+                break
+            nodes += 1
+            if nodes > limit:
+                raise BudgetExhausted(nodes)
+            chosen[d] = v
+            if d == m - 1:
+                return tuple.__new__(VertexSet, chosen)  # ascending and distinct as the pool
+            cand ^= low
+            ones = rows[v]
+            for c, parent, flip in split:
+                below[c] = here[parent] & (ones ^ flip)
+            deeper = below[0] & -(low << 1)  # class 0 at depth d + 1 is read only above v
+            if deeper:
+                break
+        if deeper:
+            left[d] = cand
+            d += 1
+            left[d] = deeper
+        elif d:
+            d -= 1
+        else:
+            return None
 
 
 def avoids(f, reservoir, p: Pattern, budget: int | None = None) -> bool:

@@ -93,30 +93,37 @@ def exhaustive_find(f, pool, p: Pattern):
 
 def unit_realization_search(f, pool, p: Pattern):
     """Reference for the row-mask search: the least realization of p in
-    the ascending pool and the node count of a plain depth-first search,
-    one node per candidate visited while enough of the pool is left, one
-    pair read per check.  Returns (hit as a tuple or None, nodes).
+    the ascending pool, one pair read per check.  Returns (hit as a tuple
+    or None, admissions, visits).
 
-    It makes the search's greedy-coloring cut from pair reads.  The class
-    of depth d is the positions q >= d with d's colors toward 0..d-1; it
-    is fresh when it is not the class of d - 1 less d - 1.  At a depth
-    whose fresh class has 3+ positions pairing in one color b, each visit
-    first colors the candidates at or above it first-fit in ascending
-    order (a vertex joins the first set holding no b-pair with it); fewer
-    sets than positions end the depth at that visit's node."""
+    A plain depth-first search visits each candidate while enough of the
+    pool is left; visits is their count.  The class of depth d is the
+    positions q >= d with d's colors toward 0..d-1, and class 0's
+    candidates from a vertex on are the pool vertices from there that
+    carry those colors.  It makes the greedy-coloring cut from pair reads:
+    the class is fresh when it is not the class of d - 1 less d - 1, and
+    at a depth whose fresh class has 3+ positions pairing in one color b,
+    each visit first colors class 0's candidates at or above it first-fit
+    in ascending order (a vertex joins the first set holding no b-pair
+    with it); fewer sets than positions end the depth at that visit.
+
+    The mask search makes one more cut: a depth also ends once fewer of
+    class 0's candidates are left than the class has positions.  No hit
+    lies past it, so the reference keeps visiting there and counts the
+    admissions made outside it: the nodes of the mask search."""
     n, m = len(pool), p.size
 
     def cls(d):
         return [q for q in range(d, m) if all(p.color(t, q) == p.color(t, d) for t in range(d))]
 
-    cuts = []  # per depth: (class size, b) or None
+    sizes = [len(cls(d)) for d in range(m)]
+    cuts = []  # per depth: b or None
     for d in range(m):
         here = cls(d)
         colors = {p.color(a, b) for a, b in itertools.combinations(here, 2)}
         fresh = d == 0 or here != [q for q in cls(d - 1) if q != d - 1]
-        cuts.append((len(here), colors.pop()) if len(here) >= 3 and fresh and len(colors) == 1
-                    else None)
-    nodes = 0
+        cuts.append(colors.pop() if len(here) >= 3 and fresh and len(colors) == 1 else None)
+    admissions = visits = 0
 
     def fits(chosen, v):
         d = len(chosen)
@@ -133,25 +140,25 @@ def unit_realization_search(f, pool, p: Pattern):
                 sets.append([v])
         return len(sets)
 
-    def extend(chosen, start):
-        nonlocal nodes
+    def extend(chosen, start, counted):
+        nonlocal admissions, visits
         d = len(chosen)
         if d == m:
             return tuple(chosen)
         for i in range(start, n - (m - d) + 1):
-            nodes += 1
-            if cuts[d] is not None:
-                size, b = cuts[d]
-                if first_fit_sets([v for v in pool[i:] if fits(chosen, v)], b) < size:
-                    return None
-            v = pool[i]
-            if fits(chosen, v):
-                found = extend(chosen + [v], i + 1)
+            visits += 1
+            later = [v for v in pool[i:] if fits(chosen, v)]  # class 0's candidates
+            if cuts[d] is not None and first_fit_sets(later, cuts[d]) < sizes[d]:
+                return None
+            counted = counted and len(later) >= sizes[d]
+            if fits(chosen, pool[i]):
+                admissions += counted
+                found = extend(chosen + [pool[i]], i + 1, counted)
                 if found is not None:
                     return found
         return None
 
-    return extend([], 0), nodes
+    return extend([], 0, True), admissions, visits
 
 
 def pairwise_homogeneous(f, vertices, color: int) -> bool:

@@ -76,9 +76,10 @@ def test_sep_check_reads_back_a_deep_separating_tree(capsys, n):
 
 def test_sep_check_never_reaches_search_kernel(capsys, monkeypatch):
     def refuse(*args):
-        raise AssertionError("separability reached the search kernel")
+        raise AssertionError("separability reached the search")
 
-    monkeypatch.setattr(patterns, "_ascending_search", refuse)
+    monkeypatch.setattr(patterns, "_realization_search", refuse)  # find_realization's
+    monkeypatch.setattr(extract, "_realization_search", refuse)  # block search's
     calls = {"witness": 0, "tree": 0}
     scan, tree = perms.forbidden_witness, perms.separating_tree
 
@@ -229,9 +230,10 @@ def test_oversized_searches_never_reach_the_kernel(capsys, tmp_path, monkeypatch
     assert code == 0
 
     def refuse(*args):
-        raise AssertionError("an oversized search reached the kernel")
+        raise AssertionError("an oversized search ran")
 
-    monkeypatch.setattr(patterns, "_ascending_search", refuse)
+    monkeypatch.setattr(patterns, "_realization_search", refuse)  # find_realization's
+    monkeypatch.setattr(extract, "_realization_search", refuse)  # block search's
     code, out, err = run(capsys, ["--horizon", "150", "extract", "random", str(inst),
                                   "--n", "3", "--steps", "8"])
     assert (code, out, err.count("\n")) == (1, "", 1)

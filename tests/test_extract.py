@@ -13,7 +13,7 @@ from conftest import (
     single_zero_edge,
     unit_realization_search,
 )
-from rpl import extract, patterns
+from rpl import extract
 from rpl.errors import (
     BudgetExhausted,
     ContractViolation,
@@ -201,30 +201,31 @@ def test_find_homogeneous_block_skips_poison():
     assert tuple(blk) == (0, 1, 3, 4)
 
 
-# Exact node counts of the ascending search on fixtures, with the least
-# block it returns as (size, first twelve elements, last, sum), or None.
-# Every block search but the window-1 closed form is the realization search
-# of the constant pattern, which charges a node for each candidate it
-# passes over, so a hit far into a stable pool costs many nodes; its
-# greedy-coloring cut at depth 0 rules a block out in one node when the
-# pool splits into fewer sets pairwise not of the color than the size.
+# Exact node counts of the block search on fixtures, one per admitted
+# vertex, with the least block it returns as (size, first twelve elements,
+# last, sum), or None.  Every block search but the window-1 closed form is
+# the realization search of the constant pattern; its greedy-coloring cut
+# at depth 0 rules a block out before any admission when the pool splits
+# into fewer sets pairwise not of the color than the size.
 # late-row-infeasible asks for one vertex more than the largest block
 # (193) of its pool, which the greedy coloring shows at once.  FIXTURE
 # settles every row at once, so its two cases are answered without
-# search: 0 nodes, and the kernel is never called.  The two finite cases
-# pin the finite path: one proven absence, one early hit.
+# search: their count is None, and the search is never called.  The two
+# finite cases pin the finite path: one proven absence, one early hit.
+# Charging a node for every candidate passed over, the searched cases
+# took 120,750, 391,393, 1, 2,870 and 12 nodes.
 NODE_PINS = [
-    ("interleaved-300", lambda: (FIXTURE, range(10_000), 300, 0), 0,
+    ("interleaved-300", lambda: (FIXTURE, range(10_000), 300, 0), None,
      (300, (2, 4, 6, 8, 14, 16, 19, 20, 23, 25, 26, 28), 475, 70873)),
-    ("alternating-600", lambda: (alternating_stable(600), range(600), 12, 1), 120_750,
+    ("alternating-600", lambda: (alternating_stable(600), range(600), 12, 1), 41,
      (12, (1, 5, 13, 28, 30, 32, 34, 36, 38, 40, 42, 43), 43, 342)),
-    ("dipped-2000", lambda: (dipped_split_order(2000), range(2000), 10, 1), 391_393,
+    ("dipped-2000", lambda: (dipped_split_order(2000), range(2000), 10, 1), 113,
      (10, (13, 14, 15, 37, 38, 39, 109, 110, 111, 112), 112, 598)),
-    ("interleaved-infeasible", lambda: (FIXTURE, range(300), 194, 0), 0, None),
-    ("late-row-infeasible", lambda: (LATE_ROW, range(300), 194, 0), 1, None),
+    ("interleaved-infeasible", lambda: (FIXTURE, range(300), 194, 0), None, None),
+    ("late-row-infeasible", lambda: (LATE_ROW, range(300), 194, 0), 0, None),
     ("finite-absent", lambda: (repaired_random_unbalanced(60, 3, 0), range(60), 4, 0),
-     2870, None),
-    ("finite-hit", lambda: (repaired_random_unbalanced(30, 3, 2), range(30), 8, 1), 12,
+     64, None),
+    ("finite-hit", lambda: (repaired_random_unbalanced(30, 3, 2), range(30), 8, 1), 8,
      (8, (0, 1, 4, 5, 6, 7, 8, 11), 11, 42)),
 ]
 
@@ -233,20 +234,29 @@ NODE_PINS = [
                          ids=[p[0] for p in NODE_PINS])
 def test_find_homogeneous_block_node_count_pinned(name, make, nodes, pinned):
     f, reservoir, size, color = make()
-    if nodes:
+    if nodes is None:
+        with mock.patch.object(extract, "_realization_search", side_effect=AssertionError):
+            blk = find_homogeneous_block(f, reservoir, size, color, budget=1)
+    else:
         if nodes > 1:
             with pytest.raises(BudgetExhausted) as exc:
                 find_homogeneous_block(f, reservoir, size, color, budget=nodes - 1)
             assert exc.value.nodes == nodes
-        blk = find_homogeneous_block(f, reservoir, size, color, budget=nodes)
-    else:
-        with mock.patch.object(patterns, "_ascending_search", side_effect=AssertionError):
-            blk = find_homogeneous_block(f, reservoir, size, color, budget=1)
+        blk = find_homogeneous_block(f, reservoir, size, color, budget=max(nodes, 1))
     if pinned is None:
         assert blk is None
     else:
         assert (len(blk), tuple(blk[:12]), blk[-1], sum(blk)) == pinned
         assert verify_homogeneous(f, blk, color)
+
+
+def test_stable_block_far_into_the_pool_is_found_within_the_extractor_budget():
+    # 30 vertices of color 1 among the even vertices of alternating_stable(3000):
+    # charging a node per candidate passed over, the search ran out of the
+    # extractors' 2,000,000 nodes
+    f = alternating_stable(3000)
+    blk = find_homogeneous_block(f, list(range(0, 3000, 2)), 30, 1, budget=2_000_000)
+    assert blk is not None and len(blk) == 30 and verify_homogeneous(f, blk, 1)
 
 
 @st.composite
@@ -292,11 +302,11 @@ def test_stable_block_search_matches_generic(f, data):
         for color in (0, 1):
             assert (find_homogeneous_block(f, pool, size, color)
                     == find_homogeneous_block(generic, pool, size, color))
-    if not f.limit_index()[2] and 1 <= size <= b - a:  # the search makes the unit steps' nodes
+    if not f.limit_index()[2] and 1 <= size <= b - a:  # the search admits as the reference does
         for color in (0, 1):
-            block, nodes = unit_realization_search(f, range(a, b), Pattern.constant(size, color))
+            block, nodes, _ = unit_realization_search(f, range(a, b), Pattern.constant(size, color))
             got, got_nodes, _ = search_with_nodes(f, range(a, b), size, color, None)
-            assert (None if got is None else tuple(got), got_nodes) == (block, nodes)
+            assert (None if got is None else tuple(got), got_nodes) == (block, max(nodes, 1))
 
 
 def unit_block(f, pool, size, color):
@@ -310,7 +320,7 @@ def unit_block(f, pool, size, color):
 @given(f=window_one_stable(), data=st.data())
 def test_stable_block_runs_match_unit_steps(f, data):
     # the closed form against the unit-step search and the generic one,
-    # with the kernel never called
+    # with the search never called
     h = f.horizon
     listed = sorted(data.draw(st.sets(st.integers(0, h - 1)), label="reservoir"))
     a = data.draw(st.integers(0, h), label="start")
@@ -324,7 +334,7 @@ def test_stable_block_runs_match_unit_steps(f, data):
             # one in the pool, which may be the pool's last vertex
             for size in {0, 1, 2, len(pool) + 1, drawn, matching, matching + 1}:
                 block = unit_block(f, pool, size, color)
-                with mock.patch.object(patterns, "_ascending_search",
+                with mock.patch.object(extract, "_realization_search",
                                        side_effect=AssertionError):
                     got = find_homogeneous_block(f, pool, size, color, budget=1)
                 assert (None if got is None else tuple(got)) == block
@@ -332,35 +342,46 @@ def test_stable_block_runs_match_unit_steps(f, data):
 
 
 def search_with_nodes(f, pool, size, color, budget):
-    """find_homogeneous_block (None, a block, or "exhausted") and the
-    kernel's node count, summed from the verdicts of its step hook, plus
-    whether the kernel ran."""
-    nodes = 0
+    """find_homogeneous_block (None, a block, or "exhausted"), its node
+    count, and whether the search ran.  The count is read off budgets, as
+    budget N - 1 raises at node N: the least budget that answers (1 for a
+    search of 0 or 1 nodes, 0 when no search ran), or the node that ran
+    past `budget`."""
     searched = False
-    kernel = patterns._ascending_search
+    search = extract._realization_search
 
-    def counting(pool, step, need, budget):
+    def spy(*args):
         nonlocal searched
         searched = True
+        return search(*args)
 
-        def counted(*args):
-            nonlocal nodes
-            verdict = step(*args)
-            nodes += verdict[1] if verdict.__class__ is tuple else 1
-            return verdict
-        return kernel(pool, counted, need, budget)
-
-    with mock.patch.object(patterns, "_ascending_search", counting):
+    with mock.patch.object(extract, "_realization_search", spy):
         try:
             block = find_homogeneous_block(f, pool, size, color, budget)
+        except BudgetExhausted as exc:
+            return "exhausted", exc.nodes, searched
+    if not searched:
+        return block, 0, searched
+    lo, hi = 0, 1  # budget lo runs out, budget hi answers
+    while True:
+        try:
+            find_homogeneous_block(f, pool, size, color, hi)
+            break
         except BudgetExhausted:
-            block = "exhausted"
-    return block, nodes, searched
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            find_homogeneous_block(f, pool, size, color, mid)
+            hi = mid
+        except BudgetExhausted:
+            lo = mid
+    return block, hi, searched
 
 
 def assert_range_pool_matches_list_pool(f, a, b, size, searched, budget):
     """A range pool and the list of its vertices give the same block and
-    node count; both reach the search kernel iff `searched`."""
+    node count; both reach the search iff `searched`."""
     for color in (0, 1):
         want, nodes, ran = search_with_nodes(f, list(range(a, b)), size, color, budget)
         assert ran == searched
@@ -393,7 +414,7 @@ def test_range_pools_match_list_pools_on_window_one(f, data):
                    small_stable().filter(lambda f: f.settle != tuple(range(1, f.horizon + 1)))),
        data=st.data())
 def test_range_pools_keep_the_scan_on_wide_windows(f, data):
-    # the search kernel runs unless the block is larger than the pool
+    # the search runs unless the block is larger than the pool
     a = data.draw(st.integers(0, f.horizon), label="start")
     b = data.draw(st.integers(a, f.horizon), label="stop")
     size = data.draw(st.integers(1, min(400, b - a + 1)), label="size")
@@ -421,7 +442,7 @@ def test_window_one_extraction_never_searches(monkeypatch):
     # every row settles at once, so each block of a randomized extraction
     # is read off in closed form: a success, a bad pick, and a reservoir
     # that runs out of blocks, never out of budget
-    monkeypatch.setattr(patterns, "_ascending_search", mock.Mock(side_effect=AssertionError))
+    monkeypatch.setattr(extract, "_realization_search", mock.Mock(side_effect=AssertionError))
     assert randomized_extract(FIXTURE, 2, 2, default_config(seed=42)).success
     assert randomized_extract(FIXTURE, 2, 2, default_config(seed=5)).failure_step == 2
     dried = split_order_coloring(300, top=set(range(50, 300)))

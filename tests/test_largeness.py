@@ -8,6 +8,7 @@ from conftest import mirror_chain_coloring, pat
 from rpl import largeness
 from rpl.errors import ContractViolation, DegenerateInstance
 from rpl.instances import (
+    alternating_stable,
     constant_coloring,
     dipped_split_order,
     interleaved_split_order,
@@ -233,6 +234,32 @@ def test_em_grouping_budget_exhaustion_is_degenerate(monkeypatch):
     monkeypatch.setattr(largeness, "LARGE_BLOCK_SEARCH_BUDGET", 5)
     with pytest.raises(DegenerateInstance, match="color 0, level 1;"):
         em_grouping_extract(dipped_split_order(500), 1, 500, count=6)
+
+
+# Exact node counts of the large-block search, one per reservoir element
+# visited, with its answer as (size, first, last, sum) or None: budget
+# N - 1 runs out, budget N answers.  Vertex 0 is large at every level, so
+# the pools start above it.
+LARGE_BLOCK_PINS = [
+    ("dipped-60-level-2", lambda: (dipped_split_order(60), range(2, 60), 0, 2),
+     149, (13, 2, 18, 116)),
+    ("interleaved-300-level-2", lambda: (interleaved_split_order(300, 1), range(2, 300), 0, 2),
+     2827, (18, 2, 29, 269)),
+    ("alternating-200-level-2", lambda: (alternating_stable(200), list(range(2, 200, 3)), 1, 2),
+     110, None),
+]
+
+
+@pytest.mark.parametrize("name, make, nodes, hit", LARGE_BLOCK_PINS,
+                         ids=[p[0] for p in LARGE_BLOCK_PINS])
+def test_large_block_search_node_count_pinned(monkeypatch, name, make, nodes, hit):
+    f, reservoir, color, level = make()
+    monkeypatch.setattr(largeness, "LARGE_BLOCK_SEARCH_BUDGET", nodes - 1)
+    with pytest.raises(DegenerateInstance, match=f"color {color}, level {level};"):
+        _homog_large_block(f, reservoir, color, level)
+    monkeypatch.setattr(largeness, "LARGE_BLOCK_SEARCH_BUDGET", nodes)
+    got = _homog_large_block(f, reservoir, color, level)
+    assert (None if got is None else (len(got), got[0], got[-1], sum(got))) == hit
 
 
 # ---------------------------------------------------------------------------

@@ -180,19 +180,18 @@ def test_engine_agrees_with_independent_enumerator():
                 assert (None if blk is None else tuple(blk)) == ref
 
 
-# Exact node counts of realization search, with its answer as (size,
-# first, last, sum) or None.  The first two were measured on the search
-# before it moved onto the shared ascending kernel, the third on the search
-# that kept one candidate mask per pattern position.
+# Exact node counts of realization search, one per admitted vertex, with
+# its answer as (size, first, last, sum) or None.  The search that charged
+# a node for every candidate it passed over took 7,085, 346 and 1,190.
 REALIZATION_PINS = [
     ("fractal-32-1302", lambda: (perm_coloring(fractal_perm(2, 5)), range(32), pat("1302")),
-     7085, None),
+     587, None),
     ("unbalanced-30-constant-4",
      lambda: (repaired_random_unbalanced(30, 4, 1), range(30), Pattern.constant(4, 0)),
-     346, None),
+     11, None),
     ("fractal-1600-30ary",
      lambda: (perm_coloring(fractal_perm(40, 2)), range(1600), fractal_pattern(30, 2)),
-     1190, (900, 0, 1189, 535050)),
+     900, (900, 0, 1189, 535050)),
 ]
 
 
@@ -210,9 +209,9 @@ def test_find_realization_node_count_pinned(name, make, nodes, hit):
 def test_oversized_pattern_is_answered_before_search(monkeypatch):
     # 3,600 positions in a 150-vertex pool: None without a table or a node
     def refuse(*args):
-        raise AssertionError("an oversized pattern reached the search kernel")
+        raise AssertionError("an oversized pattern reached the search")
 
-    monkeypatch.setattr(patterns, "_ascending_search", refuse)
+    monkeypatch.setattr(patterns, "_realization_search", refuse)
     assert find_realization(dipped_split_order(400), range(150), fractal_pattern(60, 2)) is None
 
 
@@ -238,7 +237,8 @@ def stable_coloring(draw, most=16):
 
 
 def assert_search_matches_unit_steps(search, f, pool, p):
-    hit, nodes = unit_realization_search(f, pool, p)
+    hit, nodes, visits = unit_realization_search(f, pool, p)
+    assert nodes <= visits
     if nodes > 1:
         with pytest.raises(BudgetExhausted) as exc:
             search(nodes - 1)
@@ -250,13 +250,14 @@ def assert_search_matches_unit_steps(search, f, pool, p):
 @settings(max_examples=600, deadline=None)
 @given(f=st.one_of(finite_coloring(), stable_coloring()), data=st.data())
 def test_mask_search_matches_unit_steps(f, data):
-    """Same hit as the unit-step reference, and the node count: budget
-    N - 1 raises at node N, budget N returns the hit.  Pools are random
-    subsets of the horizon, empty ones included, handed over shuffled.
-    Block search is the search of the constant pattern on every coloring
-    drawn here, none of them window-1.  Patterns range from one position
-    class (constant) over few (fractals) to many (random); the reference
-    makes the greedy-coloring cut independently."""
+    """Same hit as the unit-step reference, and its admissions as the
+    node count: budget N - 1 raises at node N, budget N returns the hit;
+    no search admits more vertices than the reference visits.  Pools are
+    random subsets of the horizon, empty ones included, handed over
+    shuffled.  Block search is the search of the constant pattern on every
+    coloring drawn here, none of them window-1.  Patterns range from one
+    position class (constant) over few (fractals) to many (random); the
+    reference makes the three cuts independently."""
     pool = sorted(data.draw(st.sets(st.integers(0, f.horizon - 1)), label="pool"))
     shuffled = data.draw(st.permutations(pool), label="order")
     p = data.draw(st.one_of(
@@ -364,32 +365,22 @@ def test_coloring_text_parse_matches_per_character_parse(n, data):
     assert f.to_text() == "\n".join([str(n), *lines]) + "\n"
 
 
-def test_mask_search_takes_one_step_per_admission(monkeypatch):
+def test_mask_search_takes_one_step_per_admission():
     # full searches on grouped_unbalanced(48, 4, 0), which avoids both
-    # patterns: pinned node counts and step calls.  0123 is a clique of one
-    # color, which the greedy coloring at depth 0 rules out in one node;
-    # no class of 0231 is a clique of 3+ positions, so it has no cut
+    # patterns: pinned node counts, one per admitted vertex.  0123 is a
+    # clique of one color, which the greedy coloring at depth 0 rules out
+    # before any admission; no class of 0231 is a clique of 3+ positions,
+    # so it has no such cut.  With a node per candidate visited they took
+    # 1 and 55,476 nodes
     f = grouped_unbalanced(48, 4, 0)
-    got = []
-    kernel = patterns._ascending_search
-
-    def counting(pool, step, need, budget):
-        def counted(*args):
-            got.append(args)
-            return step(*args)
-        return kernel(pool, counted, need, budget)
-
-    for text, nodes, calls in (("0123", 1, 1), ("0231", 55_476, 1_442)):
+    assert unit_realization_search(f, range(48), pat("0123"))[1] == 0
+    for text, nodes in (("0123", 0), ("0231", 4_417)):
         p = pat(text)
         if nodes > 1:
             with pytest.raises(BudgetExhausted) as exc:
                 find_realization(f, range(48), p, budget=nodes - 1)
             assert exc.value.nodes == nodes
-        got.clear()
-        with monkeypatch.context() as m:
-            m.setattr(patterns, "_ascending_search", counting)
-            assert find_realization(f, range(48), p, budget=nodes) is None
-        assert len(got) == calls
+        assert find_realization(f, range(48), p, budget=max(nodes, 1)) is None
 
 
 def test_realize_dual_symmetry():
