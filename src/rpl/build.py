@@ -482,33 +482,34 @@ def gamma_build(direction: str, e: int, n: int, scripts=None) -> BuiltOrder:
     witnessed: dict[GammaNode, list] = {}  # node -> blocks of its witnessed member hits
     for s in range(n):
         # protocol updates before the stage's arrival is placed
-        for node, hits in sorted(due.pop(s, {}).items(), key=lambda item: item[0].path):
-            fresh = [y for y in hits if y in keys]
-            if fresh and node.dec and node.cut_from is None:
-                node.cut_from = bisect_left(node.ground, s)
-                log.append(
-                    {"stage": s, "node": list(node.path), "event": "cut",
-                     "local": node.cut_from}
-                )
-            if node.is_leaf:
-                continue
-            blocks = witnessed.setdefault(node, [])
-            for y in fresh:
-                i = node.block_of(y)
-                if i is not None:
-                    insort(blocks, i)
-            i = bisect_right(blocks, node.disabled)
-            if i < len(blocks):
-                new = blocks[i]
-                if node.transitions and node.transitions[-1][0] == s:
-                    raise InternalInvariant("two disable transitions in one stage")
-                log.append(
-                    {"stage": s, "node": list(node.path), "event": "transition",
-                     "old": node.disabled, "new": new}
-                )
-                node.transitions.append((s, node.disabled, new))
-                node.disabled = new
-                due.setdefault(s + 1, {}).setdefault(node, [])
+        if s in due:
+            for node, hits in sorted(due.pop(s).items(), key=lambda item: item[0].path):
+                fresh = [y for y in hits if y in keys]
+                if fresh and node.dec and node.cut_from is None:
+                    node.cut_from = bisect_left(node.ground, s)
+                    log.append(
+                        {"stage": s, "node": list(node.path), "event": "cut",
+                         "local": node.cut_from}
+                    )
+                if node.is_leaf:
+                    continue
+                blocks = witnessed.setdefault(node, [])
+                for y in fresh:
+                    i = node.block_of(y)
+                    if i is not None:
+                        insort(blocks, i)
+                i = bisect_right(blocks, node.disabled)
+                if i < len(blocks):
+                    new = blocks[i]
+                    if node.transitions and node.transitions[-1][0] == s:
+                        raise InternalInvariant("two disable transitions in one stage")
+                    log.append(
+                        {"stage": s, "node": list(node.path), "event": "transition",
+                         "old": node.disabled, "new": new}
+                    )
+                    node.transitions.append((s, node.disabled, new))
+                    node.disabled = new
+                    due.setdefault(s + 1, {}).setdefault(node, [])
 
         # placement, reading s's key on the way down
         node, j = root, s
@@ -533,7 +534,7 @@ def gamma_build(direction: str, e: int, n: int, scripts=None) -> BuiltOrder:
                 break
             key.append(2 * i + 1)
             j //= w
-            node = node.child(i)
+            node = node.slots[i] or node.child(i)
 
     return BuiltOrder(n, direction, e, root, members, keys, log)
 
@@ -565,37 +566,36 @@ def delta_extract(direction: str, e: int, bits, built: BuiltOrder) -> DeltaResul
         bad = True
     if bad:
         raise ContractViolation("bit stream entries must be 0 or 1")
+    keys, end = built.keys, len(stream)
     pos = 0
-    flags: list = []
     seq: list = []
     node = built.root
 
     while True:
         width = node.e + 1
-        if pos + width > len(stream):
-            flags.append("bit stream exhausted")
+        if pos + width > end:
+            flags = ["bit stream exhausted"]
             break
         j = 0
         for b in stream[pos : pos + width]:
             j = (j << 1) | b
         pos += width
-        if node.is_leaf:
+        if not node.slots:
             # finite ground ran out: close the sequence with the remaining
             # heads; only a disabled pick counts as failure
-            tail = [h for h in node.ground[j:] if h in built.keys]  # a leaf's ground is its heads
-            if not tail:
-                flags.append(f"leaf choice {j} beyond populated heads")
+            tail = [h for h in node.ground[j:] if h in keys]  # a leaf's ground is its heads
+            flags = [] if tail else [f"leaf choice {j} beyond populated heads"]
             seq.extend(tail)
             break
         if j == node.disabled:
-            return DeltaResult("dead_block", seq, flags + [f"picked disabled block {j} at node {node.path}"], pos)
+            return DeltaResult("dead_block", seq, [f"picked disabled block {j} at node {node.path}"], pos)
         head = node.ground[j]  # an inner node has all its heads
-        if head in built.keys:
+        if head in keys:
             seq.append(head)
-        node = node.child(j)
+        node = node.slots[j] or node.child(j)
 
     for a, b in zip(seq, seq[1:]):
-        if not (a < b and built.less(a, b)):
+        if not (a < b and keys[a] < keys[b]):
             raise InternalInvariant("extracted sequence is not doubly increasing")
     return DeltaResult("ok", seq, flags, pos)
 

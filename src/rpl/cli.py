@@ -51,6 +51,7 @@ from .patterns import (
 )
 from .perms import (
     Permutation,
+    parse_naturals,
     perm_coloring,
     perm_to_pattern,
     separation,
@@ -329,18 +330,23 @@ def _load_scenario(path: str):
 
 def _load_scripts(path) -> dict:
     """The scripts of a `construct gamma`/`delta` script file, keyed by the
-    level number each script drives; no file means no scripts."""
+    level number in ASCII digits that each script's id names, one id per
+    level; no file means no scripts."""
     if not path:
         return {}
     text = _read_text(path)
     scripts = {}
     for ident, script in parse_script_file(text, path).items():
         try:
-            scripts[int(ident)] = script
+            [level] = parse_naturals([ident])
         except ValueError:
+            level = None
+        if level is None or level in scripts:
             no = next(no for no, line in enumerate(text.splitlines(), start=1)
                       if line.split()[:2] == ["e", ident])
-            raise InstanceLoadError(path, no, f"script id {ident!r} is not a level number") from None
+            problem = "is not a level number" if level is None else f"names level {level} a second time"
+            raise InstanceLoadError(path, no, f"script id {ident!r} {problem}")
+        scripts[level] = script
     return scripts
 
 

@@ -1,12 +1,18 @@
 import itertools
 
 import pytest
+from hypothesis import settings
 
 from rpl.build import chain_order, mirror_double
 from rpl.errors import ResourceLimit
 from rpl.instances import order_from_ranks
 from rpl.patterns import FiniteColoring, Pattern, VertexSet
 from rpl.perms import Permutation, perm_coloring, perm_to_pattern
+
+# every run draws the same examples, and no run replays failures saved by
+# an earlier one
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 def perm(text: str) -> Permutation:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import mirror_chain_coloring, pat
 from test_acceptance import priority_scenarios
+from rpl import build as build_module
 from rpl.build import (
     AdversaryScript,
     GammaNode,
@@ -548,12 +549,44 @@ def node_states(root):
     return out
 
 
+def reference_delta(bits, keys, root):
+    """The descent as first written, over the eager reference tree: e + 1
+    bits per level, read most significant first, pick a block; returns
+    (status, sequence, flags, bits used)."""
+    pos, seq, node = 0, [], root
+    while True:
+        width = node.e + 1
+        if pos + width > len(bits):
+            return "ok", seq, ["bit stream exhausted"], pos
+        j = int("".join(map(str, bits[pos:pos + width])), 2)
+        pos += width
+        if node.is_leaf:
+            tail = [h for h in node.heads[j:] if h in keys]
+            return "ok", seq + tail, [] if tail else [f"leaf choice {j} beyond populated heads"], pos
+        if j == node.disabled:
+            return "dead_block", seq, [f"picked disabled block {j} at node {node.path}"], pos
+        if node.heads[j] in keys:
+            seq.append(node.heads[j])
+        node = node.children[j]
+
+
+# every stream of up to 8 bits, and a few longer ones
+DELTA_STREAMS = [list(bits) for k in range(9) for bits in itertools.product((0, 1), repeat=k)]
+DELTA_STREAMS += [[random.Random(k).randint(0, 1) for _ in range(24)] for k in range(8)]
+
+
 def assert_same_build(direction, e, n, scripts):
+    """The build against the reference, and every stream of `DELTA_STREAMS`
+    descended through both; the descent runs before anything forces the
+    build's unvisited nodes."""
     b = gamma_build(direction, e, n, scripts)
     members, keys, log, root = reference_gamma_build(direction, e, n, scripts)
     assert b.members == members
     assert b.keys == keys
     assert b.log == log
+    for bits in DELTA_STREAMS:
+        res = delta_extract(direction, e, bits, b)
+        assert (res.status, res.sequence, res.flags, res.bits_used) == reference_delta(bits, keys, root)
     assert node_states(b.root) == node_states(root)
     return b
 
@@ -596,6 +629,19 @@ def test_gamma_dense_hits_move_on_consecutive_stages():
     assert sum(1 for entry in b.log if entry["event"] == "transition") >= 64
 
 
+def seeded_scripts(rng, lo, n):
+    """Scripts for levels 0-3, six events each: an event at a stage drawn
+    from [lo, n) enumerates one to three earlier arrivals."""
+    scripts = {}
+    for level in range(4):
+        events = []
+        for _ in range(6):
+            s = rng.randrange(lo, n)
+            events.append(("", s, rng.sample(range(s), rng.randint(1, 3))))
+        scripts[level] = AdversaryScript(f"w{level}", events)
+    return scripts
+
+
 def test_gamma_visits_only_due_stages(monkeypatch):
     # an every-stage loop reads each level's script and visits each node at
     # every stage, 4,000 stages here; the build reads each script's index
@@ -619,19 +665,33 @@ def test_gamma_visits_only_due_stages(monkeypatch):
     monkeypatch.setattr(AdversaryScript, "first_stages", first_stages)
     monkeypatch.setattr(AdversaryScript, "enumerated", scan)
     monkeypatch.setattr(GammaNode, "is_leaf", property(is_leaf))
-    rng = random.Random(5)
-    scripts = {}
-    for level in range(4):
-        events = []
-        for _ in range(6):
-            s = rng.randrange(200, 4000)
-            events.append(("", s, rng.sample(range(s), rng.randint(1, 3))))
-        scripts[level] = AdversaryScript(f"w{level}", events)
+    scripts = seeded_scripts(random.Random(5), 200, 4000)
     elements = sum(len(ev.elements) for sc in scripts.values() for ev in sc.events)
     b = gamma_build("dec", 1, 4000, scripts)
     assert any(entry["event"] != "exclude" for entry in b.log)
     assert reads == [""] * len(scripts)
     assert 0 < len(visits) <= 2 * elements
+
+
+def test_gamma_protocol_runs_only_on_stages_with_due_nodes(monkeypatch):
+    # the protocol body sorts its stage's due nodes once, so counting calls
+    # to sorted in the build's namespace counts the stages that run it
+    calls = []
+
+    def counting_sorted(*args, **kwargs):
+        calls.append(1)
+        return sorted(*args, **kwargs)
+
+    n = 1000
+    scripts = seeded_scripts(random.Random(7), n // 20, n)
+    monkeypatch.setattr(build_module, "sorted", counting_sorted, raising=False)
+    gamma_build("dec", 0, 1200)
+    assert calls == []
+    b = gamma_build("inc", 0, n, scripts)
+    # a node is due at a hit's witness stage, or the stage after it moved
+    due = {max(t, y + 1) for sc in scripts.values() for y, t in sc.first_stages("")}
+    due |= {entry["stage"] + 1 for entry in b.log if entry["event"] == "transition"}
+    assert 0 < len(calls) <= len({s for s in due if s < n})
 
 
 def test_gamma_dense_scripts_build_in_linear_time():
@@ -675,14 +735,7 @@ def test_gamma_lazy_nodes_match_reference_states():
     # count at base index 1, node for node against the eager reference
     rng = random.Random(11)
     for n, scripted in ((500, True), (640, True), (640, False)):
-        scripts = {}
-        if scripted:
-            for level in range(4):
-                events = []
-                for _ in range(6):
-                    s = rng.randrange(n // 20, n)
-                    events.append(("", s, sorted(rng.sample(range(s), rng.randint(1, 3)))))
-                scripts[level] = AdversaryScript(f"w{level}", events)
+        scripts = seeded_scripts(rng, n // 20, n) if scripted else {}
         for direction in ("inc", "dec"):
             b = assert_same_build(direction, 1, n, scripts)
             assert len(node_states(b.root)) == (549 if n == 640 else 37)

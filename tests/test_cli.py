@@ -445,6 +445,13 @@ MALFORMED = [
      {"abc.txt": "e 0 prefix - stage 1 emit 3\ne abc prefix - stage 1 emit 0\n"}, 1),
     (["construct", "delta", "{dir}/abc.txt", "--n", "20", "--bits", "0"],
      {"abc.txt": "e abc prefix - stage 1 emit 0\n"}, 1),
+    # int() reads 01 as level 1 and +1, 1_0 as levels 1 and 10
+    (["construct", "gamma", "{dir}/twice.txt", "--n", "20"],
+     {"twice.txt": "e 1 prefix - stage 0 emit 3\ne 01 prefix - stage 5 emit 40\n"}, 1),
+    (["construct", "delta", "{dir}/twice.txt", "--n", "20", "--bits", "0"],
+     {"twice.txt": "e 2 prefix - stage 0 emit 3\ne 1 prefix - stage 0 emit 4\ne 002 prefix - stage 5 emit 7\n"}, 1),
+    (["construct", "gamma", "{dir}/plus.txt", "--n", "20"], {"plus.txt": "e +1 prefix - stage 0 emit 3\n"}, 1),
+    (["construct", "gamma", "{dir}/under.txt", "--n", "20"], {"under.txt": "e 1_0 prefix - stage 0 emit 3\n"}, 1),
     (["construct", "gamma", "{dir}/s.txt", "--n", "20"], {"s.txt": "e 0 prefix - stage 1_0 emit 3\n"}, 1),
     (["construct", "gamma", "{dir}/s.txt", "--n", "20"], {"s.txt": "e 0 prefix - stage 1 emit +3,\u0663\n"}, 1),
     (["construct", "gamma", "--e", "-2"], {}, 1),
@@ -542,6 +549,13 @@ BAD_SCRIPTS = [
     ("e 0 prefix - stage 1 emit ,\n", 1),
     ("e 0 prefix 2 stage 1 emit 3\n", 1),
     ("e 0 prefix - stage 1\n", 1),
+    # ids: int() reads these as levels 1 and 10, and lets a later id name
+    # an earlier one's level
+    ("e +1 prefix - stage 0 emit 3\n", 1),
+    ("e 1_0 prefix - stage 0 emit 3\n", 1),
+    ("e 1 prefix - stage 0 emit 3\ne 01 prefix - stage 5 emit 40\n", 2),
+    ("e 2 prefix - stage 0 emit 3\ne 1 prefix - stage 1 emit 4\ne 2 prefix - stage 2 emit 5\n"
+     "# e 002 prefix - stage 3 emit 6\ne 002 prefix - stage 3 emit 6\n", 5),
 ]
 
 
