@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import ContractViolation, InstanceLoadError, InternalInvariant, RangeError
 from .patterns import FiniteColoring, Pattern, StableColoring
@@ -43,7 +44,7 @@ class AdversaryScript:
     which it enumerates each of its elements, kept element-sorted and
     stage-sorted, and the prefix's proper ancestors among the script's
     prefixes.  A query bisects each prefix's lists instead of scanning
-    the events.
+    the events; `reach_stage` adds suffix minima on first use.
     """
 
     def __init__(self, ident, events):
@@ -77,6 +78,7 @@ class AdversaryScript:
             p: [q for q in first if q != p and p.startswith(q)] for p in first
         }
         self.depth = max(map(len, first), default=0)  # the longest event prefix
+        self._reach = None  # built by reach_stage
 
     def first_stages(self, prefix: str) -> zip:
         """(element, first stage) pairs of the events at exactly `prefix`,
@@ -111,6 +113,52 @@ class AdversaryScript:
                         hit.add(p)
         top = self.depth
         return sum(1 << (top - len(p)) for p in hit if hit.isdisjoint(self._ancestors[p]))
+
+    def reach_stage(self, lo: int, weight: int) -> int | None:
+        """The least stage t with hitting_weight(t, lo, t) >= weight, a
+        positive weight, or None when no stage reaches it.
+
+        A prefix p hits [lo, t] by stage t from t = max(len(p), the least
+        max(x, first stage of x) over its elements x >= lo) on, so the hit
+        set, and with it the weight, only grows with t.  The prefixes join
+        in that order, each adding its cylinder less those of the hit
+        prefixes it covers, until the weight is reached.  The per-prefix
+        suffix minima of max(x, first stage of x) over the element-sorted
+        index are built on first use and cached.
+        """
+        if self._reach is None:
+            self._reach = []
+            for p, (elements, firsts, _, _) in self._index.items():
+                least, low = [], float("inf")
+                # a plain loop: map(max, ...) with accumulate(..., min) took 5x as long
+                for x, t in zip(reversed(elements), reversed(firsts)):
+                    if t < x:
+                        t = x  # x lies in [lo, t] only from stage x on
+                    if t < low:
+                        low = t
+                    least.append(low)
+                least.reverse()
+                self._reach.append((p, elements, least))
+        starts = []
+        for p, elements, least in self._reach:
+            i = bisect_left(elements, lo)
+            if i < len(elements):
+                starts.append((max(len(p), least[i]), len(p), p))
+        starts.sort()
+        top, total = self.depth, 0
+        minimal: set = set()  # the hit prefixes no other hit prefix covers
+        for t, size, p in starts:
+            if minimal:  # p may lie under a hit prefix or cover some
+                if not minimal.isdisjoint(self._ancestors[p]):
+                    continue
+                covered = {q for q in minimal if q.startswith(p)}
+                total -= sum(1 << (top - len(q)) for q in covered)
+                minimal -= covered
+            minimal.add(p)
+            total += 1 << (top - size)
+            if total >= weight:
+                return t
+        return None
 
 
 def _is_natural(v) -> bool:
@@ -194,6 +242,16 @@ def priority_build(requirements, horizon: int) -> PriorityResult:
     marker passes 1 - 1/(2|p|); acting stacks the interval from its marker
     to the stage, commits limits along its pattern, moves markers, and
     resets every lower-priority state.
+
+    Only acting stages are visited.  For a fixed marker the measure at
+    stage s of [marker, s] never falls as s grows, so a requirement that is
+    not full is due from the least stage its script reaches the bar
+    (`AdversaryScript.reach_stage`) until its marker moves.  The build
+    jumps to the least due stage, where the first requirement due there
+    acts, and recomputes the due stages of the actor and of every lower
+    requirement, the only ones whose markers and states changed.  Each act
+    re-reads the actor's measure with `hitting_weight` for the log, and an
+    act below the bar is an InternalInvariant.
     """
     if horizon < 1:
         raise ContractViolation(f"horizon {horizon} must be >= 1")
@@ -209,22 +267,28 @@ def priority_build(requirements, horizon: int) -> PriorityResult:
     rows = [0] * horizon  # the table's row masks
     log: list = []
 
-    for s in range(horizon):
-        rows[s] = committed  # the pairs (x, s): only x < s has committed yet
+    def due_stage(r: int) -> int:
+        """r's next acting stage, the horizon when it is full or never
+        acts: the least weight past the bar is bars[r] // 2m + 1."""
+        req = reqs[r]
+        m = req.pattern.size
+        if req.length >= m:
+            return horizon
+        t = req.script.reach_stage(req.marker, bars[r] // (2 * m) + 1)
+        return horizon if t is None else t
 
-        acting = None
-        for r, req in enumerate(reqs):
-            m = req.pattern.size
-            if len(req.intervals) >= m:
-                continue
-            weight = req.script.hitting_weight(s, req.marker, s)
-            if weight * 2 * m > bars[r]:
-                acting = r
-                break
-        if acting is None:
-            continue
+    due = [due_stage(r) for r in range(len(reqs))]
+    filled = 0  # rows[:filled] are set
+    while (s := min(due, default=horizon)) < horizon:
+        # the pairs (x, y), filled <= y <= s: only x < y has committed yet
+        rows[filled : s + 1] = repeat(committed, s + 1 - filled)
+        filled = s + 1
+        acting = due.index(s)
         req = reqs[acting]
         p = req.pattern
+        weight = req.script.hitting_weight(s, req.marker, s)
+        if weight * 2 * p.size <= bars[acting]:
+            raise InternalInvariant(f"requirement {acting} acts at stage {s} below its attention bar")
         t = req.length
         lo, hi = req.marker, s
         req.intervals.append((lo, hi))
@@ -243,6 +307,7 @@ def priority_build(requirements, horizon: int) -> PriorityResult:
             if reqs[j].intervals:
                 injured.append(j)
             reqs[j].intervals = []
+        due[acting:] = map(due_stage, range(acting, len(reqs)))
         log.append(
             {
                 "stage": s,
@@ -256,6 +321,7 @@ def priority_build(requirements, horizon: int) -> PriorityResult:
             }
         )
 
+    rows[filled:] = repeat(committed, horizon - filled)
     limits = [committed >> x & 1 for x in range(horizon)]
     for x in range(horizon):
         if limits[x]:  # a run of 1s still open at the horizon

@@ -315,11 +315,10 @@ def _load_scenario(path: str):
         reqs = []
         for entry in data["requirements"]:
             p = perm_to_pattern(Permutation.from_text(entry["pattern"]))
-            script = AdversaryScript(
-                entry.get("id", entry["pattern"]),
-                [(ev[0], ev[1], ev[2]) for ev in entry.get("script", [])],
-            )
-            reqs.append((p, script))
+            events = entry.get("script", [])
+            if not all(isinstance(ev, list) and len(ev) == 3 for ev in events):
+                raise ValueError("a script event is not a [prefix, stage, elements] array")
+            reqs.append((p, AdversaryScript(entry.get("id", entry["pattern"]), events)))
         horizon = data.get("horizon", 100)
     except (ValueError, KeyError, IndexError, TypeError, AttributeError, ContractViolation) as exc:
         raise InstanceLoadError(path, 1, f"bad priority scenario: {type(exc).__name__} {exc}")
@@ -406,7 +405,7 @@ def _cmd_large(args, out: _Out) -> int:
         notion = omega_largeness(_int_arg(args.notion[6:], "omega level"))
     elif args.notion.startswith("pattern:"):
         p = perm_to_pattern(Permutation.from_text(args.notion[8:]))
-        notion = pattern_largeness(p, f)
+        notion = pattern_largeness(p, f, args.budget)
     else:
         raise DegenerateInstance(f"unknown notion {args.notion!r}")
     g = find_grouping(f, notion, args.count, min(args.horizon, f.horizon))

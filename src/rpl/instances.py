@@ -31,7 +31,10 @@ def split_order_coloring(n: int, top: set) -> StableColoring:
 
 
 def interleaved_split_order(n: int, seed: int, top_fraction: float = 0.34) -> StableColoring:
-    """Seeded random interleaving of the two parts of a split order."""
+    """Seeded random interleaving of the two parts of a split order; each
+    element joins the top part with probability top_fraction."""
+    if not 0 <= top_fraction <= 1:  # nan included
+        raise ContractViolation(f"top fraction {top_fraction} must be a number in [0, 1]")
     rng = random.Random(seed)
     top = {x for x in range(n) if rng.random() < top_fraction}
     return split_order_coloring(n, top)

@@ -123,19 +123,21 @@ def check_witness(w: LargeWitness) -> bool:
 @dataclass(frozen=True)
 class LargenessPredicate:
     """kind "omega": level-n largeness; "pattern": membership is carrying
-    a realization of the pattern under the coloring."""
+    a realization of the pattern under the coloring, found within `budget`
+    search nodes (None: unbounded)."""
 
     kind: str
     level: int = 0
     pattern: Pattern | None = None
     coloring: object = None
+    budget: int | None = None
 
     def holds(self, elements) -> bool:
         xs = sorted(set(elements))
         if self.kind == "omega":
             return is_omega_n_large(xs, self.level)
         if self.kind == "pattern":
-            return find_realization(self.coloring, xs, self.pattern, budget=None) is not None
+            return find_realization(self.coloring, xs, self.pattern, self.budget) is not None
         raise ContractViolation(f"unknown largeness kind {self.kind}")
 
 
@@ -143,8 +145,8 @@ def omega_largeness(n: int) -> LargenessPredicate:
     return LargenessPredicate("omega", level=n)
 
 
-def pattern_largeness(p: Pattern, coloring) -> LargenessPredicate:
-    return LargenessPredicate("pattern", pattern=p, coloring=coloring)
+def pattern_largeness(p: Pattern, coloring, budget: int | None = None) -> LargenessPredicate:
+    return LargenessPredicate("pattern", pattern=p, coloring=coloring, budget=budget)
 
 
 # ---------------------------------------------------------------------------

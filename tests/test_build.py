@@ -12,6 +12,9 @@ from rpl import build as build_module
 from rpl.build import (
     AdversaryScript,
     GammaNode,
+    PriorityResult,
+    RequirementState,
+    RequirementVerdict,
     SimpleOrder,
     chain_order,
     check_state_properties,
@@ -22,7 +25,7 @@ from rpl.build import (
     parse_script_file,
     priority_build,
 )
-from rpl.errors import ContractViolation, InstanceLoadError, RangeError
+from rpl.errors import ContractViolation, InstanceLoadError, InternalInvariant, RangeError
 from rpl.patterns import FiniteColoring, StableColoring, avoids, is_transitive
 from rpl.perms import Permutation, perm_to_pattern
 
@@ -369,6 +372,157 @@ def test_priority_output_avoids_forbidden_pair_patterns():
         res = priority_build(reqs, 60)
         assert avoids(res.table, range(60), pat("1302"))
         assert avoids(res.table, range(60), pat("2031"))
+
+
+def reference_priority_build(requirements, horizon):
+    """`priority_build` as a loop over every stage, asking each requirement
+    that is not full for its measure until one passes its bar."""
+    reqs = [
+        RequirementState(p, script, marker=i)
+        for i, (p, script) in enumerate(requirements)
+    ]
+    thresholds = [1 - Fraction(1, 2 * req.pattern.size) for req in reqs]
+    # weight / 2**depth > 1 - 1/(2m)  iff  weight * 2m > (2m - 1) << depth
+    bars = [(2 * req.pattern.size - 1) << req.script.depth for req in reqs]
+    committed = 0  # bit x: x's commitment
+    last_change = [0] * horizon
+    rows = [0] * horizon  # the table's row masks
+    log: list = []
+
+    for s in range(horizon):
+        rows[s] = committed  # the pairs (x, s): only x < s has committed yet
+
+        acting = None
+        for r, req in enumerate(reqs):
+            m = req.pattern.size
+            if len(req.intervals) >= m:
+                continue
+            weight = req.script.hitting_weight(s, req.marker, s)
+            if weight * 2 * m > bars[r]:
+                acting = r
+                break
+        if acting is None:
+            continue
+        req = reqs[acting]
+        p = req.pattern
+        t = req.length
+        lo, hi = req.marker, s
+        req.intervals.append((lo, hi))
+        for i, (a, b) in enumerate(req.intervals):
+            c = p.color(i, t + 1) if t < p.size - 1 else 0
+            for x in range(a, min(b, horizon - 1) + 1):
+                if committed >> x & 1 != c:
+                    if not c:  # x's run of 1s covered the pairs (x, y), last_change[x] < y <= s
+                        rows[x] |= (2 << s) - (2 << last_change[x])
+                    committed ^= 1 << x
+                    last_change[x] = s
+        req.marker = s + 1
+        injured = []
+        for j in range(acting + 1, len(reqs)):
+            reqs[j].marker = s + 1 + (j - acting)
+            if reqs[j].intervals:
+                injured.append(j)
+            reqs[j].intervals = []
+        log.append(
+            {
+                "stage": s,
+                "acted": acting,
+                "interval": [lo, hi],
+                "state_length": req.length,
+                "injured": injured,
+                "markers": [q.marker for q in reqs],
+                "states": [list(q.intervals) for q in reqs],
+                "measure": str(Fraction(weight, 1 << req.script.depth)),
+            }
+        )
+
+    limits = [committed >> x & 1 for x in range(horizon)]
+    for x in range(horizon):
+        if limits[x]:  # a run of 1s still open at the horizon
+            rows[x] |= (1 << horizon) - (2 << last_change[x])
+    table = FiniteColoring._from_rows(horizon, rows)
+    coloring = StableColoring.from_rows(horizon, rows, limits)
+
+    verdicts = []
+    final_stage = horizon - 1
+    for r, (req, threshold) in enumerate(zip(reqs, thresholds)):
+        measure = req.script.hitting_measure(final_stage, req.marker, final_stage)
+        if req.length == req.pattern.size:
+            kind = "realized"
+        elif measure > threshold:
+            kind = "starved"  # wanted attention at the horizon; truncation artifact
+        else:
+            kind = "measure-bounded"
+        verdicts.append(
+            RequirementVerdict(r, kind, req.length, measure, threshold)
+        )
+    return PriorityResult(horizon, coloring, table, reqs, verdicts, log)
+
+
+def assert_matches_every_stage_reference(reqs, horizon):
+    res, ref = priority_build(reqs, horizon), reference_priority_build(reqs, horizon)
+    assert res.log == ref.log
+    assert res.table.rows == ref.table.rows
+    assert res.coloring.to_json_dict() == ref.coloring.to_json_dict()
+    assert res.verdicts == ref.verdicts
+    assert res.requirements == ref.requirements
+
+
+@pytest.mark.parametrize("horizon", [1, 7, 80, 128])
+def test_priority_matches_every_stage_reference_on_scenarios(horizon):
+    for reqs in priority_scenarios(horizon):
+        assert_matches_every_stage_reference(reqs, horizon)
+
+
+@settings(max_examples=60, deadline=None)
+@given(priority_runs())
+def test_priority_matches_every_stage_reference_on_random_scripts(run):
+    assert_matches_every_stage_reference(*run)
+
+
+@settings(max_examples=60, deadline=None)
+@given(priority_runs())
+def test_reach_stage_is_the_least_stage_a_scan_finds(run):
+    # hitting_weight(t, lo, t) never falls as t grows, and reach_stage
+    # finds the first t at each weight; past the last stage and element
+    # the weight stays put
+    reqs, horizon = run
+    for _, script in reqs:
+        last = max([ev.stage for ev in script.events]
+                   + [x for ev in script.events for x in ev.elements], default=0)
+        end = max(last, script.depth) + 2
+        for lo in range(end):
+            weights = [script.hitting_weight(t, lo, t) for t in range(end + 1)]
+            assert weights == sorted(weights)
+            for w in range(1, 2 ** script.depth + 1):
+                least = next((t for t, got in enumerate(weights) if got >= w), None)
+                assert script.reach_stage(lo, w) == least
+
+
+def test_priority_reads_the_measure_once_per_act(monkeypatch):
+    # a build asks hitting_weight for each act's measure and once per
+    # requirement for the verdicts, not at every stage
+    calls = []
+    real = AdversaryScript.hitting_weight
+    monkeypatch.setattr(AdversaryScript, "hitting_weight",
+                        lambda self, *args: calls.append(args) or real(self, *args))
+    horizon = 4096
+    reqs = next(reqs for reqs in priority_scenarios(horizon) if len(reqs) == 3)
+    assert [script.ident for _, script in reqs] == ["full", "half", "quarter"]
+    res = priority_build(reqs, horizon)
+    assert 0 < len(calls) <= len(res.log) + 3
+    assert [args[0] for args in calls[: len(res.log)]] == [entry["stage"] for entry in res.log]
+
+
+def test_priority_refuses_a_due_stage_below_the_bar(monkeypatch):
+    # the script first reaches the bar at stage 12; stage 11 falls short
+    late = AdversaryScript("late", [("", 12, [12]), ("", 20, [20])])
+    assert late.reach_stage(0, 1) == 12
+    real = AdversaryScript.reach_stage
+    monkeypatch.setattr(AdversaryScript, "reach_stage",
+                        lambda self, lo, weight: real(self, lo, weight) - 1)
+    with pytest.raises(InternalInvariant, match="stage 11 below its attention bar"):
+        priority_build([(pat("01"), late)], 40)
 
 
 # ---------------------------------------------------------------------------

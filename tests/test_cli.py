@@ -7,7 +7,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import zigzag
+from conftest import pat, zigzag
 from rpl import extract, patterns, perms
 from rpl.cli import (
     _build_parser,
@@ -17,6 +17,7 @@ from rpl.cli import (
 )
 from rpl.errors import DegenerateInstance, InstanceLoadError
 from rpl.fractals import fractal_perm
+from rpl.largeness import find_grouping, pattern_largeness
 from rpl.patterns import FiniteColoring, StableColoring
 
 
@@ -306,6 +307,23 @@ def test_large_verbs(capsys, tmp_path):
     assert payload["complete"] is True and payload["verified"] is True
 
 
+def test_large_group_searches_within_the_global_budget(capsys, tmp_path):
+    # a pattern notion's searches take --budget; the default one answers as
+    # an unbounded search would, and an omega notion does not search
+    inst = tmp_path / "g.txt"
+    inst.write_text("4\n011\n01\n1\n")
+    argv = ["large", "group", str(inst), "--notion", "pattern:01"]
+    f = load_coloring(str(inst))
+    unbounded = find_grouping(f, pattern_largeness(pat("01"), f), 3, 200)
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["blocks"] == [list(b) for b in unbounded.blocks]
+    assert run(capsys, ["--budget", "2", *argv]) == (code, out, err)
+    assert run(capsys, ["--budget", "1", *argv]) == (1, "", "error: search budget exhausted after 2 nodes\n")
+    code, _, err = run(capsys, ["--budget", "1", "large", "group", str(inst), "--notion", "omega:1"])
+    assert (code, err) == (0, "")
+
+
 def test_byte_identical_reruns(capsys, tmp_path):
     argv = ["--seed", "5", "experiment", "delta-mc", "--trials", "40", "--n", "300"]
     code1, out1, _ = run(capsys, argv)
@@ -381,6 +399,12 @@ BAD_SCENARIOS = [
     '{"requirements": [{"pattern": "01", "script": [["2", 1, [1]]]}]}',
     '{"requirements": [{"pattern": "01", "script": [[0, 1, [1]]]}]}',
     '{"requirements": [{"pattern": "0x", "script": []}]}',
+    # an event is a [prefix, stage, elements] array, nothing more or less
+    '{"requirements": [{"pattern": "01", "script": [["", 0, [0], "junk"]]}]}',
+    '{"requirements": [{"pattern": "01", "script": [["", 0]]}]}',
+    '{"requirements": [{"pattern": "01", "script": ["a0b"]}]}',
+    '{"requirements": [{"pattern": "01", "script": [{"0": "", "1": 0, "2": [0]}]}]}',
+    '{"requirements": [{"pattern": "01", "script": {"0": ["", 0, [0]]}}]}',
 ]
 
 
@@ -469,6 +493,10 @@ MALFORMED = [
     (["fractal", "partition", "2", "2", "2", "{dir}/short.txt"], {"short.txt": "0101"}, 1),
     (["fractal", "partition", "2", "2", "1", "{dir}/x.txt"], {"x.txt": "01x"}, 1),
     (["gen", "unbalanced", "--mode", "repaired", "--k", "1", "--n", "4"], {}, 1),
+    # the top fraction is a probability
+    *[(["gen", "stable-avoiding", "--n", "5", f"--fraction={frac}"], {}, 1)
+      for frac in ("nan", "-1", "2", "inf", "-inf", "1.0000001")],
+    (["--budget", "1", "large", "group", "{dir}/g.txt", "--notion", "pattern:01"], {"g.txt": "3\n00\n0\n"}, 1),
     (["pattern", "realizes", "{dir}/dup.json", "01", "--set", "0,1"],
      {"dup.json": '{"type": "stable", "horizon": 3, "limits": [0, 0, 0], "settle": [3, 3, 3],'
                   ' "overrides": [[0, 1, 1], [0, 1, 0]]}'}, 1),
