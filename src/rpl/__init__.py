@@ -14,7 +14,6 @@ from .patterns import (
     VertexSet,
     avoids,
     find_realization,
-    is_transitive,
     realizes,
 )
 from .perms import (
@@ -25,6 +24,7 @@ from .perms import (
     direct_sum,
     is_convergent,
     is_separable,
+    is_transitive,
     join,
     pattern_to_perm,
     perm_to_pattern,
@@ -36,9 +36,9 @@ from .fractals import embed_separable, fractal_perm, navigate, partition_extract
 
 __all__ = [
     "FiniteColoring", "Pattern", "StableColoring", "VertexSet", "avoids",
-    "find_realization", "is_transitive", "realizes",
+    "find_realization", "realizes",
     "Permutation", "SeparatingTree", "classify_trichotomy", "converge",
-    "direct_sum", "is_convergent", "is_separable", "join", "pattern_to_perm",
+    "direct_sum", "is_convergent", "is_separable", "is_transitive", "join", "pattern_to_perm",
     "perm_to_pattern", "separating_tree", "skew_sum", "split_reducible",
     "embed_separable", "fractal_perm", "navigate", "partition_extract",
 ]

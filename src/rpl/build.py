@@ -469,29 +469,28 @@ class GammaNode:
 
 
 @dataclass
-class BuiltOrder:
-    """A staged split order: its members, their comparator keys, and the
-    provenance log that replays to the same order."""
-
-    horizon: int
-    direction: str
-    e0: int
-    root: GammaNode
-    members: list
-    keys: dict
-    log: list
-
-    def less(self, x, y) -> bool:
-        return self.keys[x] < self.keys[y]
-
-
-@dataclass
 class SimpleOrder:
     horizon: int
     keys: dict
 
     def less(self, x, y) -> bool:
         return self.keys[x] < self.keys[y]
+
+    def ordered(self) -> list:
+        """The keyed elements, least first."""
+        return sorted(self.keys, key=self.keys.__getitem__)
+
+
+@dataclass
+class BuiltOrder(SimpleOrder):
+    """A staged split order: its members, their comparator keys, and the
+    provenance log that replays to the same order."""
+
+    direction: str
+    e0: int
+    root: GammaNode
+    members: list
+    log: list
 
 
 def chain_order(n: int) -> SimpleOrder:
@@ -602,7 +601,7 @@ def gamma_build(direction: str, e: int, n: int, scripts=None) -> BuiltOrder:
             j //= w
             node = node.slots[i] or node.child(i)
 
-    return BuiltOrder(n, direction, e, root, members, keys, log)
+    return BuiltOrder(n, keys, direction, e, root, members, log)
 
 
 @dataclass
@@ -676,6 +675,6 @@ def mirror_double(source: SimpleOrder) -> SimpleOrder:
     source, 2x gets key (r,) and 2x + 1 the key (2n - 1 - r,)."""
     n = source.horizon
     keys = {}
-    for r, x in enumerate(sorted(range(n), key=source.keys.__getitem__)):
+    for r, x in enumerate(source.ordered()):
         keys[2 * x], keys[2 * x + 1] = (r,), (2 * n - 1 - r,)
     return SimpleOrder(2 * n, keys)

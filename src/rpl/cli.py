@@ -369,8 +369,7 @@ def _cmd_construct(args, out: _Out) -> int:
         return 0
     if args.kind == "gamma":
         built = gamma_build(args.direction, args.e, args.n, _load_scripts(args.arg))
-        ordered = sorted(built.members, key=lambda x: built.keys[x])
-        out.line("order " + ",".join(str(x) for x in ordered))
+        out.line("order " + ",".join(map(str, built.ordered())))
         out.line(_dump({"members": built.members, "log": built.log}))
         return 0
     if args.kind == "delta":
@@ -380,8 +379,7 @@ def _cmd_construct(args, out: _Out) -> int:
         out.line(_dump({"flags": res.flags, "bits_used": res.bits_used}))
         return 0
     order = mirror_double(chain_order(args.n))  # mirror
-    ordered = sorted(range(order.horizon), key=order.keys.__getitem__)
-    out.line("order " + ",".join(str(x) for x in ordered))
+    out.line("order " + ",".join(map(str, order.ordered())))
     return 0
 
 

@@ -130,8 +130,10 @@ def unbalanced_extract(f, k: int, horizon: int) -> UnbalancedResult:
     """
     if k < 1:
         raise ContractViolation("clique size must be >= 1")
-    if horizon > f.horizon or horizon < 1:
-        raise ContractViolation("horizon beyond the coloring's generation bound")
+    if horizon < 1:
+        raise ContractViolation(f"horizon {horizon} must be >= 1")
+    if horizon > f.horizon:
+        raise ContractViolation(f"horizon {horizon} beyond the coloring's generation bound {f.horizon}")
     children: dict = {None: []}  # vertex -> its children in the tree; None is the root
     depth: dict = {None: 0}
 

@@ -122,11 +122,10 @@ def check_witness(w: LargeWitness) -> bool:
 
 @dataclass(frozen=True)
 class LargenessPredicate:
-    """kind "omega": level-n largeness; "pattern": membership is carrying
+    """Level-n largeness when pattern is None, else membership is carrying
     a realization of the pattern under the coloring, found within `budget`
     search nodes (None: unbounded)."""
 
-    kind: str
     level: int = 0
     pattern: Pattern | None = None
     coloring: object = None
@@ -134,19 +133,17 @@ class LargenessPredicate:
 
     def holds(self, elements) -> bool:
         xs = sorted(set(elements))
-        if self.kind == "omega":
+        if self.pattern is None:
             return is_omega_n_large(xs, self.level)
-        if self.kind == "pattern":
-            return find_realization(self.coloring, xs, self.pattern, self.budget) is not None
-        raise ContractViolation(f"unknown largeness kind {self.kind}")
+        return find_realization(self.coloring, xs, self.pattern, self.budget) is not None
 
 
 def omega_largeness(n: int) -> LargenessPredicate:
-    return LargenessPredicate("omega", level=n)
+    return LargenessPredicate(level=n)
 
 
 def pattern_largeness(p: Pattern, coloring, budget: int | None = None) -> LargenessPredicate:
-    return LargenessPredicate("pattern", pattern=p, coloring=coloring, budget=budget)
+    return LargenessPredicate(pattern=p, coloring=coloring, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +179,7 @@ def _minimal_large_prefix(notion: LargenessPredicate, pool: list) -> list | None
     superset, the prefix length is found by doubling it until the prefix
     is large (the whole pool last), then bisecting below that.
     """
-    if notion.kind == "omega":
+    if notion.pattern is None:
         carved = _carve_prefix(pool, notion.level)
         return pool[: carved[0]] if carved else None
     n = len(pool)
@@ -215,7 +212,7 @@ def find_grouping(f, notion: LargenessPredicate, count: int, horizon: int) -> Gr
         block = _minimal_large_prefix(notion, reservoir)
         if block is None:
             # the pattern route ended on holds(reservoir); cross-check only carving
-            if notion.kind == "omega" and notion.holds(reservoir):
+            if notion.pattern is None and notion.holds(reservoir):
                 raise InternalInvariant("reservoir large but no prefix qualified")
             reason = (
                 "reservoir emptied by majority thinning"

@@ -172,18 +172,6 @@ def _symmetric_rows(upper) -> tuple:
                  for x, (column, line) in enumerate(zip(zip(*square), square)))
 
 
-# The two non-transitivity configurations on three vertices: the induced
-# successor relation (x before y iff the pair has color 0 read upward)
-# forms a 3-cycle.  They are dual to each other.
-NON_TRANSITIVE = (Pattern(3, (0, 1, 0)), Pattern(3, (1, 0, 1)))
-
-
-def is_transitive(p) -> bool:
-    """True iff no 3 positions induce a non-transitivity configuration;
-    p is a Pattern or any coloring."""
-    return all(avoids(p, range(p.horizon), q) for q in NON_TRANSITIVE)
-
-
 class FiniteColoring(Pattern):
     """A pattern read as a total coloring of pairs over {0..horizon-1}:
     pairs are read in either order, and the file form lists rows."""

@@ -1,6 +1,7 @@
-"""Permutations, their pattern coding, sum/join/converge operators,
-separability by a forbidden-pattern scan for 1302/2031 and by a tree
-decomposition, which must agree, and the trichotomy classifier."""
+"""Permutations, their pattern coding, whose decoding decides
+transitivity, sum/join/converge operators, separability by a
+forbidden-pattern scan for 1302/2031 and by a tree decomposition, which
+must agree, and the trichotomy classifier."""
 
 from __future__ import annotations
 
@@ -86,16 +87,27 @@ def perm_to_pattern(perm: Permutation) -> Pattern:
     return Pattern._from_rows(perm.size, rows)
 
 
-def pattern_to_perm(p: Pattern) -> Permutation | None:
-    """The permutation whose coding is p, else None (p is not transitive):
-    the value at x counts the later positions of color 1 and the earlier
-    ones of color 0 in row x, and the values must code back to p."""
-    values = [(r >> x + 1).bit_count() + x - (r & (1 << x) - 1).bit_count()
-              for x, r in enumerate(p.rows)]
-    if sorted(values) != list(range(p.size)):
+def pattern_to_perm(f) -> Permutation | None:
+    """The permutation whose coding is f, a Pattern or any coloring, else
+    None: f does not order its vertices, or has none.  The later partners
+    of color 1 in x's upper row are the later positions valued below x, a
+    Lehmer code, decoded by list insertion; the values must code back to f."""
+    n = f.horizon
+    if not n:
         return None
-    perm = Permutation(values)
-    return perm if perm_to_pattern(perm).rows == p.rows else None
+    rows = f.rows if isinstance(f, Pattern) else f  # a stable coloring's f[x] is its upper row
+    upper = [rows[x] >> x + 1 for x in range(n)]
+    ranked = []  # the positions from x on, least value first
+    for x in reversed(range(n)):
+        ranked.insert(upper[x].bit_count(), x)
+    perm = Permutation(sorted(range(n), key=ranked.__getitem__))
+    return perm if [r >> x + 1 for x, r in enumerate(perm_to_pattern(perm).rows)] == upper else None
+
+
+def is_transitive(f) -> bool:
+    """True iff f, a Pattern or any coloring, orders its vertices: it
+    codes a permutation, or has no vertex."""
+    return not f.horizon or pattern_to_perm(f) is not None
 
 
 def perm_coloring(perm: Permutation) -> FiniteColoring:

@@ -48,7 +48,6 @@ from rpl.patterns import (
     FiniteColoring,
     Pattern,
     avoids,
-    is_transitive,
     realizes,
 )
 from rpl.perms import (
@@ -56,6 +55,7 @@ from rpl.perms import (
     converge,
     direct_sum,
     is_separable,
+    is_transitive,
     join,
     perm_coloring,
     perm_to_pattern,

@@ -26,8 +26,8 @@ from rpl.build import (
     priority_build,
 )
 from rpl.errors import ContractViolation, InstanceLoadError, InternalInvariant, RangeError
-from rpl.patterns import FiniteColoring, StableColoring, avoids, is_transitive
-from rpl.perms import Permutation, perm_to_pattern
+from rpl.patterns import FiniteColoring, StableColoring, avoids
+from rpl.perms import Permutation, is_transitive, perm_to_pattern
 
 
 # ---------------------------------------------------------------------------
@@ -980,6 +980,7 @@ def test_mirror_three_cases():
     assert m.less(0, 2) == chain_order(10).less(0, 1)
     assert m.less(3, 1) == chain_order(10).less(0, 1)
     assert not m.less(1, 0)
+    assert m.ordered() == list(range(0, 20, 2)) + list(range(19, 0, -2))
     # total on distinct elements
     for a in range(8):
         for b in range(8):

@@ -212,6 +212,14 @@ def test_extract_unbalanced_cli(capsys, tmp_path):
     assert meta["level"] >= 1
 
 
+def test_extract_unbalanced_names_an_empty_horizon(capsys, tmp_path):
+    inst = tmp_path / "empty.json"
+    assert run_command(["--out", str(inst), "gen", "stable", "--n", "0"]) == 0
+    code, out, err = run(capsys, ["extract", "unbalanced", str(inst), "--k", "3"])
+    assert (code, out) == (1, "")
+    assert err == "error: horizon 0 must be >= 1\n"
+
+
 def test_extract_precondition_exit_code(capsys, tmp_path):
     inst = tmp_path / "zero.txt"
     run_command(["--out", str(inst), "gen", "constant", "--color", "0", "--n", "10"])

@@ -9,19 +9,17 @@ from conftest import all_perms, exhaustive_find, pat, perm, unit_realization_sea
 from rpl.errors import BudgetExhausted, ContractViolation, RangeError
 from rpl.patterns import (
     FiniteColoring,
-    NON_TRANSITIVE,
     Pattern,
     StableColoring,
     VertexSet,
     avoids,
     find_realization,
-    is_transitive,
     iter_pairs,
     realizes,
 )
 from rpl.extract import find_homogeneous_block
 from rpl.fractals import fractal_pattern, fractal_perm
-from rpl.perms import Permutation, pattern_to_perm, perm_coloring, perm_to_pattern
+from rpl.perms import Permutation, is_transitive, pattern_to_perm, perm_coloring, perm_to_pattern
 from rpl import patterns
 from rpl.instances import (
     alternating_stable,
@@ -136,9 +134,44 @@ def test_is_transitive():
         assert is_transitive(Pattern.constant(size, 1))
 
 
-def test_non_transitive_constants_are_each_others_dual():
-    a, b = NON_TRANSITIVE
-    assert a.dual() == b
+def test_random_orders_decode_to_their_ranks():
+    rng = random.Random(31)
+    for n in (1000, 2500, 4000):
+        ranks = rng.sample(range(n), n)
+        assert pattern_to_perm(order_from_ranks(ranks)) == Permutation(ranks)
+
+
+def test_one_flipped_pair_is_an_order_only_between_adjacent_values():
+    """Flipping the pair of the positions valued 100 and 100 + gap swaps
+    the two values when gap is 1; otherwise the position valued 101 makes
+    a 3-cycle with them."""
+    ranks = random.Random(5).sample(range(300), 300)
+    rows = perm_to_pattern(Permutation(ranks)).rows
+    for gap in (1, 2, 150):
+        x, y = sorted((ranks.index(100), ranks.index(100 + gap)))
+        flipped = [r ^ (1 << y if z == x else 1 << x if z == y else 0) for z, r in enumerate(rows)]
+        swapped = ranks[:]
+        swapped[x], swapped[y] = ranks[y], ranks[x]
+        want = Permutation(swapped) if gap == 1 else None
+        for f in (FiniteColoring._from_rows(300, flipped), StableColoring.from_rows(300, flipped)):
+            assert pattern_to_perm(f) == want
+            assert is_transitive(f) == (gap == 1)
+
+
+def test_a_stable_coloring_without_vertices_is_transitive():
+    f = StableColoring(0, [], [])
+    assert pattern_to_perm(f) is None and is_transitive(f)
+
+
+def test_is_transitive_runs_no_realization_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a realization search ran")
+
+    monkeypatch.setattr(patterns, "_realization_search", refuse)
+    assert is_transitive(order_from_ranks(random.Random(2).sample(range(500), 500)))
+    assert is_transitive(interleaved_split_order(500, 3))
+    assert not is_transitive(Pattern(3, (0, 1, 0)))
+    assert not is_transitive(alternating_stable(20))
 
 
 def test_pattern_perm_round_trips():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import all_perms, oracle_separable, pat, perm, zigzag
 from rpl.errors import ContractViolation
 from rpl.fractals import fractal_perm
-from rpl.patterns import Pattern, find_realization, is_transitive, iter_pairs
+from rpl.patterns import Pattern, find_realization, iter_pairs
 from rpl.perms import (
     FORBIDDEN,
     LEAF,
@@ -21,6 +21,7 @@ from rpl.perms import (
     forbidden_witness,
     is_convergent,
     is_separable,
+    is_transitive,
     join,
     pattern_to_perm,
     perm_coloring,
