@@ -446,10 +446,6 @@ class GammaNode:
         return not self.slots
 
     @property
-    def heads(self) -> list:
-        return list(self.ground[: self.width])
-
-    @property
     def children(self) -> list:
         return [self.child(i) for i in range(len(self.slots))]
 
@@ -489,8 +485,12 @@ class BuiltOrder(SimpleOrder):
     direction: str
     e0: int
     root: GammaNode
-    members: list
     log: list
+
+    @property
+    def members(self) -> list:
+        """The placed elements, ascending: the key table fills in stage order."""
+        return list(self.keys)
 
 
 def chain_order(n: int) -> SimpleOrder:
@@ -528,7 +528,6 @@ def gamma_build(direction: str, e: int, n: int, scripts=None) -> BuiltOrder:
         raise ContractViolation(f"e = {e} and n = {n} must be >= 0")
     scripts = scripts or {}
     root = GammaNode(e, direction == "dec", (), range(n))
-    members: list = []
     keys: dict = {}
     log: list = []
 
@@ -586,7 +585,6 @@ def gamma_build(direction: str, e: int, n: int, scripts=None) -> BuiltOrder:
                 key.append(0 if cut is None or j < cut else j - cut + 1)
             if j < w:
                 key.append(2 * j)
-                members.append(s)
                 keys[s] = tuple(key)
                 break
             j -= w
@@ -601,7 +599,7 @@ def gamma_build(direction: str, e: int, n: int, scripts=None) -> BuiltOrder:
             j //= w
             node = node.slots[i] or node.child(i)
 
-    return BuiltOrder(n, keys, direction, e, root, members, log)
+    return BuiltOrder(n, keys, direction, e, root, log)
 
 
 @dataclass

@@ -272,18 +272,52 @@ def _extractor_block(f, reservoir, arity: int, dim: int, step: int):
                 block = find_realization(f, reservoir, fractal_pattern(arity, dim),
                                          EXTRACTOR_SEARCH_BUDGET)
         except BudgetExhausted as exc:
-            raise DegenerateInstance(
-                f"block search budget exhausted at step {step} "
-                f"(arity {arity}, dimension {dim}); treat as degenerate",
-                step,
-            ) from exc
+            raise DegenerateInstance(f"block search budget exhausted at step {step} "
+                                     f"(arity {arity}, dimension {dim}); treat as degenerate",
+                                     step) from exc
     if block is None:
-        raise DegenerateInstance(
-            f"no {arity}-ary dimension-{dim} block in the reservoir at step "
-            f"{step}; the unbalanced extractor applies instead",
-            step,
-        )
+        raise DegenerateInstance(f"no {arity}-ary dimension-{dim} block in the reservoir at step "
+                                 f"{step}; the unbalanced extractor applies instead", step)
     return block
+
+
+def _grow_stem(f: StableColoring, k: int, n: int, horizon: int, arities, descend):
+    """The stem loop of the randomized and oracle extractors against the
+    k-ary dimension-n fractal.  arities(d), asked once n and k pass their
+    checks, lists each step's arity; step s hands the least such block of
+    dimension d = n - 1 in the reservoir to descend(step, arity, block, d,
+    color), which returns its vertex, or None to end the run, and the
+    step's transcript entry.  A vertex settling to another color ends the
+    run too; a good one joins the stem and thins the reservoir.  Returns
+    (stem, color, transcript), the stem re-verified as a VertexSet, or
+    None when the run ended early, at its last entry's step.
+    """
+    if n < 2:
+        raise ContractViolation("avoided fractal dimension must be >= 2")
+    if k < 1:
+        raise ContractViolation("fractal arity k must be >= 1")
+    d = n - 1
+    arities = arities(d)
+    color = level_color(d)
+    horizon = min(horizon, f.horizon)
+    if horizon < 1:  # refused as the unbalanced extractor refuses it
+        raise ContractViolation(f"horizon {horizon} must be >= 1")
+    stem: list = []
+    reservoir = range(horizon)
+    transcript: list[dict] = []
+
+    for step, arity in enumerate(arities):
+        x, entry = descend(step, arity, _extractor_block(f, reservoir, arity, d, step), d, color)
+        transcript.append(entry)
+        if x is None or f.limit(x) != color:
+            return None, color, transcript
+        stem.append(x)
+        reservoir = thin_reservoir(f, reservoir, x, color)
+
+    result = VertexSet(stem)
+    if not verify_homogeneous(f, result, color):
+        raise InternalInvariant("extracted stem failed homogeneity re-verification")
+    return result, color, transcript
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +383,8 @@ class RandomizedOutcome:
     transcript: list
 
 
-def randomized_extract(
-    f: StableColoring, k: int, n: int, cfg: ExtractionConfig
-) -> RandomizedOutcome:
+def randomized_extract(f: StableColoring, k: int, n: int,
+                       cfg: ExtractionConfig) -> RandomizedOutcome:
     """Seeded stem-growing extraction from a coloring avoiding the k-ary
     dimension-n fractal.
 
@@ -362,46 +395,24 @@ def randomized_extract(
     chosen element settles to the wrong color; identical seeds give
     identical transcripts.
     """
-    if n < 2:
-        raise ContractViolation("avoided fractal dimension must be >= 2")
-    if k < 1:
-        raise ContractViolation("fractal arity k must be >= 1")
-    d = n - 1
-    color = level_color(d)
     rng = random.Random(cfg.seed)
-    horizon = min(cfg.horizon, f.horizon)
-    stem: list = []
-    reservoir = range(horizon)
-    transcript: list[dict] = []
 
-    for step in range(cfg.steps):
-        arity = cfg.block_size(step, k, d)
-        block = _extractor_block(f, reservoir, arity, d, step)
+    def descend(step, arity, block, d, color):
         path = tuple(rng.randrange(arity) for _ in range(d))
         offset, length = navigate(arity, d, path)
         assert length == 1
         x = block[offset]
-        entry = {
-            "step": step,
-            "arity": arity,
-            "block_min": block[0],
-            "block_max": block[-1],
-            "path": list(path),
-            "chosen": x,
-        }
-        if f.limit(x) == 1 - color:
-            entry["verdict"] = "bad"
-            transcript.append(entry)
-            return RandomizedOutcome(False, None, color, step, transcript)
-        entry["verdict"] = "good"
-        transcript.append(entry)
-        stem.append(x)
-        reservoir = thin_reservoir(f, reservoir, x, color)
+        return x, {"step": step, "arity": arity, "block_min": block[0], "block_max": block[-1],
+                   "path": list(path), "chosen": x, "verdict": "good"}
 
-    result = VertexSet(stem)
-    if not verify_homogeneous(f, result, color):
-        raise InternalInvariant("randomized stem failed homogeneity re-verification")
-    return RandomizedOutcome(True, result, color, None, transcript)
+    def arities(d):
+        return [cfg.block_size(s, k, d) for s in range(cfg.steps)]
+
+    stem, color, transcript = _grow_stem(f, k, n, cfg.horizon, arities, descend)
+    if stem is None:
+        transcript[-1]["verdict"] = "bad"
+        return RandomizedOutcome(False, None, color, len(transcript) - 1, transcript)
+    return RandomizedOutcome(True, stem, color, None, transcript)
 
 
 # ---------------------------------------------------------------------------
@@ -446,73 +457,39 @@ def _bad_witness(f: StableColoring, vertices, k: int, dim: int, color: int):
     return find_realization(f, pool, fractal_pattern(k, dim), budget=None)
 
 
-def oracle_extract(
-    f: StableColoring,
-    k: int,
-    n: int,
-    oracle,
-    horizon: int,
-    steps: int = 32,
-) -> OracleOutcome:
+def oracle_extract(f: StableColoring, k: int, n: int, oracle, horizon: int,
+                   steps: int = 32) -> OracleOutcome:
     """Stem-growing extraction where block choices along each descent are
     answered by an escaping oracle.
 
     Step s searches blocks of arity k + 1 + s.  At every level the indices
     of bad blocks (at most k-1 of them under a good parent) are enumerated
     and handed to the oracle, which is asked for an index below the arity
-    outside them.  A dead stem, reachable only when the
-    oracle breaks its contract, is reported as a failure carrying the
-    offending query transcript.
+    outside them.  An answer out of range, or a dead stem, both reachable
+    only when the oracle breaks its contract, is reported as a failure
+    carrying the offending query transcript.
     """
-    if n < 2:
-        raise ContractViolation("avoided fractal dimension must be >= 2")
-    if k < 1:
-        raise ContractViolation("fractal arity k must be >= 1")
-    if steps < 1:
-        raise ContractViolation(f"steps={steps} must be >= 1")
-    d = n - 1
-    color = level_color(d)
-    horizon = min(horizon, f.horizon)
-    stem: list = []
-    reservoir = range(horizon)
-    transcript: list[dict] = []
+    def arities(d):  # checked after n and k
+        if steps < 1:
+            raise ContractViolation(f"steps={steps} must be >= 1")
+        return range(k + 1, k + 1 + steps)
 
-    for step in range(steps):
-        arity = k + 1 + step
-        occ = _extractor_block(f, reservoir, arity, d, step)
-        node = occ
+    def descend(step, arity, node, d, color):
         queries = []
         for level in range(d):
             blocks = occurrence_blocks(node, arity, d - level)
-            bad = [
-                i
-                for i, blk in enumerate(blocks)
-                if _bad_witness(f, blk, k, d - level - 1, color) is not None
-            ]
+            bad = [i for i, blk in enumerate(blocks)
+                   if _bad_witness(f, blk, k, d - level - 1, color) is not None]
             answer = oracle.pick(set(bad), arity)
-            queries.append(
-                {"level": level, "arity": arity, "bad": bad, "answer": answer}
-            )
+            queries.append({"level": level, "arity": arity, "bad": bad, "answer": answer})
             if not 0 <= answer < arity:
-                failure = {"step": step, "queries": queries, "reason": "range"}
-                transcript.append({"step": step, "queries": queries})
-                return OracleOutcome(False, None, color, transcript, failure)
+                return None, {"step": step, "queries": queries}
             node = blocks[answer]
-        x = node[0]
-        entry = {"step": step, "queries": queries, "chosen": x}
-        transcript.append(entry)
-        if f.limit(x) == 1 - color:
-            failure = {
-                "step": step,
-                "queries": queries,
-                "chosen": x,
-                "reason": "dead stem: chosen element settles to the wrong color",
-            }
-            return OracleOutcome(False, None, color, transcript, failure)
-        stem.append(x)
-        reservoir = thin_reservoir(f, reservoir, x, color)
+        return node[0], {"step": step, "queries": queries, "chosen": node[0]}
 
-    result = VertexSet(stem)
-    if not verify_homogeneous(f, result, color):
-        raise InternalInvariant("oracle stem failed homogeneity re-verification")
-    return OracleOutcome(True, result, color, transcript, None)
+    stem, color, transcript = _grow_stem(f, k, n, horizon, arities, descend)
+    if stem is not None:
+        return OracleOutcome(True, stem, color, transcript, None)
+    last = transcript[-1]
+    reason = "dead stem: chosen element settles to the wrong color" if "chosen" in last else "range"
+    return OracleOutcome(False, None, color, transcript, {**last, "reason": reason})

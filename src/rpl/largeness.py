@@ -359,7 +359,8 @@ def _homog_large_block(f, reservoir, color: int, n: int) -> VertexSet | None:
     moves on.  A chain rooted at m needs minimal_large_size(m, n)
     elements, which bounds the room every branch asks for: an element is
     visited only while the chain's need fits in what is left, and a root
-    without room ends the search, since every later root needs more.
+    without room ends the search, since every later root needs more.  A
+    shorter chain cannot be large, so only a chain of that size is carved.
     Each visit is a node; the node past LARGE_BLOCK_SEARCH_BUDGET raises
     DegenerateInstance.
     """
@@ -381,8 +382,9 @@ def _homog_large_block(f, reservoir, color: int, n: int) -> VertexSet | None:
             if all(f.color(x, y) == color for x in chosen):
                 chosen.append(y)
                 trail.append((i, need))
-                need = 0 if _carve_prefix(chosen, n) is not None else max(
-                    1, minimal_large_size(chosen[0], n, room) - len(chosen))
+                need = minimal_large_size(chosen[0], n, room) - len(chosen)
+                if need <= 0:  # only a chain this long can be large
+                    need = 0 if _carve_prefix(chosen, n) is not None else 1
             i += 1
             continue
         if not chosen:

@@ -177,8 +177,8 @@ class SeparatingTree:
 
     op is "+" for the direct sum, "-" for the skew sum.  Evaluating the
     tree reproduces the permutation it was built from; the leaf count is
-    the permutation size.  leaf_count, evaluate and to_term keep an
-    explicit stack, so they take a tree as deep as its permutation is long.
+    the permutation size.  evaluate and to_term keep an explicit stack,
+    so they take a tree as deep as its permutation is long.
     """
 
     op: str | None  # None for leaves, "+" or "-" otherwise
@@ -187,16 +187,6 @@ class SeparatingTree:
     @property
     def is_leaf(self) -> bool:
         return self.op is None
-
-    def leaf_count(self) -> int:
-        count, todo = 0, [self]
-        while todo:
-            node = todo.pop()
-            if node.is_leaf:
-                count += 1
-            else:
-                todo.extend(node.children)
-        return count
 
     def evaluate(self) -> Permutation:
         """The permutation, from the sizes of the inner nodes, taken in

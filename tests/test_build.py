@@ -539,7 +539,8 @@ def test_gamma_empty_scripts_shape():
     rest = [x for x in b.members if x not in (0, 1)]
     assert all(b.less(1, x) for x in rest)
     # first heads appear in increasing order at every populated node
-    for x, y in zip(root.heads, root.heads[1:]):
+    heads = root.ground[:root.width]
+    for x, y in zip(heads, heads[1:]):
         assert b.less(x, y)
 
 
@@ -697,8 +698,8 @@ def node_states(root):
     stack = [root]
     while stack:
         node = stack.pop()
-        out.append((node.path, list(node.ground), node.heads, node.transitions,
-                    node.cut_from, node.disabled))
+        out.append((node.path, list(node.ground), list(node.ground[:2 << node.e]),
+                    node.transitions, node.cut_from, node.disabled))
         stack.extend(reversed(node.children))
     return out
 
@@ -861,7 +862,7 @@ def test_gamma_dense_scripts_build_in_linear_time():
 
 def test_gamma_wide_node_and_level_contract():
     b = gamma_build("inc", 40, 10)
-    assert b.root.heads == list(range(10)) and b.root.children == []
+    assert b.root.ground[:b.root.width] == range(10) and b.root.children == []
     assert b.members == list(range(10))
     assert all(b.less(x, x + 1) for x in range(9))
     with pytest.raises(ContractViolation):

@@ -220,6 +220,16 @@ def test_extract_unbalanced_names_an_empty_horizon(capsys, tmp_path):
     assert err == "error: horizon 0 must be >= 1\n"
 
 
+@pytest.mark.parametrize("mode", ["random", "oracle"])
+def test_extractors_refuse_an_empty_horizon_as_unbalanced_does(capsys, tmp_path, mode):
+    # no block search runs, and no advice points at the unbalanced route
+    inst = tmp_path / "empty.json"
+    assert run_command(["--out", str(inst), "gen", "stable", "--n", "0"]) == 0
+    code, out, err = run(capsys, ["extract", mode, str(inst)])
+    assert (code, out) == (1, "")
+    assert err == "error: horizon 0 must be >= 1\n"
+
+
 def test_extract_precondition_exit_code(capsys, tmp_path):
     inst = tmp_path / "zero.txt"
     run_command(["--out", str(inst), "gen", "constant", "--color", "0", "--n", "10"])

@@ -18,6 +18,7 @@ from rpl.errors import (
     BudgetExhausted,
     ContractViolation,
     DegenerateInstance,
+    InternalInvariant,
     PreconditionWitness,
     RangeError,
     ResourceLimit,
@@ -26,6 +27,8 @@ from rpl.extract import (
     FAILURE_EXPONENT,
     AdversarialEscapingOracle,
     ExtractionConfig,
+    OracleOutcome,
+    RandomizedOutcome,
     ReferenceEscapingOracle,
     _extractor_block,
     _rank,
@@ -40,6 +43,7 @@ from rpl.extract import (
 from rpl.fractals import fractal_pattern, level_color, navigate, occurrence_blocks
 from rpl.instances import (
     alternating_stable,
+    avoiding_family,
     blocked_split_order,
     constant_coloring,
     dipped_split_order,
@@ -742,6 +746,167 @@ def test_oracle_adversarial_failure_transcript():
     q = out.failure["queries"][-1]
     assert q["answer"] in q["bad"]  # the query genuinely named a bad block
     assert FIXTURE.limit(out.failure["chosen"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# The shared stem loop, against a loop of each extractor's own
+
+
+def reference_randomized_extract(f, k, n, cfg):
+    """randomized_extract as a loop of its own: validation, block, random
+    descent, wrong-limit test, thinning and stem re-verification."""
+    if n < 2:
+        raise ContractViolation("avoided fractal dimension must be >= 2")
+    if k < 1:
+        raise ContractViolation("fractal arity k must be >= 1")
+    d = n - 1
+    color = level_color(d)
+    rng = random.Random(cfg.seed)
+    reservoir = range(min(cfg.horizon, f.horizon))
+    stem, transcript = [], []
+    for step in range(cfg.steps):
+        arity = cfg.block_size(step, k, d)
+        block = _extractor_block(f, reservoir, arity, d, step)
+        path = tuple(rng.randrange(arity) for _ in range(d))
+        x = block[navigate(arity, d, path)[0]]
+        entry = {"step": step, "arity": arity, "block_min": block[0],
+                 "block_max": block[-1], "path": list(path), "chosen": x}
+        if f.limit(x) == 1 - color:
+            transcript.append({**entry, "verdict": "bad"})
+            return RandomizedOutcome(False, None, color, step, transcript)
+        transcript.append({**entry, "verdict": "good"})
+        stem.append(x)
+        reservoir = thin_reservoir(f, reservoir, x, color)
+    if not extract.verify_homogeneous(f, VertexSet(stem), color):
+        raise InternalInvariant("randomized stem failed homogeneity re-verification")
+    return RandomizedOutcome(True, VertexSet(stem), color, None, transcript)
+
+
+def reference_oracle_extract(f, k, n, oracle, horizon, steps=32):
+    """oracle_extract as a loop of its own, with the queries of each
+    descent and the range and dead-stem failures built in place."""
+    if n < 2:
+        raise ContractViolation("avoided fractal dimension must be >= 2")
+    if k < 1:
+        raise ContractViolation("fractal arity k must be >= 1")
+    if steps < 1:
+        raise ContractViolation(f"steps={steps} must be >= 1")
+    d = n - 1
+    color = level_color(d)
+    reservoir = range(min(horizon, f.horizon))
+    stem, transcript = [], []
+    for step in range(steps):
+        arity = k + 1 + step
+        node = _extractor_block(f, reservoir, arity, d, step)
+        queries = []
+        for level in range(d):
+            blocks = occurrence_blocks(node, arity, d - level)
+            bad = [i for i, blk in enumerate(blocks)
+                   if extract._bad_witness(f, blk, k, d - level - 1, color) is not None]
+            answer = oracle.pick(set(bad), arity)
+            queries.append({"level": level, "arity": arity, "bad": bad, "answer": answer})
+            if not 0 <= answer < arity:
+                transcript.append({"step": step, "queries": queries})
+                failure = {"step": step, "queries": queries, "reason": "range"}
+                return OracleOutcome(False, None, color, transcript, failure)
+            node = blocks[answer]
+        x = node[0]
+        transcript.append({"step": step, "queries": queries, "chosen": x})
+        if f.limit(x) == 1 - color:
+            failure = {"step": step, "queries": queries, "chosen": x,
+                       "reason": "dead stem: chosen element settles to the wrong color"}
+            return OracleOutcome(False, None, color, transcript, failure)
+        stem.append(x)
+        reservoir = thin_reservoir(f, reservoir, x, color)
+    if not extract.verify_homogeneous(f, VertexSet(stem), color):
+        raise InternalInvariant("oracle stem failed homogeneity re-verification")
+    return OracleOutcome(True, VertexSet(stem), color, transcript, None)
+
+
+class OutOfRangeOracle(ReferenceEscapingOracle):
+    """Answers the arity itself, one past the last block."""
+
+    def pick(self, enumerated, hi: int) -> int:
+        return hi
+
+
+DRIED = split_order_coloring(300, top=set(range(50, 300)))  # the 0-part dries up
+# the 20-ary dimension-2 fractal as a coloring: at n = 3 a descent runs two levels
+FRACTAL_20 = StableColoring.from_rows(400, fractal_pattern(20, 2).rows)
+
+
+def outcome_or_degenerate(extractor, *args, **kwargs):
+    try:
+        return extractor(*args, **kwargs)
+    except DegenerateInstance as exc:
+        return ("degenerate", str(exc), exc.step)
+
+
+def test_randomized_outcomes_match_the_reference_loop():
+    family = avoiding_family(6, 10_000, 3)
+    runs = [(family[seed % 6], 2, 2, default_config(seed)) for seed in range(300)]
+    runs += [(DRIED, 2, 2, default_config(seed, horizon=300, steps=10)) for seed in range(4)]
+    runs += [(FRACTAL_20, 2, 3, default_config(seed, horizon=400, steps=1)) for seed in range(4)]
+    kinds = set()
+    for args in runs:
+        got = outcome_or_degenerate(randomized_extract, *args)
+        assert got == outcome_or_degenerate(reference_randomized_extract, *args)
+        kinds.add(got[0] if isinstance(got, tuple) else got.success)
+    assert kinds == {True, False, "degenerate"}
+
+
+def test_oracle_outcomes_match_the_reference_loop():
+    family = avoiding_family(3, 10_000, 3)
+    runs = [(f, 2, 2, ReferenceEscapingOracle(), 10_000) for f in family]
+    runs += [(FIXTURE, 2, 2, oracle(), 10_000)
+             for oracle in (ReferenceEscapingOracle, AdversarialEscapingOracle, OutOfRangeOracle)]
+    runs += [(DRIED, 2, 2, ReferenceEscapingOracle(), 300),
+             (FRACTAL_20, 2, 3, ReferenceEscapingOracle(), 400, 1),
+             (FRACTAL_20, 2, 3, AdversarialEscapingOracle(), 400, 1)]
+    reasons = set()
+    for args in runs:
+        got = outcome_or_degenerate(oracle_extract, *args)
+        assert got == outcome_or_degenerate(reference_oracle_extract, *args)
+        reasons.add(got[0] if isinstance(got, tuple) else (got.failure or {}).get("reason"))
+    assert reasons == {None, "range", "dead stem: chosen element settles to the wrong color",
+                       "degenerate"}
+
+
+@pytest.mark.parametrize("k, n, steps", [(2, 1, 0), (0, 2, 0), (0, 1, 1), (2, 2, 0), (2, 2, -3)])
+def test_contract_checks_keep_the_reference_order(k, n, steps):
+    # n before k, and the oracle's step count after both
+    def message(extractor, *args):
+        with pytest.raises(ContractViolation) as exc:
+            extractor(FIXTURE, k, n, *args)
+        return str(exc.value)
+
+    cfg = default_config(seed=1)
+    if n < 2 or k < 1:
+        assert message(randomized_extract, cfg) == message(reference_randomized_extract, cfg)
+    oracle = ReferenceEscapingOracle()
+    assert (message(oracle_extract, oracle, 10_000, steps)
+            == message(reference_oracle_extract, oracle, 10_000, steps))
+
+
+def test_a_failed_stem_check_is_an_internal_invariant(monkeypatch):
+    monkeypatch.setattr(extract, "verify_homogeneous", lambda f, vertices, color: False)
+    for extractor in (randomized_extract, reference_randomized_extract):
+        with pytest.raises(InternalInvariant):
+            extractor(FIXTURE, 2, 2, default_config(seed=42))
+    for extractor in (oracle_extract, reference_oracle_extract):
+        with pytest.raises(InternalInvariant):
+            extractor(FIXTURE, 2, 2, ReferenceEscapingOracle(), 10_000)
+
+
+def test_an_empty_horizon_is_refused_before_any_block_search(monkeypatch):
+    monkeypatch.setattr(extract, "_extractor_block", mock.Mock(side_effect=AssertionError))
+    empty = StableColoring(0, [], [])
+    for run in (lambda f, h: randomized_extract(f, 2, 2, default_config(1, horizon=h)),
+                lambda f, h: oracle_extract(f, 2, 2, ReferenceEscapingOracle(), h)):
+        with pytest.raises(ContractViolation, match=r"^horizon 0 must be >= 1$"):
+            run(empty, 100)
+        with pytest.raises(ContractViolation, match=r"^horizon 0 must be >= 1$"):
+            run(FIXTURE, 0)
 
 
 @settings(max_examples=400, deadline=None)

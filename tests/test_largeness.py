@@ -262,6 +262,45 @@ def test_large_block_search_node_count_pinned(monkeypatch, name, make, nodes, hi
     assert (None if got is None else (len(got), got[0], got[-1], sum(got))) == hit
 
 
+def count_carves(monkeypatch) -> list:
+    """Count the carves that start at a chain's root, in a one-item list."""
+    carves, carve = [0], largeness._carve_prefix
+
+    def counted(xs, level, start=0):
+        carves[0] += start == 0
+        return carve(xs, level, start)
+
+    monkeypatch.setattr(largeness, "_carve_prefix", counted)
+    return carves
+
+
+# carves of each pinned search: a chain shorter than its root's minimal
+# large size is never carved, and only the hits reach that size
+LARGE_BLOCK_CARVES = {"dipped-60-level-2": 1, "interleaved-300-level-2": 11,
+                      "alternating-200-level-2": 0}
+
+
+@pytest.mark.parametrize("name, make, nodes, hit", LARGE_BLOCK_PINS,
+                         ids=[p[0] for p in LARGE_BLOCK_PINS])
+def test_large_block_search_carves_only_chains_that_can_be_large(monkeypatch, name, make, nodes, hit):
+    carves = count_carves(monkeypatch)
+    _homog_large_block(*make())
+    assert carves == [LARGE_BLOCK_CARVES[name]]
+
+
+def test_large_block_search_carves_no_chain_too_short_to_be_large(monkeypatch):
+    # no block exists: a color-0 set holds one top element at most, and
+    # the pool's 78 other elements are fewer than the 91 that a chain
+    # from its least non-top root needs; the budget ends the search
+    carves = count_carves(monkeypatch)
+    monkeypatch.setattr(largeness, "LARGE_BLOCK_SEARCH_BUDGET", 20_000)
+    with pytest.raises(DegenerateInstance, match="color 0, level 2;"):
+        _homog_large_block(interleaved_split_order(300, 2), range(2, 120), 0, 2)
+    assert carves == [0]
+    em = em_grouping_extract(dipped_split_order(500), 1, 500, count=6)
+    assert em.kind == "grouping" and carves == [4]
+
+
 # ---------------------------------------------------------------------------
 # Groupings
 

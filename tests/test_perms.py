@@ -276,7 +276,7 @@ def test_separation_of_a_large_fractal_is_fast():
         start = time.perf_counter()
         tree, witness = separation(pm)
         best = min(best, time.perf_counter() - start)
-    assert witness is None and tree.leaf_count() == 1024
+    assert witness is None and tree.evaluate().size == 1024
     assert best < 0.1
 
 
@@ -306,7 +306,7 @@ def test_separability_routes_match_oracle(pm):
 def test_separating_tree_example_and_evaluation():
     tree = separating_tree(perm("2301"))
     assert tree.to_term() == "-(+(0,0),+(0,0))"
-    assert tree.leaf_count() == 4
+    assert tree.evaluate().size == 4
     assert tree.evaluate() == perm("2301")
     assert separating_tree(perm("2031")) is None
     for size in range(1, 7):
@@ -314,7 +314,7 @@ def test_separating_tree_example_and_evaluation():
             tree = separating_tree(pm)
             if tree is not None:
                 assert tree.evaluate() == pm
-                assert tree.leaf_count() == size
+                assert tree.evaluate().size == size
 
 
 def test_dual_route_agreement_and_counts_up_to_6():

@@ -1,11 +1,14 @@
-"""Every public top-level function and class of `rpl` has a user.
+"""Every public top-level function and class of `rpl` has a user, and so
+does every public method and property of its classes.
 
 A definition is used when another top-level statement in `src/rpl` names
 it, when the package exports it in `__init__.__all__`, when the benchmark
 harness under `perfbench/` names it (traced layers are dotted strings
 there), or when an acceptance criterion names it.  An import alone does
 not count, and neither does a definition naming itself.  The allowlist
-holds the few names kept without such a user, each with its reason.
+holds the few names kept without such a user, each with its reason.  A
+method or property is used when `src/rpl` names it outside its own body,
+or the harness or an acceptance criterion names it.
 
 Every name a `src/rpl` module or a test file imports is read somewhere
 in that file: in code, in a string annotation, or in its `__all__`.
@@ -13,6 +16,7 @@ in that file: in code, in a string annotation, or in its `__all__`.
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -23,19 +27,24 @@ ALLOWED: dict = {}
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
-def names_in(node, strings: bool = False) -> set:
-    """Identifiers the tree reads: names and attributes, and with strings
-    set, the parts of string constants that are dotted identifiers."""
-    out = set()
+def name_counts(node, strings: bool = False) -> Counter:
+    """How often the tree reads each identifier: names and attributes,
+    and with strings set, the parts of string constants that are dotted
+    identifiers."""
+    out = Counter()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            out.add(n.id)
+            out[n.id] += 1
         elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
+            out[n.attr] += 1
         elif strings and isinstance(n, ast.Constant) and isinstance(n.value, str) \
                 and DOTTED.fullmatch(n.value):
             out.update(n.value.split("."))
     return out
+
+
+def names_in(node, strings: bool = False) -> set:
+    return set(name_counts(node, strings))
 
 
 def public_definitions():
@@ -45,15 +54,20 @@ def public_definitions():
                 yield path.stem, stmt.name
 
 
-def used_names() -> set:
+def names_outside_src() -> set:
+    """Names the benchmark harness and the acceptance tests read."""
     used = set()
+    for path in (ROOT / "perfbench").rglob("*.py"):
+        used |= names_in(ast.parse(path.read_text()), strings=True)
+    return used | names_in(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+
+
+def used_names() -> set:
+    used = names_outside_src()
     for path in SRC.glob("*.py"):
         for stmt in ast.parse(path.read_text()).body:
             own = {stmt.name} if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else set()
             used |= names_in(stmt, strings=path.name == "__init__.py") - own
-    for path in (ROOT / "perfbench").rglob("*.py"):
-        used |= names_in(ast.parse(path.read_text()), strings=True)
-    used |= names_in(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
     return used
 
 
@@ -61,6 +75,21 @@ def test_every_public_definition_has_a_user():
     used = used_names()
     orphans = [f"{mod}.{name}" for mod, name in public_definitions()
                if name not in used and name not in ALLOWED]
+    assert orphans == [], f"reached only by their own unit tests: {orphans}"
+
+
+def test_every_public_method_has_a_user():
+    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    in_src = Counter()
+    for path, tree in trees.items():
+        in_src.update(name_counts(tree, strings=path.name == "__init__.py"))
+    outside = names_outside_src()
+    orphans = [f"{path.stem}.{cls.name}.{fn.name}"
+               for path, tree in trees.items()
+               for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for fn in cls.body
+               if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+               and fn.name not in outside and in_src[fn.name] <= name_counts(fn)[fn.name]]
     assert orphans == [], f"reached only by their own unit tests: {orphans}"
 
 
