@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from operator import lt
 import random
 
@@ -40,7 +40,6 @@ from .patterns import (
     Pattern,
     StableColoring,
     VertexSet,
-    _mask,
     _realization_search,
     find_realization,
 )
@@ -58,15 +57,17 @@ def verify_homogeneous(f, vertices, color: int) -> bool:
     vs = sorted(vertices)
     rows = f.rows if isinstance(f, Pattern) else f
     end = bisect_left(vs, f.horizon)  # vs[end:] lie past the horizon
-    later = _mask(vs[1:end]) if vs and vs[0] >= 0 else 0  # vs[i + 1:end] at step i
+    later = 0  # the mask of vs[1:end]; at step i its bits above x are vs[i + 1:end]
+    if vs and vs[0] >= 0:
+        for v in vs[1:end]:
+            later |= 1 << v
     for i, x in enumerate(vs[:-1]):
         if x < 0 or vs[i + 1] == x or i + 1 >= end:  # its first pair is invalid
             f.color(x, vs[i + 1])  # raises
-        if rows[x] & later != (later if color else 0):
+        if (rows[x] & later) >> x + 1 != (later >> x + 1 if color else 0):
             return False
         if end < len(vs):
             f.color(x, vs[end])  # raises
-        later ^= 1 << vs[i + 1]
     return True
 
 
@@ -74,7 +75,8 @@ def _rank(pool, x: int) -> int:
     """bisect_left(pool, x) on an ascending pool: by arithmetic on a
     step-1 range, which allocates no int per probe."""
     if pool.__class__ is range and pool.step == 1:
-        return min(max(x - pool.start, 0), len(pool))
+        x -= pool.start
+        return 0 if x < 0 else x if x < len(pool) else len(pool)
     return bisect_left(pool, x)
 
 
@@ -95,7 +97,8 @@ def thin_reservoir(f, reservoir, x: int, color: int):
         keep = f.limit(x) == color
         if reservoir and reservoir[-1] >= f.horizon:
             raise RangeError(f"vertex {reservoir[-1]} beyond horizon {f.horizon}")
-        j = _rank(reservoir, f.settle[x])  # settle(x) > x, so j >= idx
+        s = f.settle[x]  # s > x, so j >= idx; an empty window leaves j = idx
+        j = idx if s == x + 1 else _rank(reservoir, s)
         if keep and j == idx:
             return reservoir[j:]
         out = [y for y in reservoir[idx:j] if f.color(x, y) == color]
@@ -214,15 +217,16 @@ def _block_search(f, pool, size: int, color: int, budget):
     if pool.__class__ is not range and not all(map(lt, pool, pool[1:])):
         raise ContractViolation("block search pool does not ascend strictly; "
                                 "a repeated vertex is a pair on the diagonal")
-    if isinstance(f, StableColoring) and f.limit_index()[2]:
-        return _window_one_block(f, pool, size, color)
+    if isinstance(f, StableColoring) and (index := f.limit_index())[2]:
+        return _window_one_block(f, index[color], pool, size, color)
     if size > len(pool):  # no block fits, answered before the pattern is built
         return None
     return _realization_search(f, pool, Pattern.constant(size, color), budget) if size else ()
 
 
-def _window_one_block(f: StableColoring, pool, size: int, color: int):
-    """_block_search in closed form when every settle(x) is x + 1.
+def _window_one_block(f: StableColoring, pos, pool, size: int, color: int):
+    """_block_search in closed form when every settle(x) is x + 1; pos
+    lists the vertices of limit `color` in ascending order.
     Then color(x, y) = limit(x) for x < y, so a block is size - 1
     vertices of limit `color` and any vertex above them, and the least
     one is the first size - 1 of those in the pool plus the pool vertex
@@ -235,15 +239,17 @@ def _window_one_block(f: StableColoring, pool, size: int, color: int):
     if size < 2:
         return pool[:size] if len(pool) >= size else None
     if pool.__class__ is range and pool.step == 1:
-        pos = f.limit_index()[color]
         lo = bisect_left(pos, pool.start)
         head = pos[lo:lo + size - 1]  # may run past the pool; then nothing follows
-    else:
-        head = [*islice(compress(pool, map(color.__eq__, map(f.limits.__getitem__, pool))),
-                        size - 1)]
+        if len(head) < size - 1 or head[-1] + 1 >= pool.stop:
+            return None
+        head.append(head[-1] + 1)  # the pool vertex right after head[-1]
+        return head
+    head = [*islice(compress(pool, map(color.__eq__, map(f.limits.__getitem__, pool))),
+                    size - 1)]
     if len(head) < size - 1:
         return None
-    j = _rank(pool, head[-1] + 1)
+    j = bisect_left(pool, head[-1] + 1)
     if j == len(pool):
         return None
     head.append(pool[j])
@@ -340,6 +346,8 @@ class ExtractionConfig:
 
     def __post_init__(self):
         _check_thinning(tuple(self.thinning))
+        if self.steps < 1:
+            raise ContractViolation(f"steps={self.steps} must be >= 1")
         if self.steps > len(self.thinning):
             raise ContractViolation("thinning sequence shorter than the step budget")
 
@@ -398,15 +406,15 @@ def randomized_extract(f: StableColoring, k: int, n: int,
     rng = random.Random(cfg.seed)
 
     def descend(step, arity, block, d, color):
-        path = tuple(rng.randrange(arity) for _ in range(d))
+        path = [*map(rng.randrange, repeat(arity, d))]
         offset, length = navigate(arity, d, path)
         assert length == 1
         x = block[offset]
         return x, {"step": step, "arity": arity, "block_min": block[0], "block_max": block[-1],
-                   "path": list(path), "chosen": x, "verdict": "good"}
+                   "path": path, "chosen": x, "verdict": "good"}
 
     def arities(d):
-        return [cfg.block_size(s, k, d) for s in range(cfg.steps)]
+        return map(cfg.block_size, range(cfg.steps), repeat(k), repeat(d))
 
     stem, color, transcript = _grow_stem(f, k, n, cfg.horizon, arities, descend)
     if stem is None:

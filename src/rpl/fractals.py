@@ -58,11 +58,12 @@ def navigate(k: int, n: int, path) -> tuple[int, int]:
     if len(path) > n:
         raise ContractViolation(f"path of length {len(path)} exceeds dimension {n}")
     offset = 0
-    for depth, w in enumerate(path):
+    for w in path:  # Horner's rule on the path's base-k digits
         if not 0 <= w < k:
             raise RangeError(f"path entry {w} out of range for arity {k}")
-        offset += w * k ** (n - depth - 1)
-    return offset, k ** (n - len(path))
+        offset = offset * k + w
+    length = k ** (n - len(path))
+    return offset * length, length
 
 
 def occurrence_blocks(occurrence, k: int, n: int) -> list[VertexSet]:

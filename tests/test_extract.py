@@ -507,22 +507,44 @@ def reference_randomized_transcript(f, cfg):
     return transcript
 
 
+def randomized_transcript(f, cfg):
+    """(transcript, outcome) of randomized_extract(f, 2, 2, cfg): the
+    outcome is its success flag, or "degenerate" for a run that finds no
+    block at some step, whose transcript is then the steps before it and
+    ("degenerate", step), as the reference writes it."""
+    try:
+        out = randomized_extract(f, 2, 2, cfg)
+        return out.transcript, out.success
+    except DegenerateInstance as exc:
+        before = randomized_extract(f, 2, 2, replace(cfg, steps=exc.step)).transcript \
+            if exc.step else []
+        return before + [("degenerate", exc.step)], "degenerate"
+
+
 def test_randomized_transcripts_match_the_boxed_reference():
     outcomes = set()
     for seed in range(200):
         f = WINDOW_ONE[seed % len(WINDOW_ONE)]
         # horizons up to 3000; the short ones run out of blocks
         cfg = default_config(seed, horizon=1000 + 500 * (seed % 5), steps=10)
-        try:
-            out = randomized_extract(f, 2, 2, cfg)
-            got = out.transcript
-            outcomes.add(out.success)
-        except DegenerateInstance as exc:
-            got = randomized_extract(f, 2, 2, replace(cfg, steps=exc.step)).transcript \
-                + [("degenerate", exc.step)]
-            outcomes.add("degenerate")
+        got, outcome = randomized_transcript(f, cfg)
+        outcomes.add(outcome)
         assert got == reference_randomized_transcript(f, cfg), seed
     assert outcomes == {True, False, "degenerate"}
+
+
+def test_benchmark_shaped_trials_match_the_boxed_reference():
+    # extract-mc's trials as its round 0 shapes them: 30 steps over a
+    # 10,000-vertex reservoir of the avoiding family, every block read off
+    # a range slice in closed form; the reference reads list reservoirs
+    family = avoiding_family(50, 10_000, 901)
+    outcomes = set()
+    for t in range(50):
+        cfg = default_config(901 * 1_000_003 + t, horizon=10_000, steps=30)
+        got, outcome = randomized_transcript(family[t], cfg)
+        outcomes.add(outcome)
+        assert got == reference_randomized_transcript(family[t], cfg), t
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("pool, size", [
@@ -596,6 +618,8 @@ def test_config_validation():
 def test_step_count_must_be_positive(steps):
     with pytest.raises(ContractViolation, match="steps"):
         default_config(7, steps=steps)
+    with pytest.raises(ContractViolation, match=rf"^steps={steps} must be >= 1$"):
+        ExtractionConfig(default_config(7).thinning, 7, steps, 10_000)
     f = StableColoring(4, [0] * 4, range(1, 5))
     with pytest.raises(ContractViolation, match="steps"):
         oracle_extract(f, 2, 2, ReferenceEscapingOracle(), 4, steps=steps)
@@ -909,6 +933,14 @@ def test_an_empty_horizon_is_refused_before_any_block_search(monkeypatch):
             run(FIXTURE, 0)
 
 
+def verdict(check, f, vertices, color):
+    """check(f, vertices, color), or the type and message of what it raised."""
+    try:
+        return check(f, vertices, color)
+    except (ContractViolation, RangeError) as exc:
+        return type(exc), str(exc)
+
+
 @settings(max_examples=400, deadline=None)
 @given(f=st.one_of(small_stable(), window_one_stable(), st.builds(
            lambda n, bits: FiniteColoring(n, bits[:n * (n - 1) // 2]),
@@ -923,12 +955,29 @@ def test_verify_homogeneous_matches_the_pairwise_scan(f, data):
     block = find_homogeneous_block(f, range(h), data.draw(st.integers(0, h), label="size"), color)
     drawn = data.draw(st.lists(st.integers(-2, h + 2), max_size=8), label="vertices")
     for vertices in ([] if block is None else [block, list(block) + drawn]) + [drawn]:
-        try:
-            want = pairwise_homogeneous(f, vertices, color)
-        except (ContractViolation, RangeError) as exc:
-            want = (type(exc), str(exc))
-        try:
-            got = verify_homogeneous(f, vertices, color)
-        except (ContractViolation, RangeError) as exc:
-            got = (type(exc), str(exc))
-        assert got == want
+        assert verdict(verify_homogeneous, f, vertices, color) == \
+            verdict(pairwise_homogeneous, f, vertices, color)
+
+
+def test_verify_homogeneous_matches_the_pairwise_scan_at_large_horizons():
+    # a 30-vertex stem spread over FIXTURE's 10,000 vertices, and a dense
+    # block of 1,000 vertices read through upper rows (FIXTURE) and
+    # symmetric ones (a finite restriction); each also with a repeated
+    # vertex and an out-of-horizon one, so that which comes first, the
+    # raise or the False, is pinned
+    stem = randomized_extract(FIXTURE, 2, 2, default_config(seed=42)).vertices
+    dense = find_homogeneous_block(FIXTURE, range(10_000), 1_000, 0)
+    finite = FIXTURE.restrict(dense[-1] + 1)
+    assert len(stem) == 30 and stem[-1] > 2_000 and dense[-1] < 2_000
+    for f, vertices in ((FIXTURE, stem), (FIXTURE, dense), (finite, dense)):
+        twice = vertices[len(vertices) // 2]
+        for extra in ([], [twice], [f.horizon + 3], [twice, f.horizon + 3]):
+            for color in (0, 1):
+                want = verdict(pairwise_homogeneous, f, list(vertices) + extra, color)
+                assert verdict(verify_homogeneous, f, list(vertices) + extra, color) == want
+                if color == 1:
+                    assert want is False  # the first pair differs, before any raise
+                elif extra:  # the first invalid pair: the repeat, or row 0's last pair
+                    assert want[0] is (ContractViolation if extra == [twice] else RangeError)
+                else:
+                    assert want is True
