@@ -26,7 +26,12 @@ def split_order_coloring(n: int, top: set) -> StableColoring:
     Rows are constant, so any pattern with a non-constant row (2301 and
     1302 among them) is avoided outright.
     """
-    limits = [1 if x in top else 0 for x in range(n)]
+    if n < 0:
+        raise ContractViolation(f"size {n} must be >= 0")
+    limits = bytearray(n)
+    for x in top:
+        if 0 <= x < n:  # elements outside the order are ignored
+            limits[x] = 1
     return StableColoring(n, limits, range(1, n + 1))
 
 

@@ -230,34 +230,47 @@ class StableColoring:
     __slots__ = ("horizon", "limits", "settle", "flips", "_index")
 
     def __init__(self, horizon: int, limits, settle, overrides=()):
-        """Overrides are (x, y, color) triples with x < y < settle(x); one
-        equal to its limit, or past the horizon, is checked but not kept."""
-        if isinstance(limits, (str, bytes)) or isinstance(settle, (str, bytes)):
-            raise ContractViolation("limits and settle must be integer sequences, not text")
-        self.horizon = horizon
-        self.limits = tuple(map(int, limits))
-        self.settle = tuple(map(int, settle))
-        if len(self.limits) != horizon or len(self.settle) != horizon:
+        """Limits, settling times and override entries are ints, a bool
+        read as 0 or 1; a float, string or None is refused, not converted.
+        Overrides are (x, y, color) triples with x < y < settle(x); one equal
+        to its limit, or past the horizon, is checked but not kept."""
+        if isinstance(limits, (str, bytes, int)) or isinstance(settle, (str, bytes, int)):
+            raise ContractViolation("limits and settle must be integer sequences")
+        try:
+            marks = bytes(limits)  # refuses what is not an int in 0..255
+        except (TypeError, ValueError):
+            raise ContractViolation("limits must be 0 or 1") from None
+        # a step-1 range from 1 up has settle(x) = start + x > x throughout
+        unit = settle.__class__ is range and settle.step == 1 and settle.start > 0
+        settle = tuple(settle) if unit else _integers(settle, "settle time")
+        if len(marks) != horizon or len(settle) != horizon:
             raise ContractViolation("limits and settle must cover the horizon")
-        if not set(self.limits) <= {0, 1}:
+        if marks.translate(None, b"\0\1"):
             raise ContractViolation("limits must be 0 or 1")
-        if not all(map(gt, self.settle, range(horizon))):
-            x = next(x for x, s in enumerate(self.settle) if s <= x)
-            raise ContractViolation(f"settle({x})={self.settle[x]} must exceed {x}")
+        if not (unit or all(map(gt, settle, range(horizon)))):
+            x = next(x for x, s in enumerate(settle) if s <= x)
+            raise ContractViolation(f"settle({x})={settle[x]} must exceed {x}")
+        self.horizon = horizon
+        self.limits = limits = tuple(marks)
+        self.settle = settle
         given: dict = {}  # x -> {y: color}
         for x, y, c in overrides:
-            if not (0 <= x < horizon and x < y < self.settle[x]):
+            if x.__class__ is not int or y.__class__ is not int or c.__class__ is not int:
+                x, y, c = _integers((x, y, c), "override entry")
+            if not (0 <= x < horizon and x < y < settle[x]):
                 raise ContractViolation(
                     f"override ({x},{y}) must satisfy 0 <= x < y < settle(x), x below {horizon}"
                 )
-            c = int(c)
             if c not in (0, 1):
                 raise ContractViolation(f"override ({x},{y}) has color {c}, not 0 or 1")
-            if y in given.setdefault(x, {}):
+            row = given.get(x)
+            if row is None:
+                given[x] = row = {}
+            if y in row:
                 raise ContractViolation(f"override ({x},{y}) is listed twice")
-            given[x][y] = c
+            row[y] = c
         self.flips = {x: m for x, row in given.items() if (m := _mask(
-            [y - x - 1 for y, c in row.items() if y < horizon and c != self.limits[x]]))}
+            [y - x - 1 for y, c in row.items() if y < horizon and c != limits[x]]))}
         self._index = None
 
     @classmethod
@@ -339,10 +352,23 @@ class StableColoring:
         if d.get("type") != "stable":
             raise ContractViolation("not a stable-coloring record")
         overrides = d.get("overrides", [])
-        for v in chain([d["horizon"]], d["limits"], d["settle"], chain.from_iterable(overrides)):
-            if type(v) is not int:
-                raise ContractViolation(f"{v!r} is not an integer")
+        fields = [[d["horizon"]], d["limits"], d["settle"]]
+        fields += overrides
+        if set(map(type, chain.from_iterable(fields))) != {int}:
+            v = next(v for v in chain.from_iterable(fields) if type(v) is not int)
+            raise ContractViolation(f"{v!r} is not an integer")
         return cls(d["horizon"], d["limits"], d["settle"], overrides)
+
+
+def _integers(values, what: str) -> tuple:
+    """The values as a tuple of ints, a bool read as 0 or 1; the first
+    value that is not an int raises ContractViolation."""
+    values = tuple(values)
+    if set(map(type, values)) - {int}:
+        if bad := [v for v in values if not isinstance(v, int)]:
+            raise ContractViolation(f"{what} {bad[0]!r} is not an integer")
+        values = tuple(map(int, values))
+    return values
 
 
 def _mask(positions) -> int:

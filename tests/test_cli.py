@@ -526,6 +526,8 @@ MALFORMED = [
     (["experiment", "random-extract", "--trials", "-1", "--instances", "1"], {}, 1),
     (["large", "group", "{dir}/g.txt", "--count", "-1"], {"g.txt": "2\n0\n"}, 1),
     (["gen", "dipped", "--n", "-4"], {}, 1),
+    (["gen", "stable-avoiding", "--n", "-1"], {}, 1),
+    (["gen", "stable", "--limits", "split", "--n", "-1"], {}, 1),
     # a file that is not UTF-8, for every verb that reads one
     *[(argv, {"ff.txt": b"\xff01\n"}, 1)
       for argv in (["pattern", "avoids", "{dir}/ff.txt", "01"], ["extract", "random", "{dir}/ff.txt"],
@@ -554,6 +556,11 @@ def test_malformed_input_exits_with_one_line(capsys, tmp_path, argv, files, code
     assert out == ""
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+
+
+def test_negative_split_order_size_is_named(capsys):
+    for argv in (["gen", "stable-avoiding", "--n", "-1"], ["gen", "stable", "--limits", "split", "--n", "-1"]):
+        assert run(capsys, argv) == (1, "", "error: size -1 must be >= 0\n")
 
 
 # (coloring file text, the line its error names)

@@ -24,11 +24,13 @@ from rpl import patterns
 from rpl.instances import (
     alternating_stable,
     avoiding_family,
+    blocked_split_order,
     dipped_split_order,
     grouped_unbalanced,
     interleaved_split_order,
     order_from_ranks,
     repaired_random_unbalanced,
+    split_order_coloring,
 )
 
 
@@ -481,6 +483,116 @@ def test_stable_coloring_rejects_non_binary_overrides():
 def test_stable_coloring_accepts_settle_just_past_x():
     st = StableColoring(3, (0, 1, 0), range(1, 4))
     assert st.settle == (1, 2, 3) and st.limits == (0, 1, 0)
+
+
+# (limits, settle, overrides) on horizon 3 with one entry of the wrong type
+UNTYPED_STABLE = [
+    *[([v, 0, 0], [1, 2, 3], []) for v in (1.5, "1", None, 1.0)],
+    *[([0, 0, 0], [v, 2, 3], []) for v in (1.5, "1", None, 1.0)],
+    *[([0, 0, 0], [3, 3, 3], [entry]) for v in (1.5, "1", None, 1.0)
+      for entry in ((v, 1, 1), (0, v, 1), (0, 1, v))],
+    (b"\0\1\0", [1, 2, 3], []),    # bytes and text are not sequences of colors
+    ("010", [1, 2, 3], []),
+    ([0, 1, 0], b"\1\2\3", []),
+    ([0, 1, 0], "123", []),
+    (0, [1, 2, 3], []),             # bytes(0) would read as no limits
+    ([0, 1, 0], 3, []),
+]
+
+
+@pytest.mark.parametrize("limits, settle, overrides", UNTYPED_STABLE, ids=map(repr, UNTYPED_STABLE))
+def test_stable_coloring_refuses_untyped_entries(limits, settle, overrides):
+    """A float, a string or None is refused, never truncated to an int."""
+    with pytest.raises(ContractViolation):
+        StableColoring(3, limits, settle, overrides)
+
+
+def test_stable_coloring_reads_bools_as_ints():
+    f = StableColoring(4, [True, False, True, False], [True, 4, 4, 5], [(True, 2, True), (2, 3, False)])
+    assert f.limits == (1, 0, 1, 0) and f.settle == (1, 4, 4, 5) and f.flips == {1: 1, 2: 1}
+    record = f.to_json_dict()
+    fields = [record["limits"], record["settle"], *record["overrides"]]
+    assert all(type(v) is int for v in itertools.chain.from_iterable(fields))
+    assert record == StableColoring(4, [1, 0, 1, 0], [1, 4, 4, 5], [(1, 2, 1), (2, 3, 0)]).to_json_dict()
+
+
+def test_stable_coloring_checks_settle_ranges(monkeypatch):
+    """A step-1 range from 1 up is accepted without a scan; any other
+    range is checked entry by entry."""
+    scans = []
+    integers = patterns._integers
+    monkeypatch.setattr(patterns, "_integers", lambda *a: scans.append(a[1]) or integers(*a))
+    assert StableColoring(3, [0, 1, 0], range(1, 4)).settle == (1, 2, 3)
+    assert StableColoring(3, [0, 1, 0], range(5, 8)).settle == (5, 6, 7)
+    assert scans == []
+    assert StableColoring(3, [0, 1, 0], range(1, 6, 2)).settle == (1, 3, 5)
+    assert scans == ["settle time"]
+    with pytest.raises(ContractViolation, match=r"^settle\(0\)=0 must exceed 0$"):
+        StableColoring(3, [0, 1, 0], range(0, 3))
+    with pytest.raises(ContractViolation, match=r"^settle\(0\)=0 must exceed 0$"):
+        StableColoring(3, [0, 1, 0], range(0, 6, 2))
+    with pytest.raises(ContractViolation, match=r"^settle\(2\)=1 must exceed 2$"):
+        StableColoring(3, [0, 1, 0], range(3, 0, -1))
+    with pytest.raises(ContractViolation, match="cover the horizon"):
+        StableColoring(3, [0, 1, 0], range(1, 5))
+
+
+def _listed_split_order(n, top):
+    """split_order_coloring as a list comprehension over the order."""
+    return StableColoring(n, [1 if x in top else 0 for x in range(n)], range(1, n + 1))
+
+
+def _listed_interleaved(n, seed, top_fraction=0.34):
+    rng = random.Random(seed)
+    return _listed_split_order(n, {x for x in range(n) if rng.random() < top_fraction})
+
+
+def _listed_blocked(n, seed):
+    rng = random.Random(seed)
+    top, x = set(), 0
+    while x < n:
+        run = rng.randint(1, 25)
+        if rng.random() < 0.35:
+            top.update(range(x, min(n, x + run)))
+        x += run
+    return _listed_split_order(n, top)
+
+
+def _listed_family(count, n, master_seed):
+    return [_listed_blocked(n, master_seed * 1_000 + i) if i % 3 == 2 else
+            _listed_interleaved(n, master_seed * 1_000 + i, 0.25 + 0.2 * ((i * 7) % 5) / 5.0)
+            for i in range(count)]
+
+
+def _build_counted(monkeypatch, build):
+    """build() and the number of StableColoring constructor calls it made."""
+    calls = []
+    init = StableColoring.__init__
+    monkeypatch.setattr(StableColoring, "__init__", lambda self, *a: calls.append(a) or init(self, *a))
+    try:
+        return build(), len(calls)
+    finally:
+        monkeypatch.undo()
+
+
+def test_split_orders_match_the_listed_limits(monkeypatch):
+    """The bytearray split orders equal the list-built ones, record and
+    limit index, and every coloring goes through the constructor."""
+    cases = [(lambda s=s: avoiding_family(50, 10_000, s), lambda s=s: _listed_family(50, 10_000, s))
+             for s in (77, 901, 911)]
+    cases += [(lambda n=n, s=s, f=f: [interleaved_split_order(n, s, f)],
+               lambda n=n, s=s, f=f: [_listed_interleaved(n, s, f)])
+              for n in (0, 1, 2, 50) for s in (0, 7) for f in (0, 1, 0.0, 0.34, 1.0)]
+    cases += [(lambda n=n, s=s: [blocked_split_order(n, s)], lambda n=n, s=s: [_listed_blocked(n, s)])
+              for n in (0, 1, 2, 50) for s in (0, 7)]
+    cases += [(lambda n=n, t=t: [split_order_coloring(n, t)], lambda n=n, t=t: [_listed_split_order(n, t)])
+              for n in (0, 1, 5) for t in (set(), {-1, 0, 4}, {-3, 5, 9}, {2, 3, 4, 7})]
+    for build, listed in cases:
+        got, calls = _build_counted(monkeypatch, build)
+        assert calls == len(got)
+        for f, g in zip(got, listed(), strict=True):
+            assert f.to_json_dict() == g.to_json_dict()
+            assert f.limit_index() == g.limit_index()
 
 
 def test_limit_index_is_lazy_and_matches_limits():
