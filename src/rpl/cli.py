@@ -35,13 +35,7 @@ from .extract import (
     unbalanced_extract,
 )
 from .fractals import embed_separable, fractal_perm, partition_extract
-from .largeness import (
-    check_witness,
-    find_grouping,
-    omega_largeness,
-    omega_n_decompose,
-    pattern_largeness,
-)
+from .largeness import LargenessPredicate, check_witness, find_grouping, omega_n_decompose
 from .patterns import (
     FiniteColoring,
     StableColoring,
@@ -400,10 +394,10 @@ def _cmd_large(args, out: _Out) -> int:
         return 0
     f = load_coloring(args.arg)  # group
     if args.notion.startswith("omega:"):
-        notion = omega_largeness(_int_arg(args.notion[6:], "omega level"))
+        notion = LargenessPredicate(level=_int_arg(args.notion[6:], "omega level"))
     elif args.notion.startswith("pattern:"):
         p = perm_to_pattern(Permutation.from_text(args.notion[8:]))
-        notion = pattern_largeness(p, f, args.budget)
+        notion = LargenessPredicate(pattern=p, coloring=f, budget=args.budget)
     else:
         raise DegenerateInstance(f"unknown notion {args.notion!r}")
     g = find_grouping(f, notion, args.count, min(args.horizon, f.horizon))

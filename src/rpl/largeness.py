@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 from .errors import ContractViolation, DegenerateInstance, InternalInvariant
 from .extract import thin_reservoir, verify_homogeneous
-from .patterns import Pattern, StableColoring, VertexSet, find_realization, realizes
+from .patterns import (Pattern, StableColoring, VertexSet, _colorable, _mask, find_realization,
+                       realizes)
 from .perms import is_convergent
 
 
@@ -136,14 +137,6 @@ class LargenessPredicate:
         if self.pattern is None:
             return is_omega_n_large(xs, self.level)
         return find_realization(self.coloring, xs, self.pattern, self.budget) is not None
-
-
-def omega_largeness(n: int) -> LargenessPredicate:
-    return LargenessPredicate(level=n)
-
-
-def pattern_largeness(p: Pattern, coloring, budget: int | None = None) -> LargenessPredicate:
-    return LargenessPredicate(pattern=p, coloring=coloring, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -351,47 +344,53 @@ LARGE_BLOCK_SEARCH_BUDGET = 200_000
 
 
 def _homog_large_block(f, reservoir, color: int, n: int) -> VertexSet | None:
-    """Least level-n-large homogeneous subset of the ascending reservoir,
-    a list or a range, by ascending depth-first search with backtracking.
-
-    Backtracking matters: a greedy chain can pick up an element that
-    pairs correctly but blocks every continuation; the search pops it and
-    moves on.  A chain rooted at m needs minimal_large_size(m, n)
-    elements, which bounds the room every branch asks for: an element is
-    visited only while the chain's need fits in what is left, and a root
-    without room ends the search, since every later root needs more.  A
-    shorter chain cannot be large, so only a chain of that size is carved.
-    Each visit is a node; the node past LARGE_BLOCK_SEARCH_BUDGET raises
+    """Least level-n-large homogeneous subset of the ascending reservoir
+    by the realization search's walk over candidate masks (patterns module
+    docstring): the candidates at a depth are the reservoir vertices above
+    the last admission that pair in the color with the whole chain.  Each
+    admission is a node; the node past LARGE_BLOCK_SEARCH_BUDGET raises
     DegenerateInstance.
+
+    A chain rooted at m needs minimal_large_size(m, n) vertices, so a depth
+    ends when fewer candidates are left than the chain still needs.  Every
+    later root needs more, so a root ends the search when its candidates
+    are fewer than that or peel into fewer greedy sets pairwise not of the
+    color (`_colorable`).  Only a chain of that size can be large, so only
+    such a chain is carved.
     """
-    size = len(reservoir)
+    rows = f.rows if isinstance(f, Pattern) else f  # a stable coloring's f[y] is its upper row
+    cand = _mask(reservoir)
+    flip = color - 1  # rows[y] ^ flip: y's partners of the color
     chosen: list = []
-    trail: list = []  # (reservoir index, need) at each admission
-    need = 1  # the elements every completion of the chain still needs
-    nodes = i = 0
+    trail: list = []  # (candidates left, need) at each admission
+    need = 1  # the vertices every completion of the chain still needs
+    nodes = 0
     while need:
-        if i <= size - need:
+        room = cand.bit_count()
+        if room >= need:
+            low = cand & -cand
+            y = low.bit_length() - 1
+            room += len(chosen)  # the longest chain through y
+            if not chosen:
+                size = minimal_large_size(y, n, room)
+                if size > room or size >= 3 and not _colorable(rows, cand, low, size, -color):
+                    return None
             nodes += 1
             if nodes > LARGE_BLOCK_SEARCH_BUDGET:
                 raise DegenerateInstance(f"large block search budget exhausted at color {color}, "
                                          f"level {n}; treat as degenerate")
-            y = reservoir[i]
-            room = size - i + len(chosen)  # the longest chain through y
-            if not chosen and minimal_large_size(y, n, room) > room:
-                return None
-            if all(f.color(x, y) == color for x in chosen):
-                chosen.append(y)
-                trail.append((i, need))
-                need = minimal_large_size(chosen[0], n, room) - len(chosen)
-                if need <= 0:  # only a chain this long can be large
-                    need = 0 if _carve_prefix(chosen, n) is not None else 1
-            i += 1
+            cand ^= low
+            chosen.append(y)
+            trail.append((cand, need))
+            need = minimal_large_size(chosen[0], n, room) - len(chosen)
+            if need <= 0:  # only a chain this long can be large
+                need = 0 if _carve_prefix(chosen, n) is not None else 1
+            cand &= rows[y] ^ flip
             continue
         if not chosen:
             return None
         chosen.pop()
-        i, need = trail.pop()
-        i += 1
+        cand, need = trail.pop()
     return tuple.__new__(VertexSet, chosen)  # ascending and distinct as the reservoir
 
 

@@ -35,7 +35,9 @@ candidates from v on are peeled, ascending, into greedy sets pairwise
 not of color b, and fewer sets than positions end the depth.  Later
 depths of the class are not colored again: that cost more than it saved
 on hit searches.  No cut removes a hit, so the hit does not depend on
-them; they only save nodes.
+them; they only save nodes.  The large-block search in `largeness` walks
+one class, sized by largeness, with the class-size cut at every depth and
+the greedy-coloring cut at its roots.
 """
 
 from __future__ import annotations
@@ -80,15 +82,20 @@ class Pattern:
     def __init__(self, size: int, bits):
         if size < 1:
             raise ContractViolation("pattern size must be >= 1")
-        bits = tuple(map(int, bits))
+        if isinstance(bits, int):  # bytes(k) would read k zeros
+            raise ContractViolation("pattern bits must be a sequence")
+        try:
+            bits = bytes(bits)  # refuses what is not an int in 0..255
+        except (TypeError, ValueError):
+            raise ContractViolation("pattern bits must be 0 or 1") from None
         expected = size * (size - 1) // 2
         if len(bits) != expected:
             raise ContractViolation(
                 f"pattern of size {size} needs {expected} bits, got {len(bits)}"
             )
-        if not set(bits) <= {0, 1}:
+        if bits.translate(None, b"\0\1"):
             raise ContractViolation("pattern bits must be 0 or 1")
-        text = bytes(bits).hex()[1::2]  # a 0/1 byte is "00" or "01" in hex
+        text = bits.hex()[1::2]  # a 0/1 byte is "00" or "01" in hex
         starts = [x * (2 * size - x - 1) // 2 for x in range(size)]  # index of (x, x + 1)
         self.size = size
         self.rows = _symmetric_rows([text[a:b] for a, b in zip(starts, starts[1:])])

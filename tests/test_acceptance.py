@@ -37,12 +37,11 @@ from rpl.instances import (
     repaired_random_unbalanced,
 )
 from rpl.largeness import (
+    LargenessPredicate,
     em_grouping_extract,
     find_grouping,
     grouping_to_homogeneous,
     is_omega_n_large,
-    omega_largeness,
-    pattern_largeness,
 )
 from rpl.patterns import (
     FiniteColoring,
@@ -382,10 +381,10 @@ def test_criterion_10_largeness():
             checked += 1
 
     # groupings returned by the searches pass the constancy scan
-    g1 = find_grouping(constant_coloring(40, 0), omega_largeness(1), 3, 40)
+    g1 = find_grouping(constant_coloring(40, 0), LargenessPredicate(level=1), 3, 40)
     assert g1.complete and g1.check()
     f6 = FiniteColoring.from_function(6, lambda x, y: 0 if x // 2 == y // 2 else 1)
-    g2 = find_grouping(f6, pattern_largeness(pat("01"), f6), 2, 6)
+    g2 = find_grouping(f6, LargenessPredicate(pattern=pat("01"), coloring=f6), 2, 6)
     assert g2.check()
     st = dipped_split_order(500)
     em = em_grouping_extract(st, 1, 500, count=6)
@@ -399,7 +398,7 @@ def test_criterion_10_largeness():
     from rpl.patterns import VertexSet
 
     g3 = Grouping([VertexSet(b) for b in [(0, 1), (2, 3), (4, 5)]],
-                  pattern_largeness(pat("01"), f6), f6, True)
+                  LargenessPredicate(pattern=pat("01"), coloring=f6), f6, True)
     out = grouping_to_homogeneous(f6, pat("012"), g3)
     assert out.kind == "homogeneous"
     assert verify_homogeneous(f6, out.vertices, out.color)

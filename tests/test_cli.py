@@ -17,7 +17,7 @@ from rpl.cli import (
 )
 from rpl.errors import DegenerateInstance, InstanceLoadError
 from rpl.fractals import fractal_perm
-from rpl.largeness import find_grouping, pattern_largeness
+from rpl.largeness import LargenessPredicate, find_grouping
 from rpl.patterns import FiniteColoring, StableColoring
 
 
@@ -332,7 +332,7 @@ def test_large_group_searches_within_the_global_budget(capsys, tmp_path):
     inst.write_text("4\n011\n01\n1\n")
     argv = ["large", "group", str(inst), "--notion", "pattern:01"]
     f = load_coloring(str(inst))
-    unbounded = find_grouping(f, pattern_largeness(pat("01"), f), 3, 200)
+    unbounded = find_grouping(f, LargenessPredicate(pattern=pat("01"), coloring=f), 3, 200)
     code, out, err = run(capsys, argv)
     assert (code, err) == (0, "")
     assert json.loads(out)["blocks"] == [list(b) for b in unbounded.blocks]

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import mirror_chain_coloring, pat
 from rpl import largeness
-from rpl.errors import ContractViolation, DegenerateInstance
+from rpl.errors import BudgetExhausted, ContractViolation, DegenerateInstance
 from rpl.instances import (
     alternating_stable,
+    blocked_split_order,
     constant_coloring,
     dipped_split_order,
     interleaved_split_order,
@@ -27,9 +28,7 @@ from rpl.largeness import (
     grouping_to_homogeneous,
     is_omega_n_large,
     minimal_large_size,
-    omega_largeness,
     omega_n_decompose,
-    pattern_largeness,
 )
 from rpl.patterns import FiniteColoring, Pattern, StableColoring, VertexSet, avoids
 
@@ -236,17 +235,18 @@ def test_em_grouping_budget_exhaustion_is_degenerate(monkeypatch):
         em_grouping_extract(dipped_split_order(500), 1, 500, count=6)
 
 
-# Exact node counts of the large-block search, one per reservoir element
-# visited, with its answer as (size, first, last, sum) or None: budget
-# N - 1 runs out, budget N answers.  Vertex 0 is large at every level, so
-# the pools start above it.
+# Exact node counts of the large-block search, one per admission, with
+# its answer as (size, first, last, sum) or None: budget N - 1 runs out,
+# budget N answers.  Vertex 0 is large at every level, so the pools start
+# above it.  The walk that read pairs one at a time and charged a node per
+# reservoir element it visited took 149, 2827 and 110 nodes.
 LARGE_BLOCK_PINS = [
     ("dipped-60-level-2", lambda: (dipped_split_order(60), range(2, 60), 0, 2),
-     149, (13, 2, 18, 116)),
+     16, (13, 2, 18, 116)),
     ("interleaved-300-level-2", lambda: (interleaved_split_order(300, 1), range(2, 300), 0, 2),
-     2827, (18, 2, 29, 269)),
+     28, (18, 2, 29, 269)),
     ("alternating-200-level-2", lambda: (alternating_stable(200), list(range(2, 200, 3)), 1, 2),
-     110, None),
+     1, None),
 ]
 
 
@@ -260,6 +260,71 @@ def test_large_block_search_node_count_pinned(monkeypatch, name, make, nodes, hi
     monkeypatch.setattr(largeness, "LARGE_BLOCK_SEARCH_BUDGET", nodes)
     got = _homog_large_block(f, reservoir, color, level)
     assert (None if got is None else (len(got), got[0], got[-1], sum(got))) == hit
+
+
+def visit_walk(f, reservoir, color: int, n: int, budget: int) -> tuple:
+    """Reference large-block search, the walk the mask search replaced:
+    it reads pairs with f.color and charges a node per reservoir element
+    it visits, with no cut but the room left in the reservoir.  Returns
+    (block or None, nodes); the node past the budget raises
+    DegenerateInstance."""
+    size = len(reservoir)
+    chosen, trail = [], []
+    need = 1
+    nodes = i = 0
+    while need:
+        if i <= size - need:
+            nodes += 1
+            if nodes > budget:
+                raise DegenerateInstance("reference budget exhausted")
+            y = reservoir[i]
+            room = size - i + len(chosen)
+            if not chosen and minimal_large_size(y, n, room) > room:
+                return None, nodes
+            if all(f.color(x, y) == color for x in chosen):
+                chosen.append(y)
+                trail.append((i, need))
+                need = minimal_large_size(chosen[0], n, room) - len(chosen)
+                if need <= 0:
+                    need = 0 if largeness._carve_prefix(chosen, n) is not None else 1
+            i += 1
+            continue
+        if not chosen:
+            return None, nodes
+        chosen.pop()
+        i, need = trail.pop()
+        i += 1
+    return tuple(chosen), nodes
+
+
+def test_large_block_search_matches_the_visit_walk(monkeypatch):
+    """Finite and split-order colorings up to 160 vertices, both colors,
+    levels 0-2, pools as lists and range suffixes: wherever the reference
+    answers within 5,000 visits, the mask walk gives the same answer in at
+    most that many nodes."""
+    rng = random.Random(36)
+    compared = 0
+    for case in range(400):
+        h = rng.randint(2, 160)
+        q = rng.random()
+        if case % 2:
+            f = FiniteColoring.from_function(h, lambda x, y: int(rng.random() < q))
+        else:
+            f = split_order_coloring(h, {x for x in range(h) if rng.random() < q})
+        if rng.random() < 0.5:
+            pool = range(rng.randint(1, min(4, h - 1)), h)
+        else:
+            pool = [y for y in range(1, h) if rng.random() < 0.8]
+        color, level = rng.randint(0, 1), rng.randint(0, 2)
+        try:
+            ref, visits = visit_walk(f, pool, color, level, 5_000)
+        except DegenerateInstance:
+            continue
+        monkeypatch.setattr(largeness, "LARGE_BLOCK_SEARCH_BUDGET", visits)
+        got = _homog_large_block(f, pool, color, level)
+        assert (None if got is None else tuple(got)) == ref, (case, h, color, level)
+        compared += 1
+    assert compared >= 360  # the reference answers most cases
 
 
 def count_carves(monkeypatch) -> list:
@@ -291,14 +356,56 @@ def test_large_block_search_carves_only_chains_that_can_be_large(monkeypatch, na
 def test_large_block_search_carves_no_chain_too_short_to_be_large(monkeypatch):
     # no block exists: a color-0 set holds one top element at most, and
     # the pool's 78 other elements are fewer than the 91 that a chain
-    # from its least non-top root needs; the budget ends the search
+    # from its least non-top root needs; the root cuts prove it
     carves = count_carves(monkeypatch)
-    monkeypatch.setattr(largeness, "LARGE_BLOCK_SEARCH_BUDGET", 20_000)
-    with pytest.raises(DegenerateInstance, match="color 0, level 2;"):
-        _homog_large_block(interleaved_split_order(300, 2), range(2, 120), 0, 2)
+    assert _homog_large_block(interleaved_split_order(300, 2), range(2, 120), 0, 2) is None
     assert carves == [0]
     em = em_grouping_extract(dipped_split_order(500), 1, 500, count=6)
     assert em.kind == "grouping" and carves == [4]
+
+
+def em_summary(out) -> tuple:
+    return out.kind, out.color, [(b[0], b[-1], len(b)) for b in out.blocks], out.vertices
+
+
+# Each largeness search ends with an answer or with one error line, its
+# budget counted in nodes: (name, large-block budget or None for the
+# default, call, outcome).  The interleaved-300 level-2 extraction still
+# exhausts the default budget, after seconds, so it runs on a small one.
+LARGENESS_ENDINGS = [
+    ("block-absent-interleaved-300-level-2", None,
+     lambda: _homog_large_block(interleaved_split_order(300, 2), range(2, 120), 0, 2), None),
+    ("em-interleaved-300-level-2", 1_000,
+     lambda: em_grouping_extract(interleaved_split_order(300, 1), 2, 300, count=3),
+     "DegenerateInstance: large block search budget exhausted at color 1, level 2; "
+     "treat as degenerate"),
+    ("em-interleaved-300-level-1", None,
+     lambda: em_summary(em_grouping_extract(interleaved_split_order(300, 2), 1, 300, count=3)),
+     ("homogeneous-minima", 0, [], (0, 1, 4, 10, 26, 59))),
+    ("em-blocked-300-level-2", None,
+     lambda: em_summary(em_grouping_extract(blocked_split_order(300, 1), 2, 300, count=3)),
+     ("homogeneous-minima", 0, [], (0, 1))),
+    ("em-dipped-60-level-3", None,
+     lambda: em_summary(em_grouping_extract(dipped_split_order(60), 3, 60, count=3)),
+     ("grouping", 1, [(0, 0, 1)], None)),
+    ("grouping-2031-interleaved-300", None,
+     lambda: find_grouping(f := interleaved_split_order(300, 1),
+                           LargenessPredicate(pattern=pat("2031"), coloring=f, budget=50), 3, 300),
+     "BudgetExhausted: search budget exhausted after 51 nodes"),
+]
+
+
+@pytest.mark.parametrize("name, budget, call, outcome", LARGENESS_ENDINGS,
+                         ids=[c[0] for c in LARGENESS_ENDINGS])
+def test_largeness_searches_end_in_an_answer_or_one_line(monkeypatch, name, budget, call, outcome):
+    if budget is not None:
+        monkeypatch.setattr(largeness, "LARGE_BLOCK_SEARCH_BUDGET", budget)
+    try:
+        got = call()
+    except (BudgetExhausted, DegenerateInstance) as e:
+        got = f"{type(e).__name__}: {e}"
+        assert "\n" not in got
+    assert got == outcome
 
 
 # ---------------------------------------------------------------------------
@@ -307,21 +414,21 @@ def test_large_block_search_carves_no_chain_too_short_to_be_large(monkeypatch):
 
 def test_find_grouping_constant():
     f = constant_coloring(40, 0)
-    g = find_grouping(f, omega_largeness(1), 3, 40)
+    g = find_grouping(f, LargenessPredicate(level=1), 3, 40)
     assert g.complete and g.check()
     assert [tuple(b) for b in g.blocks] == [(0,), (1, 2), (3, 4, 5, 6)]
 
 
 def test_find_grouping_needs_constancy():
     st = split_order_coloring(60, top={1, 4, 9, 16, 25, 36, 49})
-    g = find_grouping(st, omega_largeness(1), 4, 60)
+    g = find_grouping(st, LargenessPredicate(level=1), 4, 60)
     assert g.check()
     assert len(g.blocks) >= 2
 
 
 def test_find_grouping_obstruction():
     f = constant_coloring(30, 1)
-    notion = pattern_largeness(pat("01"), f)  # no color-0 pair anywhere
+    notion = LargenessPredicate(pattern=pat("01"), coloring=f)  # no color-0 pair anywhere
     g = find_grouping(f, notion, 2, 30)
     assert not g.complete
     assert g.obstruction["reason"] == "no large subset in the reservoir"
@@ -330,7 +437,7 @@ def test_find_grouping_obstruction():
 
 def test_pattern_largeness_grouping():
     f = constant_coloring(30, 0)
-    notion = pattern_largeness(pat("012"), f)
+    notion = LargenessPredicate(pattern=pat("012"), coloring=f)
     g = find_grouping(f, notion, 3, 30)
     assert g.complete and g.check()
     assert all(len(b) >= 3 for b in g.blocks)
@@ -352,7 +459,7 @@ def test_grouping_to_homogeneous_positive():
 
     f = FiniteColoring.from_function(6, lambda x, y: 0 if x // 2 == y // 2 else 1)
     avoided = pat("012")
-    notion = pattern_largeness(pat("01"), f)
+    notion = LargenessPredicate(pattern=pat("01"), coloring=f)
     g = build_grouping(f, [(0, 1), (2, 3), (4, 5)], notion)
     assert g.check()
     assert avoids(f, range(6), avoided)
@@ -366,7 +473,7 @@ def test_grouping_to_homogeneous_two_blocks():
     from rpl.patterns import FiniteColoring
 
     f = FiniteColoring.from_function(4, lambda x, y: 0 if x // 2 == y // 2 else 1)
-    g = build_grouping(f, [(0, 1), (2, 3)], pattern_largeness(pat("01"), f))
+    g = build_grouping(f, [(0, 1), (2, 3)], LargenessPredicate(pattern=pat("01"), coloring=f))
     out = grouping_to_homogeneous(f, pat("012"), g)
     assert out.kind == "homogeneous" and len(out.vertices) == 2
 
@@ -375,7 +482,7 @@ def test_grouping_to_homogeneous_violation_certificate():
     # the all-0 coloring contains 012, so the avoidance precondition is
     # violated and a realization certificate comes back
     f = constant_coloring(6, 0)
-    g = build_grouping(f, [(0, 1), (2, 3), (4, 5)], pattern_largeness(pat("01"), f))
+    g = build_grouping(f, [(0, 1), (2, 3), (4, 5)], LargenessPredicate(pattern=pat("01"), coloring=f))
     out = grouping_to_homogeneous(f, pat("012"), g)
     assert out.kind == "violation"
     from rpl.patterns import realizes
@@ -385,7 +492,7 @@ def test_grouping_to_homogeneous_violation_certificate():
 
 def test_grouping_to_homogeneous_contracts():
     f = constant_coloring(6, 0)
-    g = build_grouping(f, [(0, 1), (2, 3)], pattern_largeness(pat("01"), f))
+    g = build_grouping(f, [(0, 1), (2, 3)], LargenessPredicate(pattern=pat("01"), coloring=f))
     with pytest.raises(ContractViolation):
         grouping_to_homogeneous(f, pat("201"), g)  # divergent pattern
 
@@ -483,10 +590,8 @@ def test_em_minima_thin_by_every_minimum():
 
 
 def test_find_grouping_on_run_structured_fixture():
-    from rpl.instances import blocked_split_order
-
     st = blocked_split_order(500, 3)
-    g = find_grouping(st, omega_largeness(1), 4, 500)
+    g = find_grouping(st, LargenessPredicate(level=1), 4, 500)
     assert g.complete and g.check()
     assert [(b[0], b[-1], len(b)) for b in g.blocks] == [
         (0, 0, 1), (1, 2, 2), (3, 6, 4), (7, 14, 8)
@@ -498,7 +603,7 @@ def test_find_grouping_mirror_double_partial_is_honest():
     # classes, so majority thinning eventually empties the reservoir;
     # the partial grouping still verifies and the report names the cause
     st = mirror_chain_coloring(250)
-    g = find_grouping(st, omega_largeness(1), 4, 500)
+    g = find_grouping(st, LargenessPredicate(level=1), 4, 500)
     assert not g.complete
     assert g.check()
     assert g.obstruction["reason"] == "reservoir emptied by majority thinning"
@@ -526,7 +631,8 @@ def test_minimal_large_prefix_bisects_to_linear_answer(data):
     # find_grouping hands over ascending pools: a sorted prefix of a permutation
     pool = data.draw(st.permutations(range(n)).flatmap(
         lambda perm: st.integers(0, n).map(lambda k: sorted(perm[:k]))), label="pool")
-    for notion in (pattern_largeness(p, f), omega_largeness(data.draw(st.integers(0, 2)))):
+    level = data.draw(st.integers(0, 2))
+    for notion in (LargenessPredicate(pattern=p, coloring=f), LargenessPredicate(level=level)):
         assert _minimal_large_prefix(notion, pool) == linear_large_prefix(notion, pool)
 
 
@@ -536,10 +642,12 @@ def test_minimal_large_prefix_makes_log_many_searches(monkeypatch):
     monkeypatch.setattr(LargenessPredicate, "holds",
                         lambda self, xs: calls.append(len(xs)) or holds(self, xs))
     f = FiniteColoring.constant(64, 0)
-    assert _minimal_large_prefix(pattern_largeness(pat("012"), f), list(range(64))) == [0, 1, 2]
+    notion = LargenessPredicate(pattern=pat("012"), coloring=f)
+    assert _minimal_large_prefix(notion, list(range(64))) == [0, 1, 2]
     assert calls == [1, 2, 4, 3]  # the linear scan made 3 here
     calls.clear()
-    assert _minimal_large_prefix(pattern_largeness(pat("012"), f.dual()), list(range(64))) is None
+    notion = LargenessPredicate(pattern=pat("012"), coloring=f.dual())
+    assert _minimal_large_prefix(notion, list(range(64))) is None
     assert calls == [1, 2, 4, 8, 16, 32, 64]  # the linear scan made 64
 
 
@@ -551,11 +659,11 @@ def test_find_grouping_asks_the_final_search_once(monkeypatch):
     # the whole reservoir avoids 2031: the prefix search ends on the full
     # reservoir, and that search is not repeated
     f = interleaved_split_order(200, 1)
-    g = find_grouping(f, pattern_largeness(pat("2031"), f), 3, 200)
+    g = find_grouping(f, LargenessPredicate(pattern=pat("2031"), coloring=f), 3, 200)
     assert g.obstruction["reason"] == "no large subset in the reservoir"
     assert [len(xs) for xs in calls] == [1, 2, 4, 8, 16, 32, 64, 128, 200]
     # the omega route carves instead of searching, so holds cross-checks it
     calls.clear()
-    g = find_grouping(constant_coloring(12, 0), omega_largeness(2), 3, 12)
+    g = find_grouping(constant_coloring(12, 0), LargenessPredicate(level=2), 3, 12)
     assert g.obstruction["reservoir_size"] == 7
     assert calls[0] == list(range(5, 12))

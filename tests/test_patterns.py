@@ -613,6 +613,28 @@ def test_limit_index_is_lazy_and_matches_limits():
     assert not alternating_stable(50).limit_index()[2]
 
 
+UNTYPED_BITS = [
+    lambda: Pattern(3, ["1", 0.9, True]),
+    lambda: Pattern(3, [1, None, 0]),
+    lambda: Pattern(3, "101"),
+    lambda: Pattern(3, 3),  # bytes(3) would read as three zero bits
+    lambda: FiniteColoring(2, [1.5]),
+    lambda: FiniteColoring.from_function(3, lambda x, y: 0.5),
+]
+
+
+@pytest.mark.parametrize("make", UNTYPED_BITS, ids=range(len(UNTYPED_BITS)))
+def test_pattern_refuses_untyped_bits(make):
+    """A float, a string or None is refused, never truncated to a bit."""
+    with pytest.raises(ContractViolation):
+        make()
+
+
+def test_pattern_reads_bools_as_bits():
+    assert Pattern(3, [True, False, True]) == Pattern(3, (1, 0, 1))
+    assert FiniteColoring.from_function(3, lambda x, y: x == 0).rows == (6, 1, 1)
+
+
 def test_finite_coloring_rejects_non_binary_bits():
     with pytest.raises(ContractViolation):
         FiniteColoring(3, [0, 1, 2])
