@@ -370,8 +370,7 @@ def _homog_large_block(f, reservoir, color: int, n: int) -> VertexSet | None:
         if room >= need:
             low = cand & -cand
             y = low.bit_length() - 1
-            room += len(chosen)  # the longest chain through y
-            if not chosen:
+            if not chosen:  # a chain rooted at y needs size vertices
                 size = minimal_large_size(y, n, room)
                 if size > room or size >= 3 and not _colorable(rows, cand, low, size, -color):
                     return None
@@ -382,7 +381,7 @@ def _homog_large_block(f, reservoir, color: int, n: int) -> VertexSet | None:
             cand ^= low
             chosen.append(y)
             trail.append((cand, need))
-            need = minimal_large_size(chosen[0], n, room) - len(chosen)
+            need = size - len(chosen)
             if need <= 0:  # only a chain this long can be large
                 need = 0 if _carve_prefix(chosen, n) is not None else 1
             cand &= rows[y] ^ flip
